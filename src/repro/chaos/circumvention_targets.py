@@ -33,12 +33,11 @@ from __future__ import annotations
 import random
 from typing import Iterator, List
 
-from ..circumvention.consensus import TandemMeter, run_rotating_consensus
 from ..circumvention.detectors import run_heartbeat_detector
-from ..circumvention.gst import run_gst_consensus
+from ..circumvention.gst import run_gst_consensus, run_rotating_consensus
 from ..circumvention.leases import run_quorum_lease
 from ..circumvention.randomized import run_ben_or_traced
-from ..core.budget import Budget
+from ..core.budget import Budget, TandemMeter
 from ..core.runtime import Trace
 from . import generators
 from .monitors import (

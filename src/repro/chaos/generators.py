@@ -29,10 +29,11 @@ from __future__ import annotations
 import random
 from typing import Hashable, Iterator, Sequence, Tuple
 
-from ..circumvention.consensus import RELENTLESS_ATOM, SUSPECT_ATOM
 from ..circumvention.gst import (
     DELAY_ATOM,
     GST_ATOM,
+    RELENTLESS_ATOM,
+    SUSPECT_ATOM,
     GSTAdversary,
     simplify_gst_atom,
 )

@@ -12,10 +12,6 @@ canonical negotiations on the repository's simulation substrates:
   detector runtime (timeout/backoff-adaptive eventually-perfect
   suspicion lists and an Omega leader oracle), the Chandra–Toueg escape
   hatch from FLP;
-* :mod:`repro.circumvention.consensus` — rotating-coordinator consensus
-  that terminates under an eventually-accurate suspicion schedule and
-  provably *stalls* (budget-exceeded, never unsafe) under an adversarial
-  one — the FLP circumvention receipt, both sides;
 * :mod:`repro.circumvention.leases` — a quorum lease protocol with
   explicit degraded modes: a leader without a quorum drops to
   read-only, minority partitions reject writes with structured errors,
@@ -27,22 +23,29 @@ canonical negotiations on the repository's simulation substrates:
 * :mod:`repro.circumvention.gst` — partial synchrony as first-class
   adversary atoms (``("gst", g)`` stabilization, per-round link delays)
   and DLS rotating-coordinator consensus that provably stalls before
-  GST (structured budget receipt) and decides after it.
+  GST (structured budget receipt) and decides after it.  The same
+  engine under a suspicion oracle is rotating-coordinator consensus
+  with a failure detector: it terminates under an eventually-accurate
+  suspicion schedule and provably *stalls* (budget-exceeded, never
+  unsafe) under an adversarial one — the FLP circumvention receipt,
+  both sides.
 
 Every run is a deterministic function of ``(atoms, seed)`` through the
 unified runtime (:mod:`repro.core.runtime`), replayable byte-identically,
-and budget-threaded (:mod:`repro.core.budget`) with resumable partial
-state.  The chaos roster (:mod:`repro.chaos.circumvention_targets`)
-fuzzes both the honest protocols and planted-bug variants.
+and budget-threaded with resumable partial state through the one step
+loop :func:`repro.core.runtime.drive`.  The chaos roster
+(:mod:`repro.chaos.circumvention_targets`) fuzzes both the honest
+protocols and planted-bug variants.
 """
 
-from .consensus import ConsensusRun, run_rotating_consensus
 from .detectors import DetectorRun, run_heartbeat_detector
 from .gst import (
+    ConsensusRun,
     GSTAdversary,
     GSTRun,
     blackout_atoms,
     run_gst_consensus,
+    run_rotating_consensus,
     simplify_gst_atom,
 )
 from .leases import LeaseRun, run_quorum_lease

@@ -37,22 +37,15 @@ happen.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
 from ..core.budget import Budget, BudgetExceeded
-from .consensus import run_rotating_consensus
 from .detectors import run_heartbeat_detector
-from .gst import blackout_atoms, run_gst_consensus
+from .gst import blackout_atoms, run_gst_consensus, run_rotating_consensus
 from .leases import run_quorum_lease
+from .partitions import parse_atoms
 from .randomized import expected_rounds
-
-
-def _parse_atoms(text: str):
-    atoms = json.loads(text)
-    return tuple(tuple(atom) if isinstance(atom, list) else atom
-                 for atom in atoms)
 
 
 def _suspicion_atoms(pairs: List[str], relentless: List[int]):
@@ -219,7 +212,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "detector":
         run = run_heartbeat_detector(
-            _parse_atoms(args.atoms),
+            parse_atoms(args.atoms),
             args.seed,
             n=args.n,
             horizon=args.horizon,
@@ -240,7 +233,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "lease":
         run = run_quorum_lease(
-            _parse_atoms(args.atoms),
+            parse_atoms(args.atoms),
             args.seed,
             n=args.n,
             horizon=args.horizon,
@@ -323,7 +316,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             inputs = tuple(i % 2 for i in range(args.n))
         if args.atoms is not None:
-            atoms = _parse_atoms(args.atoms)
+            atoms = parse_atoms(args.atoms)
         else:
             atoms = blackout_atoms(args.gst, len(inputs))
         n = len(inputs)

@@ -32,19 +32,16 @@ and :class:`~repro.chaos.monitors.LeaderStabilityMonitor` fires on the
 
 Runs are deterministic functions of ``(atoms, seed)`` (the seed drives
 per-heartbeat delivery jitter), replayable byte-identically, and
-budget-threaded: ``budget=`` overdrafts return a resumable partial
-:class:`DetectorRun` in the PR-3 convention, ``meter=`` (the campaign's
-account) propagates :class:`~repro.core.budget.BudgetExceeded`.
+budget-threaded through :func:`~repro.core.runtime.drive`.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..core.budget import Budget, BudgetExceeded, BudgetMeter
-from ..core.runtime import DECLARE, SEND, Trace, TraceEvent
+from ..core.budget import Budget, BudgetMeter
+from ..core.runtime import DECLARE, SEND, RunRecord, SimulationRuntime, drive
 from .partitions import PartitionAdversary, Schedule
 
 SUBSTRATE = "failure-detector"
@@ -56,27 +53,19 @@ LEADER = "leader"
 
 
 @dataclass
-class DetectorRun:
-    """One heartbeat-detector run (possibly partial).
+class DetectorRun(RunRecord):
+    """One heartbeat-detector run (possibly partial, see :func:`drive`)."""
 
-    ``complete`` is False when a ``budget=`` overdraft interrupted the
-    simulation; ``resume`` then carries the live simulator state — pass
-    it back via ``resume=`` to continue, and the finished run's trace is
-    byte-identical to an uninterrupted one.
-    """
-
-    trace: Trace
-    complete: bool
     suspects: Dict[int, Tuple[int, ...]]
     leaders: Dict[int, int]
     leader_changes: int
     last_change: int
-    resume: Optional["_DetectorSim"] = field(default=None, repr=False)
-    interrupted: Optional[BudgetExceeded] = None
 
 
 class _DetectorSim:
     """The mutable simulator: all state needed to take one more step."""
+
+    context = "heartbeat-detector"
 
     def __init__(
         self,
@@ -89,15 +78,13 @@ class _DetectorSim:
         adaptive: bool,
         jitter: int,
     ):
+        self.runtime = SimulationRuntime(SUBSTRATE, "heartbeat-detector", seed)
         self.partition = PartitionAdversary(atoms, n)
-        self.seed = seed
-        self.n = n
+        self.n = self.cost = n
         self.horizon = horizon
         self.heartbeat_every = heartbeat_every
-        self.initial_timeout = initial_timeout
         self.adaptive = adaptive
         self.jitter = jitter
-        self.rng = random.Random(seed)
         self.t = 0
         self.last_heard = [[0] * n for _ in range(n)]
         self.timeout = [[initial_timeout] * n for _ in range(n)]
@@ -107,17 +94,13 @@ class _DetectorSim:
         self.last_change = 0
         #: in-flight heartbeats: (arrival step, src, dst), kept sorted
         self.inflight: List[Tuple[int, int, int]] = []
-        self.events: List[TraceEvent] = []
-        self._step_no = 0
 
     def _emit(self, actor, kind, payload):
-        self.events.append(
-            TraceEvent(self._step_no, actor, kind, payload, None, self.t)
-        )
-        self._step_no += 1
+        self.runtime.emit(kind, actor, payload, time=self.t)
 
-    def _note_change(self):
-        self.last_change = self.t
+    @property
+    def done(self) -> bool:
+        return self.t >= self.horizon
 
     def step(self) -> None:
         t = self.t
@@ -135,7 +118,7 @@ class _DetectorSim:
                 if self.adaptive:
                     self.timeout[dst][src] *= 2
                 self._emit(dst, DECLARE, (TRUST, src))
-                self._note_change()
+                self.last_change = t
         # 2. heartbeat broadcast
         if t % self.heartbeat_every == 0:
             for p in range(self.n):
@@ -146,7 +129,7 @@ class _DetectorSim:
                     if q == p or part.blocked(t, p, q):
                         continue
                     delay = 1 + (
-                        self.rng.randrange(self.jitter + 1)
+                        self.runtime.rng.randrange(self.jitter + 1)
                         if self.jitter > 0
                         else 0
                     )
@@ -161,7 +144,7 @@ class _DetectorSim:
                 if t - self.last_heard[p][q] > self.timeout[p][q]:
                     self.suspects[p].add(q)
                     self._emit(p, DECLARE, (SUSPECT, q))
-                    self._note_change()
+                    self.last_change = t
             trusted = [
                 q for q in range(self.n) if q not in self.suspects[p]
             ]
@@ -171,7 +154,7 @@ class _DetectorSim:
                 self._emit(p, DECLARE, (LEADER, new_leader))
                 if t > 0:
                     self.leader_changes += 1
-                self._note_change()
+                self.last_change = t
         self.t = t + 1
 
     def outcome(self) -> Dict:
@@ -186,8 +169,23 @@ class _DetectorSim:
             "leader_changes": self.leader_changes,
             "last_change": self.last_change,
             "crashed": tuple(sorted(self.partition.ever_crashed())),
-            "complete": self.t >= self.horizon,
+            "complete": self.done,
         }
+
+    def record(self, **base) -> DetectorRun:
+        return DetectorRun(
+            suspects={
+                p: tuple(sorted(self.suspects[p])) for p in range(self.n)
+            },
+            leaders={
+                p: self.leader[p]
+                for p in range(self.n)
+                if self.leader[p] is not None
+            },
+            leader_changes=self.leader_changes,
+            last_change=self.last_change,
+            **base,
+        )
 
 
 def run_heartbeat_detector(
@@ -204,70 +202,15 @@ def run_heartbeat_detector(
     budget: Optional[Budget] = None,
     resume: Optional[DetectorRun] = None,
 ) -> DetectorRun:
-    """Run (or resume) one heartbeat-detector simulation.
-
-    ``meter`` is an externally owned account (a chaos campaign's per-run
-    meter): its overdraft *raises*.  ``budget`` opens this run's own
-    account: its overdraft returns a partial, resumable run instead.
-    """
-    if resume is not None:
-        if resume.resume is None:
-            raise ValueError("run is not resumable (it completed)")
-        sim = resume.resume
-    else:
-        sim = _DetectorSim(
-            tuple(atoms), seed, n, horizon, heartbeat_every,
+    """Run (or resume) one heartbeat-detector simulation; ``meter``,
+    ``budget`` and ``resume`` follow :func:`~repro.core.runtime.drive`."""
+    atoms = tuple(atoms)
+    return drive(
+        lambda: _DetectorSim(
+            atoms, seed, n, horizon, heartbeat_every,
             initial_timeout, adaptive, jitter,
-        )
-    own = budget.meter("heartbeat-detector") if budget is not None else None
-    interrupted: Optional[BudgetExceeded] = None
-    while sim.t < sim.horizon:
-        if meter is not None:
-            meter.charge_steps(sim.n)
-        if own is not None:
-            try:
-                own.charge_steps(sim.n)
-            except BudgetExceeded as exc:
-                interrupted = exc
-                break
-        sim.step()
-    complete = sim.t >= sim.horizon
-
-    def replayer() -> Trace:
-        return run_heartbeat_detector(
-            sim.partition.atoms,
-            sim.seed,
-            n=sim.n,
-            horizon=sim.horizon,
-            heartbeat_every=sim.heartbeat_every,
-            initial_timeout=sim.initial_timeout,
-            adaptive=sim.adaptive,
-            jitter=sim.jitter,
-        ).trace
-
-    trace = Trace(
-        substrate=SUBSTRATE,
-        protocol="heartbeat-detector",
-        seed=sim.seed,
-        events=tuple(sim.events),
-        outcome=tuple(
-            sorted((str(k), v) for k, v in sim.outcome().items())
         ),
-        replayer=replayer if complete else None,
-    )
-    return DetectorRun(
-        trace=trace,
-        complete=complete,
-        suspects={
-            p: tuple(sorted(sim.suspects[p])) for p in range(sim.n)
-        },
-        leaders={
-            p: sim.leader[p]
-            for p in range(sim.n)
-            if sim.leader[p] is not None
-        },
-        leader_changes=sim.leader_changes,
-        last_change=sim.last_change,
-        resume=None if complete else sim,
-        interrupted=interrupted,
+        meter=meter,
+        budget=budget,
+        resume=resume,
     )

@@ -38,15 +38,35 @@ blackout with a step budget below ``n * gst`` the run provably stalls,
 exiting via a structured :class:`~repro.core.budget.BudgetExceeded`
 receipt with nothing decided and nothing unsafe; give it budget past GST
 and the first stabilized round with a live coordinator decides.
+
+The same engine is the failure-detector circumvention
+(:func:`run_rotating_consensus`, Chandra–Toueg's rotating coordinator).
+In the round-based view of Gafni–Losa a wrong suspicion of round ``r``'s
+coordinator and a pre-GST delay of its message are the same event, so a
+suspicion schedule is just another delivery oracle
+(:class:`SuspicionOracle`): round ``r``'s coordinator's messages miss
+every process that suspects it.  Its atoms:
+
+* ``("suspect", r, pid)`` — ``pid`` suspects round ``r``'s coordinator
+  during round ``r`` only;
+* ``("relentless", pid)`` — ``pid`` suspects every coordinator, every
+  round (except itself: a coordinator always backs its own proposal).
+
+Under an eventually-accurate schedule the first clean round decides —
+the possible side.  Under a relentless full coalition no round ever
+collects a quorum and the run exits via a structured budget overdraft,
+never via a safety violation: take the detector away and FLP takes the
+protocol.  Both engines are budget-threaded through
+:func:`~repro.core.runtime.drive`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.budget import Budget, BudgetExceeded, BudgetMeter
+from ..core.budget import Budget, BudgetMeter
 from ..core.errors import ModelError
 from ..core.runtime import (
     CRASH,
@@ -54,8 +74,9 @@ from ..core.runtime import (
     DECLARE,
     DROP,
     SEND,
-    Trace,
-    TraceEvent,
+    RunRecord,
+    SimulationRuntime,
+    drive,
 )
 from .partitions import Atom, Schedule
 
@@ -64,6 +85,8 @@ SUBSTRATE = "gst-consensus"
 GST_ATOM = "gst"
 DELAY_ATOM = "delay"
 DOWN_ATOM = "down"
+SUSPECT_ATOM = "suspect"
+RELENTLESS_ATOM = "relentless"
 
 
 class GSTAdversary:
@@ -131,6 +154,32 @@ class GSTAdversary:
         """Stateless — present for the FaultAdversary replay contract."""
 
 
+class SuspicionOracle(GSTAdversary):
+    """A suspicion schedule as a delivery oracle that never stabilizes.
+
+    Round ``r``'s coordinator's messages miss every process that
+    suspects it; every other message arrives, and nobody crashes.
+    """
+
+    def __init__(self, atoms: Iterable[Atom], n: int):
+        super().__init__((), n)
+        self.atoms = tuple(atoms)
+        self._scripted = set()
+        self._relentless = set()
+        for atom in self.atoms:
+            if atom[0] == SUSPECT_ATOM:
+                self._scripted.add(atom[1:])
+            elif atom[0] == RELENTLESS_ATOM:
+                self._relentless.add(atom[1])
+            else:
+                raise ValueError(f"unknown suspicion atom {atom!r}")
+
+    def delivered(self, rnd: int, src: int, dst: int) -> bool:
+        if src != rnd % self.n or dst == src:
+            return True
+        return dst not in self._relentless and (rnd, dst) not in self._scripted
+
+
 def simplify_gst_atom(atom: Atom):
     """Strictly milder variants of one gst atom, for the shrinker.
 
@@ -165,62 +214,62 @@ def blackout_atoms(gst: int, n: int) -> Schedule:
 
 
 @dataclass
-class GSTRun:
-    """One DLS-consensus run (possibly partial, budget convention)."""
+class GSTRun(RunRecord):
+    """One DLS-consensus run (possibly partial, see :func:`drive`)."""
 
-    trace: Trace
-    complete: bool
     decisions: Dict[int, Optional[int]]
     rounds: int
     gst: Optional[int]
     crashed: Tuple[int, ...]
-    resume: Optional["_GSTSim"] = field(default=None, repr=False)
-    interrupted: Optional[BudgetExceeded] = None
 
 
-class _GSTSim:
-    """Mutable state: values, locks, the round cursor, the log."""
+@dataclass
+class ConsensusRun(RunRecord):
+    """One rotating-coordinator run (possibly partial, see :func:`drive`)."""
+
+    decided: Optional[int]
+    rounds: int
+
+
+class _DLSSim:
+    """Mutable state: values, locks, the round cursor."""
+
+    context = "gst-consensus"
+    protocol = "dls-rotating-coordinator"
+    substrate = SUBSTRATE
 
     def __init__(
         self,
-        atoms: Schedule,
+        adversary: GSTAdversary,
         seed,
         inputs: Tuple[int, ...],
         t: int,
         max_rounds: int,
-        default_gst: Optional[int],
     ):
-        self.n = len(inputs)
-        self.t = t
+        self.n = self.cost = len(inputs)
         if 2 * t >= self.n:
             raise ModelError(
                 f"DLS consensus needs n > 2t, got n={self.n}, t={t}"
             )
-        self.adversary = GSTAdversary(atoms, self.n, t, default_gst)
-        self.seed = seed
-        self.inputs = tuple(inputs)
+        self.runtime = SimulationRuntime(self.substrate, self.protocol, seed)
+        self.adversary = adversary
         self.max_rounds = max_rounds
         self.quorum = self.n - t
         self.rnd = 0
-        self.value = list(self.inputs)
+        self.value = list(inputs)
         self.lock = [-1] * self.n
         self.decided: List[Optional[int]] = [None] * self.n
-        self.events: List[TraceEvent] = []
-        self._step_no = 0
         self._announced_crashes: set = set()
 
     def _emit(self, actor, kind, payload):
-        self.events.append(
-            TraceEvent(self._step_no, actor, kind, payload, self.rnd, None)
-        )
-        self._step_no += 1
+        self.runtime.emit(kind, actor, payload, round=self.rnd)
 
     def _live(self) -> List[int]:
         return [
             p for p in range(self.n) if not self.adversary.crashed(self.rnd, p)
         ]
 
-    def step_round(self) -> None:
+    def step(self) -> None:
         """One synchronized round: report, propose, ack, maybe decide."""
         r = self.rnd
         adv = self.adversary
@@ -303,6 +352,26 @@ class _GSTSim:
             "complete": self.done,
         }
 
+    def record(self, **base) -> GSTRun:
+        return GSTRun(
+            decisions=dict(enumerate(self.decided)),
+            rounds=self.rnd,
+            gst=self.adversary.gst,
+            crashed=tuple(sorted(self.adversary.crashed_at)),
+            **base,
+        )
+
+
+class _RotatingSim(_DLSSim):
+    """The DLS engine under a :class:`SuspicionOracle`."""
+
+    context = substrate = "rotating-consensus"
+    protocol = "rotating-coordinator"
+
+    def record(self, **base) -> ConsensusRun:
+        decided = next((v for v in self.decided if v is not None), None)
+        return ConsensusRun(decided=decided, rounds=self.rnd, **base)
+
 
 def run_gst_consensus(
     atoms: Schedule,
@@ -318,61 +387,48 @@ def run_gst_consensus(
 ) -> GSTRun:
     """Run (or resume) DLS consensus under a partial-synchrony schedule.
 
-    Charges ``meter`` (raising on overdraft) ``n`` steps per round —
-    which is what makes the pre-GST stall *provable*: under a blackout
-    schedule with ``max_steps < n * gst`` the overdraft arrives before
-    stabilization can, carrying the structured receipt.  A ``budget=``
-    overdraft instead returns ``complete=False`` with a resume handle.
+    Charges ``n`` steps per round — which is what makes the pre-GST
+    stall *provable*: under a blackout schedule with ``max_steps < n *
+    gst`` the overdraft arrives before stabilization can, carrying the
+    structured receipt.  ``meter``, ``budget`` and ``resume`` follow
+    :func:`~repro.core.runtime.drive`.
     """
-    if resume is not None:
-        if resume.resume is None:
-            raise ValueError("run is not resumable (it completed)")
-        sim = resume.resume
-    else:
-        sim = _GSTSim(
-            tuple(atoms), seed, tuple(inputs), t, max_rounds, default_gst
-        )
-    own = budget.meter("gst-consensus") if budget is not None else None
-    interrupted: Optional[BudgetExceeded] = None
-    while not sim.done:
-        if meter is not None:
-            meter.charge_steps(sim.n)
-        if own is not None:
-            try:
-                own.charge_steps(sim.n)
-            except BudgetExceeded as exc:
-                interrupted = exc
-                break
-        sim.step_round()
-    complete = sim.done
-
-    def replayer() -> Trace:
-        return run_gst_consensus(
-            sim.adversary.atoms,
-            sim.seed,
-            inputs=sim.inputs,
-            t=sim.t,
-            max_rounds=sim.max_rounds,
-            default_gst=sim.adversary.gst,
-        ).trace
-
-    trace = Trace(
-        substrate=SUBSTRATE,
-        protocol="dls-rotating-coordinator",
-        seed=sim.seed,
-        events=tuple(sim.events),
-        outcome=tuple(
-            sorted((str(k), v) for k, v in sim.outcome().items())
+    atoms, inputs = tuple(atoms), tuple(inputs)
+    return drive(
+        lambda: _DLSSim(
+            GSTAdversary(atoms, len(inputs), t, default_gst),
+            seed, inputs, t, max_rounds,
         ),
-        replayer=replayer if complete else None,
+        meter=meter,
+        budget=budget,
+        resume=resume,
     )
-    return GSTRun(
-        trace=trace,
-        complete=complete,
-        decisions={p: sim.decided[p] for p in range(sim.n)},
-        rounds=sim.rnd,
-        gst=sim.adversary.gst,
-        crashed=tuple(sorted(sim.adversary.crashed_at)),
-        resume=None if complete else sim,
-        interrupted=interrupted,
+
+
+def run_rotating_consensus(
+    atoms: Schedule,
+    seed: Optional[int] = None,
+    *,
+    inputs: Sequence[int] = (0, 1, 1),
+    max_rounds: int = 64,
+    meter=None,
+    budget: Optional[Budget] = None,
+    resume: Optional[ConsensusRun] = None,
+) -> ConsensusRun:
+    """Run (or resume) rotating-coordinator consensus under a suspicion
+    schedule: the DLS engine with ``t = (n-1)//2`` (so its ``n - t``
+    quorum is a strict majority) and a :class:`SuspicionOracle`.
+
+    Charges ``n`` steps per round; ``meter``, ``budget`` and ``resume``
+    follow :func:`~repro.core.runtime.drive`.
+    """
+    atoms, inputs = tuple(atoms), tuple(inputs)
+    n = len(inputs)
+    return drive(
+        lambda: _RotatingSim(
+            SuspicionOracle(atoms, n), seed, inputs, (n - 1) // 2, max_rounds
+        ),
+        meter=meter,
+        budget=budget,
+        resume=resume,
     )

@@ -31,17 +31,23 @@ One partition atom suffices, which is what ddmin shrinks the fuzzer's
 findings down to.
 
 Deterministic (no RNG: delivery is same-step, masked by the partition),
-replayable, and budget-threaded: ``budget=`` overdrafts return a
-resumable partial :class:`LeaseRun`, ``meter=`` propagates the raise.
+replayable, and budget-threaded through :func:`~repro.core.runtime.drive`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..core.budget import Budget, BudgetExceeded, BudgetMeter
-from ..core.runtime import DECLARE, OUTPUT, SEND, Trace, TraceEvent
+from ..core.budget import Budget, BudgetMeter
+from ..core.runtime import (
+    DECLARE,
+    OUTPUT,
+    SEND,
+    RunRecord,
+    SimulationRuntime,
+    drive,
+)
 from .partitions import PartitionAdversary, Schedule
 
 SUBSTRATE = "quorum-lease"
@@ -55,19 +61,17 @@ READ_REJECT = "read-reject"
 
 
 @dataclass
-class LeaseRun:
-    """One quorum-lease run (possibly partial)."""
+class LeaseRun(RunRecord):
+    """One quorum-lease run (possibly partial, see :func:`drive`)."""
 
-    trace: Trace
-    complete: bool
     leases: Tuple[Tuple[int, int, int], ...]
     commits: int
-    resume: Optional["_LeaseSim"] = field(default=None, repr=False)
-    interrupted: Optional[BudgetExceeded] = None
 
 
 class _LeaseSim:
-    """Mutable state: promises, known leases, replica versions, the log."""
+    """Mutable state: promises, known leases, replica versions."""
+
+    context = "quorum-lease"
 
     def __init__(
         self,
@@ -82,9 +86,13 @@ class _LeaseSim:
         read_every: int,
         buggy_no_quorum: bool,
     ):
+        self.runtime = SimulationRuntime(
+            SUBSTRATE,
+            "quorum-lease-bug" if buggy_no_quorum else "quorum-lease",
+            seed,
+        )
         self.partition = PartitionAdversary(atoms, n)
-        self.seed = seed
-        self.n = n
+        self.n = self.cost = n
         self.horizon = horizon
         self.lease_len = lease_len
         self.renew_margin = renew_margin
@@ -103,14 +111,13 @@ class _LeaseSim:
         self.degraded = [False] * n
         self.leases: List[Tuple[int, int, int]] = []
         self.commits = 0
-        self.events: List[TraceEvent] = []
-        self._step_no = 0
 
     def _emit(self, actor, kind, payload):
-        self.events.append(
-            TraceEvent(self._step_no, actor, kind, payload, None, self.t)
-        )
-        self._step_no += 1
+        self.runtime.emit(kind, actor, payload, time=self.t)
+
+    @property
+    def done(self) -> bool:
+        return self.t >= self.horizon
 
     # -- helpers -----------------------------------------------------------
 
@@ -211,8 +218,11 @@ class _LeaseSim:
             "leases": tuple(self.leases),
             "commits": self.commits,
             "versions": tuple(self.version),
-            "complete": self.t >= self.horizon,
+            "complete": self.done,
         }
+
+    def record(self, **base) -> LeaseRun:
+        return LeaseRun(leases=tuple(self.leases), commits=self.commits, **base)
 
 
 def run_quorum_lease(
@@ -231,64 +241,15 @@ def run_quorum_lease(
     budget: Optional[Budget] = None,
     resume: Optional[LeaseRun] = None,
 ) -> LeaseRun:
-    """Run (or resume) one quorum-lease simulation.
-
-    ``meter`` (an external account) raises on overdraft; ``budget``
-    opens this run's own account and returns a resumable partial run
-    instead.
-    """
-    if resume is not None:
-        if resume.resume is None:
-            raise ValueError("run is not resumable (it completed)")
-        sim = resume.resume
-    else:
-        sim = _LeaseSim(
-            tuple(atoms), seed, n, horizon, lease_len, renew_margin,
+    """Run (or resume) one quorum-lease simulation; ``meter``, ``budget``
+    and ``resume`` follow :func:`~repro.core.runtime.drive`."""
+    atoms = tuple(atoms)
+    return drive(
+        lambda: _LeaseSim(
+            atoms, seed, n, horizon, lease_len, renew_margin,
             staleness_bound, write_every, read_every, buggy_no_quorum,
-        )
-    own = budget.meter("quorum-lease") if budget is not None else None
-    interrupted: Optional[BudgetExceeded] = None
-    while sim.t < sim.horizon:
-        if meter is not None:
-            meter.charge_steps(sim.n)
-        if own is not None:
-            try:
-                own.charge_steps(sim.n)
-            except BudgetExceeded as exc:
-                interrupted = exc
-                break
-        sim.step()
-    complete = sim.t >= sim.horizon
-
-    def replayer() -> Trace:
-        return run_quorum_lease(
-            sim.partition.atoms,
-            sim.seed,
-            n=sim.n,
-            horizon=sim.horizon,
-            lease_len=sim.lease_len,
-            renew_margin=sim.renew_margin,
-            staleness_bound=sim.staleness_bound,
-            write_every=sim.write_every,
-            read_every=sim.read_every,
-            buggy_no_quorum=sim.buggy_no_quorum,
-        ).trace
-
-    trace = Trace(
-        substrate=SUBSTRATE,
-        protocol="quorum-lease-bug" if sim.buggy_no_quorum else "quorum-lease",
-        seed=sim.seed,
-        events=tuple(sim.events),
-        outcome=tuple(
-            sorted((str(k), v) for k, v in sim.outcome().items())
         ),
-        replayer=replayer if complete else None,
-    )
-    return LeaseRun(
-        trace=trace,
-        complete=complete,
-        leases=tuple(sim.leases),
-        commits=sim.commits,
-        resume=None if complete else sim,
-        interrupted=interrupted,
+        meter=meter,
+        budget=budget,
+        resume=resume,
     )

@@ -24,10 +24,20 @@ names the precise steps (often just one) the failure needs.
 
 from __future__ import annotations
 
+import json
 from typing import Dict, FrozenSet, Iterable, Set, Tuple
 
 Atom = Tuple
 Schedule = Tuple[Atom, ...]
+
+
+def parse_atoms(text: str) -> Schedule:
+    """A JSON schedule (list of ``[tag, ...]`` atoms) as a tuple of tuples
+    — the ``--atoms`` argument of the command-line entry points."""
+    return tuple(
+        tuple(atom) if isinstance(atom, list) else atom
+        for atom in json.loads(text)
+    )
 
 SPLIT = "split"
 CUT = "cut"

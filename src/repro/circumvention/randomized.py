@@ -49,18 +49,19 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.budget import Budget, BudgetExceeded, BudgetMeter
+from ..core.budget import Budget, BudgetMeter
 from ..core.runtime import (
     CRASH,
     DECIDE,
     DELIVER,
     SEND,
-    Trace,
-    TraceEvent,
+    RunRecord,
+    SimulationRuntime,
     derive_seed,
+    drive,
 )
 from ..parallel.pool import WorkerPool
 from .partitions import Schedule
@@ -181,23 +182,22 @@ class BenOrProcess:
 
 
 @dataclass
-class BenOrRun:
-    """One Ben-Or run (possibly partial, in the PR-3 budget convention)."""
+class BenOrRun(RunRecord):
+    """One Ben-Or run (possibly partial, see :func:`drive`)."""
 
-    trace: Trace
-    complete: bool
     decisions: Dict[int, Optional[int]]
     phases: Dict[int, int]
     crashed: Tuple[int, ...]
     events: int
     agreement: bool
     validity: bool
-    resume: Optional["_BenOrSim"] = field(default=None, repr=False)
-    interrupted: Optional[BudgetExceeded] = None
 
 
 class _BenOrSim:
-    """Mutable simulator state: processes, the flight list, the log."""
+    """Mutable simulator state: processes, the flight list."""
+
+    context = "benor-consensus"
+    cost = 1
 
     def __init__(
         self,
@@ -205,35 +205,32 @@ class _BenOrSim:
         seed,
         n: int,
         t: int,
-        inputs: Tuple[int, ...],
+        inputs: Optional[Tuple[int, ...]],
         biased_coin: bool,
         max_events: int,
     ):
+        if inputs is None:
+            inputs = tuple(i % 2 for i in range(n))
+        self.inputs = tuple(1 if v else 0 for v in inputs)
+        self.n = n = len(self.inputs)
+        self.runtime = SimulationRuntime(
+            SUBSTRATE, "ben-or" + ("-biased-coin" if biased_coin else ""), seed
+        )
         self.adversary = BenOrAdversary(atoms, t)
-        self.seed = seed
-        self.n = n
-        self.t = t
-        self.inputs = tuple(inputs)
-        self.biased_coin = biased_coin
         self.max_events = max_events
         self.rng = random.Random(derive_seed(seed, "benor-schedule"))
         self.processes = [
-            BenOrProcess(pid, n, t, inputs[pid], seed, biased_coin)
+            BenOrProcess(pid, n, t, self.inputs[pid], seed, biased_coin)
             for pid in range(n)
         ]
         self.crashed: set = set()
         #: in-flight messages (src, dst, msg), delivery order adversarial
         self.flight: List[Tuple[int, int, object]] = []
         self.k = 0  # delivery-step counter (the adversary's clock)
-        self.events: List[TraceEvent] = []
-        self._step_no = 0
         self._drain()
 
     def _emit(self, actor, kind, payload, phase=None):
-        self.events.append(
-            TraceEvent(self._step_no, actor, kind, payload, phase, self.k)
-        )
-        self._step_no += 1
+        self.runtime.emit(kind, actor, payload, round=phase, time=self.k)
 
     def _drain(self) -> None:
         for proc in self.processes:
@@ -318,6 +315,26 @@ class _BenOrSim:
             "complete": self.done,
         }
 
+    def record(self, **base) -> BenOrRun:
+        decisions = {p: self.processes[p].decided for p in range(self.n)}
+        live = [p for p in range(self.n) if p not in self.crashed]
+        decided_values = {
+            decisions[p] for p in live if decisions[p] is not None
+        }
+        validity = True
+        if len(set(self.inputs)) == 1:
+            (v,) = set(self.inputs)
+            validity = all(decisions[p] in (None, v) for p in live)
+        return BenOrRun(
+            decisions=decisions,
+            phases={p: self._phase_of(p) for p in range(self.n)},
+            crashed=tuple(sorted(self.crashed)),
+            events=self.k,
+            agreement=len(decided_values) <= 1,
+            validity=validity,
+            **base,
+        )
+
 
 def run_ben_or_traced(
     atoms: Schedule,
@@ -332,80 +349,15 @@ def run_ben_or_traced(
     budget: Optional[Budget] = None,
     resume: Optional[BenOrRun] = None,
 ) -> BenOrRun:
-    """Run (or resume) one Ben-Or consensus simulation.
-
-    ``meter`` is an externally owned account (a chaos campaign's per-run
-    meter): its overdraft *raises*.  ``budget`` opens this run's own
-    account: its overdraft returns a partial, resumable run whose
-    finished trace is byte-identical to an uninterrupted one.
-    """
-    if resume is not None:
-        if resume.resume is None:
-            raise ValueError("run is not resumable (it completed)")
-        sim = resume.resume
-    else:
-        if inputs is None:
-            inputs = tuple(i % 2 for i in range(n))
-        inputs = tuple(1 if v else 0 for v in inputs)
-        n = len(inputs)
-        sim = _BenOrSim(
-            tuple(atoms), seed, n, t, inputs, biased_coin, max_events
-        )
-    own = budget.meter("benor-consensus") if budget is not None else None
-    interrupted: Optional[BudgetExceeded] = None
-    while not sim.done:
-        if meter is not None:
-            meter.charge_steps()
-        if own is not None:
-            try:
-                own.charge_steps()
-            except BudgetExceeded as exc:
-                interrupted = exc
-                break
-        sim.step()
-    complete = sim.done
-
-    def replayer() -> Trace:
-        return run_ben_or_traced(
-            sim.adversary.atoms,
-            sim.seed,
-            n=sim.n,
-            t=sim.t,
-            inputs=sim.inputs,
-            biased_coin=sim.biased_coin,
-            max_events=sim.max_events,
-        ).trace
-
-    trace = Trace(
-        substrate=SUBSTRATE,
-        protocol="ben-or" + ("-biased-coin" if sim.biased_coin else ""),
-        seed=sim.seed,
-        events=tuple(sim.events),
-        outcome=tuple(
-            sorted((str(k), v) for k, v in sim.outcome().items())
-        ),
-        replayer=replayer if complete else None,
-    )
-    decisions = {p: sim.processes[p].decided for p in range(sim.n)}
-    live = [p for p in range(sim.n) if p not in sim.crashed]
-    decided_values = {
-        decisions[p] for p in live if decisions[p] is not None
-    }
-    validity = True
-    if len(set(sim.inputs)) == 1:
-        (v,) = set(sim.inputs)
-        validity = all(decisions[p] in (None, v) for p in live)
-    return BenOrRun(
-        trace=trace,
-        complete=complete,
-        decisions=decisions,
-        phases={p: sim._phase_of(p) for p in range(sim.n)},
-        crashed=tuple(sorted(sim.crashed)),
-        events=sim.k,
-        agreement=len(decided_values) <= 1,
-        validity=validity,
-        resume=None if complete else sim,
-        interrupted=interrupted,
+    """Run (or resume) one Ben-Or consensus simulation; ``meter``,
+    ``budget`` and ``resume`` follow :func:`~repro.core.runtime.drive`."""
+    atoms = tuple(atoms)
+    inputs = None if inputs is None else tuple(inputs)
+    return drive(
+        lambda: _BenOrSim(atoms, seed, n, t, inputs, biased_coin, max_events),
+        meter=meter,
+        budget=budget,
+        resume=resume,
     )
 
 

@@ -28,7 +28,6 @@ unified :class:`~repro.core.runtime.Trace` schema and replayable through
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import (
@@ -400,22 +399,3 @@ def run_synchronous(
         processes=processes,
         trace=trace,
     )
-
-
-# -- deprecated names -------------------------------------------------------
-
-_DEPRECATED = {"Adversary": ("SyncAdversary", SyncAdversary)}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        new_name, obj = _DEPRECATED[name]
-        warnings.warn(
-            f"repro.consensus.synchronous.{name} is deprecated; "
-            f"use {new_name} (the unified FaultAdversary hierarchy lives in "
-            "repro.core.runtime)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return obj
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

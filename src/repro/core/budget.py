@@ -162,3 +162,19 @@ class BudgetMeter:
             self.charge_states(states)
         if not steps and not states:
             self.check_time()
+
+
+class TandemMeter:
+    """Charge several meters as one (campaign account + a run's own cap).
+
+    Only the stepping interface — exactly what the simulators use.  Any
+    member's overdraft raises that member's structured
+    :class:`BudgetExceeded`.
+    """
+
+    def __init__(self, *meters: Optional[BudgetMeter]):
+        self.meters = [m for m in meters if m is not None]
+
+    def charge_steps(self, k: int = 1) -> None:
+        for m in self.meters:
+            m.charge_steps(k)

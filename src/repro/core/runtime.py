@@ -28,6 +28,10 @@ trace.  This module is the shared kernel they now all route through:
   ``random.Random``, a step counter, and the trace recorder.  Every run
   is a deterministic function of ``(protocol, inputs, adversary, seed)``.
 
+* :func:`drive` / :class:`RunRecord` — the one budgeted step loop of the
+  circumvention engines: ``meter=`` raises on overdraft, ``budget=``
+  returns a resumable partial, a completed run carries a replayer.
+
 * :func:`replay` — the single replay entry point: re-execute the run
   that produced a trace and verify the fresh trace is byte-identical.
   Every impossibility certificate whose evidence is a :class:`Trace` is
@@ -44,6 +48,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from typing import (
+    Any,
     Callable,
     Dict,
     Hashable,
@@ -56,6 +61,7 @@ from typing import (
     Tuple,
 )
 
+from .budget import Budget, BudgetExceeded
 from .errors import ReproError
 
 # ---------------------------------------------------------------------------
@@ -592,6 +598,84 @@ class SimulationRuntime:
             outcome=packed,
             replayer=replayer,
         )
+
+
+# ---------------------------------------------------------------------------
+# The budgeted step loop
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class RunRecord:
+    """One :func:`drive`-n run (possibly partial); engines subclass it
+    with their own result fields.
+
+    ``complete`` is False when a ``budget=`` overdraft interrupted the
+    run: ``interrupted`` holds the structured :class:`BudgetExceeded`
+    and ``resume`` the live state — pass the record back via ``resume=``
+    to continue, and the finished trace is byte-identical to an
+    uninterrupted run's.
+    """
+
+    trace: Trace
+    complete: bool
+    resume: Optional[Tuple[Callable[[], Any], Any]] = field(repr=False)
+    interrupted: Optional[BudgetExceeded]
+
+
+def drive(
+    make_sim: Callable[[], Any],
+    *,
+    meter=None,
+    budget: Optional[Budget] = None,
+    resume: Optional[RunRecord] = None,
+) -> RunRecord:
+    """Run (or resume) one simulation under the budget convention.
+
+    ``make_sim`` builds the fresh simulator, which provides ``runtime``
+    (a :class:`SimulationRuntime` its events are emitted through),
+    ``cost`` (steps charged per :meth:`step`), ``context`` (the name of
+    its own budget account), ``step()``, ``done``, ``outcome()`` (the
+    trace outcome) and ``record(**base)`` (its :class:`RunRecord`).
+
+    ``meter`` is an externally owned account (a chaos campaign's per-run
+    meter): its overdraft *raises*.  ``budget`` opens the run's own
+    account: its overdraft returns a partial record with a ``resume``
+    handle instead.  A completed run's trace replays by calling
+    ``make_sim`` again.
+    """
+    if resume is not None:
+        if resume.resume is None:
+            raise ValueError("run is not resumable (it completed)")
+        make_sim, sim = resume.resume
+    else:
+        sim = make_sim()
+    own = budget.meter(sim.context) if budget is not None else None
+    interrupted: Optional[BudgetExceeded] = None
+    while not sim.done:
+        if meter is not None:
+            meter.charge_steps(sim.cost)
+        if own is not None:
+            try:
+                own.charge_steps(sim.cost)
+            except BudgetExceeded as exc:
+                interrupted = exc
+                break
+        sim.step()
+    complete = sim.done
+
+    def replayer() -> Trace:
+        return drive(make_sim).trace
+
+    trace = sim.runtime.finish(
+        sim.outcome(), replayer=replayer if complete else None
+    )
+    return sim.record(
+        trace=trace,
+        complete=complete,
+        resume=None if complete else (make_sim, sim),
+        interrupted=interrupted,
+    )
 
 
 # ---------------------------------------------------------------------------

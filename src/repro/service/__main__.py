@@ -24,6 +24,7 @@ import json
 import sys
 from typing import List, Optional
 
+from ..circumvention.partitions import parse_atoms
 from ..core.budget import Budget
 from .keys import QueryKey
 from .service import (
@@ -36,13 +37,6 @@ from .service import (
     valency_key,
 )
 from .store import CertificateStore
-
-
-def _parse_atoms(text: str):
-    """A JSON schedule (list of [tag, ...] atoms) into canonical tuples."""
-    atoms = json.loads(text)
-    return tuple(tuple(atom) if isinstance(atom, list) else atom
-                 for atom in atoms)
 
 
 def _key_from_args(args) -> Optional[QueryKey]:
@@ -63,7 +57,7 @@ def _key_from_args(args) -> Optional[QueryKey]:
         )
     if args.command == "detector-run":
         return detector_run_key(
-            atoms=_parse_atoms(args.atoms),
+            atoms=parse_atoms(args.atoms),
             seed=args.seed,
             n=args.n,
             horizon=args.horizon,
@@ -72,7 +66,7 @@ def _key_from_args(args) -> Optional[QueryKey]:
         )
     if args.command == "lease-run":
         return lease_run_key(
-            atoms=_parse_atoms(args.atoms),
+            atoms=parse_atoms(args.atoms),
             seed=args.seed,
             n=args.n,
             horizon=args.horizon,

@@ -9,7 +9,9 @@ A :class:`QueryService` answers the repository's standing questions —
 * ``register-search`` — the exhaustive failure census over the bounded
   register-consensus program class at a given depth;
 * ``chaos-campaign`` — a full seeded chaos campaign, counterexamples and
-  all
+  all;
+* ``detector-run``, ``lease-run``, ``benor-run``, ``gst-run`` — one run
+  of a circumvention engine, one table row each (:data:`_RUNS`)
 
 — from the :class:`~repro.service.store.CertificateStore` when a
 verified entry exists, and by running the live engine on a miss.  The
@@ -34,24 +36,19 @@ threaded into every live fallback that accepts one.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..circumvention.detectors import run_heartbeat_detector
+from ..circumvention.gst import run_gst_consensus
+from ..circumvention.leases import run_quorum_lease
+from ..circumvention.randomized import run_ben_or_traced
 from ..core.budget import Budget
 from ..parallel.pool import WorkerPool, resolve_workers
 from .keys import QueryKey, decode_canonical, encode_canonical
 from .store import CertificateStore
-
-QUERY_KINDS = (
-    "flp-analysis",
-    "valency",
-    "register-search",
-    "chaos-campaign",
-    "detector-run",
-    "lease-run",
-    "benor-run",
-    "gst-run",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -94,98 +91,76 @@ def campaign_key(
     )
 
 
-def detector_run_key(
-    atoms: Tuple = (),
-    seed: int = 0,
-    n: int = 4,
-    horizon: int = 40,
-    heartbeat_every: int = 3,
-    initial_timeout: int = 4,
-    adaptive: bool = True,
-    jitter: int = 1,
-) -> QueryKey:
-    """Key for one heartbeat failure-detector run (circumvention layer)."""
-    return QueryKey.make(
-        "detector-run",
-        atoms=tuple(atoms),
-        seed=seed,
-        n=n,
-        horizon=horizon,
-        heartbeat_every=heartbeat_every,
-        initial_timeout=initial_timeout,
-        adaptive=adaptive,
-        jitter=jitter,
-    )
+def _items(mapping: Dict) -> Any:
+    return encode_canonical(tuple(sorted(mapping.items())))
 
 
-def lease_run_key(
-    atoms: Tuple = (),
-    seed: int = 0,
-    n: int = 4,
-    horizon: int = 48,
-    lease_len: int = 8,
-    renew_margin: int = 2,
-    staleness_bound: int = 8,
-    write_every: int = 3,
-    read_every: int = 5,
-    buggy_no_quorum: bool = False,
-) -> QueryKey:
-    """Key for one quorum-lease run under a partition schedule."""
-    return QueryKey.make(
-        "lease-run",
-        atoms=tuple(atoms),
-        seed=seed,
-        n=n,
-        horizon=horizon,
-        lease_len=lease_len,
-        renew_margin=renew_margin,
-        staleness_bound=staleness_bound,
-        write_every=write_every,
-        read_every=read_every,
-        buggy_no_quorum=buggy_no_quorum,
-    )
+#: One row per circumvention run kind: the engine, and the store payload
+#: of its run record (besides the trace fingerprint every row carries).
+_RUNS: Dict[str, Tuple[Callable, Callable[[Any], Dict[str, Any]]]] = {
+    "detector-run": (run_heartbeat_detector, lambda run: {
+        "leaders": _items(run.leaders),
+        "suspects": _items(run.suspects),
+        "leader_changes": run.leader_changes,
+        "last_change": run.last_change,
+    }),
+    "lease-run": (run_quorum_lease, lambda run: {
+        "leases": encode_canonical(run.leases),
+        "commits": run.commits,
+    }),
+    "benor-run": (run_ben_or_traced, lambda run: {
+        "decisions": _items(run.decisions),
+        "phases": _items(run.phases),
+        "crashed": encode_canonical(run.crashed),
+        "events": run.events,
+        "agreement": run.agreement,
+        "validity": run.validity,
+    }),
+    "gst-run": (run_gst_consensus, lambda run: {
+        "decisions": _items(run.decisions),
+        "rounds": run.rounds,
+        "gst": run.gst,
+        "crashed": encode_canonical(run.crashed),
+    }),
+}
+
+#: Where a run key's defaults differ from its engine's: no schedule, seed 0.
+_RUN_KEY_DEFAULTS = {"atoms": (), "seed": 0}
 
 
-def benor_run_key(
-    atoms: Tuple = (),
-    seed: int = 0,
-    n: int = 4,
-    t: int = 1,
-    inputs: Optional[Tuple[int, ...]] = None,
-    biased_coin: bool = False,
-    max_events: int = 4000,
-) -> QueryKey:
-    """Key for one Ben-Or randomized-consensus run (circumvention layer)."""
-    return QueryKey.make(
-        "benor-run",
-        atoms=tuple(atoms),
-        seed=seed,
-        n=n,
-        t=t,
-        inputs=None if inputs is None else tuple(inputs),
-        biased_coin=biased_coin,
-        max_events=max_events,
-    )
+def _run_key(kind: str) -> Callable[..., QueryKey]:
+    """The key constructor of one run kind, with the engine's signature.
+
+    Every engine parameter but the budget convention's becomes a key
+    parameter, positional in the engine's order, defaulting to the
+    engine's default (or :data:`_RUN_KEY_DEFAULTS`), so a default is
+    written once — in the engine.
+    """
+    engine = _RUNS[kind][0]
+    signature = inspect.Signature([
+        p.replace(
+            kind=inspect.Parameter.POSITIONAL_OR_KEYWORD,
+            default=_RUN_KEY_DEFAULTS.get(p.name, p.default),
+        )
+        for p in inspect.signature(engine).parameters.values()
+        if p.name not in ("meter", "budget", "resume")
+    ])
+
+    def make_key(*args, **kwargs) -> QueryKey:
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return QueryKey.make(kind, **bound.arguments)
+
+    make_key.__signature__ = signature
+    make_key.__name__ = make_key.__qualname__ = kind.replace("-", "_") + "_key"
+    make_key.__doc__ = f"Key for one {engine.__name__} run ({kind!r})."
+    return make_key
 
 
-def gst_run_key(
-    atoms: Tuple = (),
-    seed: int = 0,
-    inputs: Tuple[int, ...] = (0, 1, 1, 0),
-    t: int = 1,
-    max_rounds: int = 64,
-    default_gst: Optional[int] = None,
-) -> QueryKey:
-    """Key for one DLS consensus run under a partial-synchrony schedule."""
-    return QueryKey.make(
-        "gst-run",
-        atoms=tuple(atoms),
-        seed=seed,
-        inputs=tuple(inputs),
-        t=t,
-        max_rounds=max_rounds,
-        default_gst=default_gst,
-    )
+detector_run_key = _run_key("detector-run")
+lease_run_key = _run_key("lease-run")
+benor_run_key = _run_key("benor-run")
+gst_run_key = _run_key("gst-run")
 
 
 # ---------------------------------------------------------------------------
@@ -317,108 +292,13 @@ def _handle_chaos_campaign(
     return report_to_payload(report), report.complete
 
 
-def _handle_detector_run(
-    params: Dict[str, Any], budget: Optional[Budget], workers
+def _handle_run(
+    kind: str, params: Dict[str, Any], budget: Optional[Budget], workers
 ) -> Tuple[Dict[str, Any], bool]:
-    from ..circumvention.detectors import run_heartbeat_detector
-
-    run = run_heartbeat_detector(
-        tuple(params.get("atoms", ())),
-        params.get("seed", 0),
-        n=params.get("n", 4),
-        horizon=params.get("horizon", 40),
-        heartbeat_every=params.get("heartbeat_every", 3),
-        initial_timeout=params.get("initial_timeout", 4),
-        adaptive=params.get("adaptive", True),
-        jitter=params.get("jitter", 1),
-        budget=budget,
-    )
-    payload = {
-        "trace_fingerprint": run.trace.fingerprint(),
-        "leaders": encode_canonical(tuple(sorted(run.leaders.items()))),
-        "suspects": encode_canonical(tuple(sorted(run.suspects.items()))),
-        "leader_changes": run.leader_changes,
-        "last_change": run.last_change,
-    }
-    return payload, run.complete
-
-
-def _handle_lease_run(
-    params: Dict[str, Any], budget: Optional[Budget], workers
-) -> Tuple[Dict[str, Any], bool]:
-    from ..circumvention.leases import run_quorum_lease
-
-    run = run_quorum_lease(
-        tuple(params.get("atoms", ())),
-        params.get("seed", 0),
-        n=params.get("n", 4),
-        horizon=params.get("horizon", 48),
-        lease_len=params.get("lease_len", 8),
-        renew_margin=params.get("renew_margin", 2),
-        staleness_bound=params.get("staleness_bound", 8),
-        write_every=params.get("write_every", 3),
-        read_every=params.get("read_every", 5),
-        buggy_no_quorum=params.get("buggy_no_quorum", False),
-        budget=budget,
-    )
-    payload = {
-        "trace_fingerprint": run.trace.fingerprint(),
-        "leases": encode_canonical(run.leases),
-        "commits": run.commits,
-    }
-    return payload, run.complete
-
-
-def _handle_benor_run(
-    params: Dict[str, Any], budget: Optional[Budget], workers
-) -> Tuple[Dict[str, Any], bool]:
-    from ..circumvention.randomized import run_ben_or_traced
-
-    inputs = params.get("inputs")
-    run = run_ben_or_traced(
-        tuple(params.get("atoms", ())),
-        params.get("seed", 0),
-        n=params.get("n", 4),
-        t=params.get("t", 1),
-        inputs=None if inputs is None else tuple(inputs),
-        biased_coin=params.get("biased_coin", False),
-        max_events=params.get("max_events", 4000),
-        budget=budget,
-    )
-    payload = {
-        "trace_fingerprint": run.trace.fingerprint(),
-        "decisions": encode_canonical(tuple(sorted(run.decisions.items()))),
-        "phases": encode_canonical(tuple(sorted(run.phases.items()))),
-        "crashed": encode_canonical(run.crashed),
-        "events": run.events,
-        "agreement": run.agreement,
-        "validity": run.validity,
-    }
-    return payload, run.complete
-
-
-def _handle_gst_run(
-    params: Dict[str, Any], budget: Optional[Budget], workers
-) -> Tuple[Dict[str, Any], bool]:
-    from ..circumvention.gst import run_gst_consensus
-
-    run = run_gst_consensus(
-        tuple(params.get("atoms", ())),
-        params.get("seed", 0),
-        inputs=tuple(params.get("inputs", (0, 1, 1, 0))),
-        t=params.get("t", 1),
-        max_rounds=params.get("max_rounds", 64),
-        default_gst=params.get("default_gst"),
-        budget=budget,
-    )
-    payload = {
-        "trace_fingerprint": run.trace.fingerprint(),
-        "decisions": encode_canonical(tuple(sorted(run.decisions.items()))),
-        "rounds": run.rounds,
-        "gst": run.gst,
-        "crashed": encode_canonical(run.crashed),
-    }
-    return payload, run.complete
+    engine, payload = _RUNS[kind]
+    run = engine(**{**_RUN_KEY_DEFAULTS, **params}, budget=budget)
+    result = {"trace_fingerprint": run.trace.fingerprint(), **payload(run)}
+    return result, run.complete
 
 
 _HANDLERS = {
@@ -426,11 +306,10 @@ _HANDLERS = {
     "valency": _handle_valency,
     "register-search": _handle_register_search,
     "chaos-campaign": _handle_chaos_campaign,
-    "detector-run": _handle_detector_run,
-    "lease-run": _handle_lease_run,
-    "benor-run": _handle_benor_run,
-    "gst-run": _handle_gst_run,
+    **{kind: functools.partial(_handle_run, kind) for kind in _RUNS},
 }
+
+QUERY_KINDS = tuple(_HANDLERS)
 
 
 def _compute_live(args: Tuple) -> Tuple[Dict[str, Any], bool]:

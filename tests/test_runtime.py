@@ -8,6 +8,8 @@ deterministic function of ``(protocol, inputs, adversary, seed)``, and
 re-run is byte-identical.
 """
 
+import warnings
+
 import pytest
 
 from repro.asynchronous.flp import QuorumVote
@@ -271,32 +273,22 @@ class TestReplay:
 
 
 # ---------------------------------------------------------------------------
-# The adversary name unification keeps old import paths alive
+# The adversary name unification left no old import paths behind
 # ---------------------------------------------------------------------------
 
 
 class TestDeprecatedAliases:
-    def test_sync_adversary_alias(self):
-        import repro.consensus.synchronous as sync_module
+    def test_star_imports_raise_no_warning(self):
+        """Every ``__all__`` name resolves without a deprecation alias."""
+        import importlib
 
-        with pytest.warns(DeprecationWarning):
-            alias = sync_module.Adversary
-        assert alias is SyncAdversary
-
-    def test_package_level_alias(self):
-        import repro.consensus as consensus
-
-        with pytest.warns(DeprecationWarning):
-            alias = consensus.Adversary
-        assert alias is SyncAdversary
-
-    def test_greedy_adversary_alias(self):
-        import repro.core.scheduler as scheduler_module
-        from repro.core import GreedyScheduler
-
-        with pytest.warns(DeprecationWarning):
-            alias = scheduler_module.GreedyAdversary
-        assert alias is GreedyScheduler
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for module in ("repro.consensus", "repro.core"):
+                namespace = {}
+                exec(f"from {module} import *", namespace)
+                exported = importlib.import_module(module).__all__
+                assert set(exported) <= set(namespace)
 
     def test_unknown_attribute_still_raises(self):
         import repro.core.scheduler as scheduler_module
