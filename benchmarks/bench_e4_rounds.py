@@ -25,6 +25,7 @@ def test_e4_round_bound_t1(benchmark):
         )
     )
     record(benchmark, runs_checked=cert.details["full_protocol_runs_checked"],
+           rounds_simulated=cert.details["full_protocol_rounds_simulated"],
            truncations_defeated=len(cert.witnesses))
     assert len(cert.witnesses) == 1
 
@@ -36,6 +37,7 @@ def test_e4_round_bound_t2(benchmark):
         )
     )
     record(benchmark, runs_checked=cert.details["full_protocol_runs_checked"],
+           rounds_simulated=cert.details["full_protocol_rounds_simulated"],
            truncations_defeated=len(cert.witnesses))
     assert len(cert.witnesses) == 2
 

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
-from ..core.errors import ModelError
+from ..core.errors import ModelError, SearchBudgetExceeded
 from ..core.execution import Execution
 from ..core.freeze import frozendict
 from ..impossibility.certificate import (
@@ -150,23 +150,155 @@ def build_synthetic_system(tables: Iterable[ProtocolTable], initial_value: int =
     )
 
 
+# The integer kernel.  A synthesized process has one non-ignored move in
+# every local state, so a candidate's state graph has out-degree two.  Its
+# local states are small ints (trying mode m is _TRYING + m) and a global
+# state (local0, local1, v) is the int (local0 * L + local1) * values + v.
+_REM, _CRIT_PENDING, _CRIT, _EXIT, _REM_PENDING, _TRYING = range(6)
+_IDLE = (_REM, _CRIT)  # no step to take
+
+# Edge labels: bit pid marks a step or output of that process, bit 2 + pid
+# the environment's exit input to it, bit 4 a crit output.
+_ACT = 1
+_EXIT_INPUT = 4
+_CRIT_OUTPUT = 16
+
+
+def _moves(table: ProtocolTable, pid: int) -> List[Tuple[int, int, int]]:
+    """Process ``pid``'s move ``(local', value', label)`` per
+    ``local * values + value``."""
+    act = _ACT << pid
+    moves = []
+    for local in range(_TRYING + table.modes):
+        for v in range(table.values):
+            if local == _REM:
+                moves.append((_TRYING, v, 0))  # the try input
+            elif local == _CRIT_PENDING:
+                moves.append((_CRIT, v, act | _CRIT_OUTPUT))
+            elif local == _CRIT:
+                moves.append((_EXIT, v, _EXIT_INPUT << pid))
+            elif local == _EXIT:
+                moves.append((_REM_PENDING, table.exit_table[v], act))
+            elif local == _REM_PENDING:
+                moves.append((_REM, v, act))
+            else:
+                entry = table.try_entry(local - _TRYING, v)
+                if entry[0] == "enter":
+                    moves.append((_CRIT_PENDING, entry[1], act))
+                else:
+                    moves.append((_TRYING + entry[1], entry[2], act))
+    return moves
+
+
+def _admissible_cycle(order: List[int], succ: Dict[int, Tuple[Tuple[int, int], ...]],
+                      local_of: Dict[int, Tuple[int, int]], victim: int,
+                      skip: int) -> bool:
+    """Does some maximal SCC of the graph restricted to states with
+    ``victim`` trying (dropping edges labelled ``skip``) unroll into an
+    admissible execution?  The three conditions of
+    :func:`~repro.shared_memory.system.find_starvation_cycle`: every process
+    acts in it or is idle at one of its states, every owed exit occurs in
+    it, and no skipped edge is used."""
+    stuck = {s for s in order if local_of[s][victim] >= _TRYING}
+    index: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    component: Dict[int, int] = {}
+    stack: List[int] = []
+    for root in order:
+        if root not in stuck or root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, 0)]
+        while work:
+            s, i = work[-1]
+            edges = succ[s]
+            if i < len(edges):
+                work[-1] = (s, i + 1)
+                child, label = edges[i]
+                if child not in stuck or label & skip:
+                    continue
+                if child not in index:
+                    index[child] = low[child] = len(index)
+                    stack.append(child)
+                    work.append((child, 0))
+                elif child not in component and index[child] < low[s]:
+                    low[s] = index[child]
+                continue
+            work.pop()
+            if work and low[s] < low[work[-1][0]]:
+                low[work[-1][0]] = low[s]
+            if low[s] != index[s]:
+                continue
+            members = []
+            while True:
+                member = stack.pop()
+                component[member] = s
+                members.append(member)
+                if member == s:
+                    break
+            acts = idle = owed = 0
+            has_edge = False
+            for member in members:
+                l0, l1 = local_of[member]
+                idle |= (l0 in _IDLE) | (l1 in _IDLE) << 1
+                if l0 == _CRIT:
+                    owed |= _EXIT_INPUT
+                elif l1 == _CRIT:
+                    owed |= _EXIT_INPUT << 1
+                for child, label in succ[member]:
+                    if component.get(child) == s and not label & skip:
+                        acts |= label
+                        has_edge = True
+            if has_edge and (acts | idle) & 3 == 3 and not owed & ~acts:
+                return True
+    return False
+
+
 def check_candidate(tables: Tuple[ProtocolTable, ...],
                     max_states: int = 20_000) -> CandidateVerdict:
-    """Model-check one candidate protocol pair for all three properties."""
-    system = build_synthetic_system(tables)
-    mutex_ok = system.check_mutual_exclusion(max_states=max_states) is None
-    if not mutex_ok:
-        return CandidateVerdict(tables, False, False, False)
-    deadlock_ok = all(
-        system.check_deadlock_freedom(p.name, max_states=max_states) is None
-        for p in system.processes
-    )
-    if not deadlock_ok:
+    """Model-check one candidate protocol pair for all three properties.
+
+    One breadth-first pass over the integer-encoded state graph decides
+    mutual exclusion; deadlock- and lockout-freedom for each victim come
+    from SCCs of that graph.  The verdict equals the generic
+    :class:`MutexSystem` checkers' on :func:`build_synthetic_system`.
+    Raises :class:`SearchBudgetExceeded` past ``max_states`` states.
+    """
+    values = tables[0].values
+    locals_ = _TRYING + max(table.modes for table in tables)
+    row = locals_ * values
+    moves0 = _moves(tables[0], 0)
+    moves1 = _moves(tables[1], 1)
+    order = [0]  # the initial state: both in rem, v = 0
+    local_of: Dict[int, Tuple[int, int]] = {}
+    succ: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+    seen = bytearray(locals_ * row)
+    seen[0] = 1
+    for s in order:
+        l0, rest = divmod(s, row)
+        l1, v = divmod(rest, values)
+        if _CRIT_PENDING <= l0 <= _CRIT and _CRIT_PENDING <= l1 <= _CRIT:
+            return CandidateVerdict(tables, False, False, False)
+        local_of[s] = (l0, l1)
+        n0, v0, label0 = moves0[l0 * values + v]
+        n1, v1, label1 = moves1[l1 * values + v]
+        edges = ((n0 * row + l1 * values + v0, label0),
+                 (l0 * row + n1 * values + v1, label1))
+        succ[s] = edges
+        for child, _label in edges:
+            if not seen[child]:
+                if len(order) >= max_states:
+                    raise SearchBudgetExceeded(
+                        f"candidate check exceeded {max_states} states"
+                    )
+                seen[child] = 1
+                order.append(child)
+    if any(_admissible_cycle(order, succ, local_of, victim, _CRIT_OUTPUT)
+           for victim in (0, 1)):
         return CandidateVerdict(tables, True, False, False)
-    lockout_ok = all(
-        system.check_lockout_freedom(p.name, max_states=max_states) is None
-        for p in system.processes
-    )
+    lockout_ok = not any(_admissible_cycle(order, succ, local_of, victim, 0)
+                         for victim in (0, 1))
     return CandidateVerdict(tables, True, True, lockout_ok)
 
 
@@ -179,25 +311,34 @@ def search_two_process_protocols(
     """Model-check every candidate 2-process protocol in the class.
 
     With ``symmetric=True`` both processes run the same table (the class is
-    then linear rather than quadratic in the table count).  Returns the
-    verdict list; see :func:`cremers_hibbard_certificate` for the certified
-    conclusion.
+    then linear rather than quadratic in the table count).  Otherwise the
+    pid swap is a symmetry of the class: ``(a, b)`` is checked once and its
+    verdict reused for ``(b, a)``.  Returns the verdict list in class order;
+    see :func:`cremers_hibbard_certificate` for the certified conclusion.
     """
-    tables = list(enumerate_protocol_tables(values, modes))
-    verdicts: List[CandidateVerdict] = []
-    if symmetric:
-        candidates: Iterable[Tuple[ProtocolTable, ...]] = ((t, t) for t in tables)
-        total = len(tables)
-    else:
-        candidates = itertools.product(tables, repeat=2)
-        total = len(tables) ** 2
+    # The table count of enumerate_protocol_tables, known before enumerating.
+    count = (values * (1 + modes)) ** (modes * values) * values ** values
+    total = count if symmetric else count ** 2
     if max_candidates is not None and total > max_candidates:
         raise ModelError(
             f"protocol class has {total} candidates, above the limit "
             f"{max_candidates}; narrow the class"
         )
-    for pair in candidates:
-        verdicts.append(check_candidate(pair))
+    tables = list(enumerate_protocol_tables(values, modes))
+    if symmetric:
+        return [check_candidate((t, t)) for t in tables]
+    verdicts: List[CandidateVerdict] = []
+    checked: List[List[CandidateVerdict]] = []  # checked[i][j - i] for j >= i
+    for i, a in enumerate(tables):
+        for j, b in enumerate(tables[:i]):
+            mirror = checked[j][i - j]
+            verdicts.append(CandidateVerdict(
+                (a, b), mirror.mutual_exclusion, mirror.deadlock_free,
+                mirror.lockout_free,
+            ))
+        row = [check_candidate((a, b)) for b in tables[i:]]
+        checked.append(row)
+        verdicts.extend(row)
     return verdicts
 
 

@@ -87,3 +87,22 @@ class TestFoolingPair:
         da = frozenset(v for v in pair.run_a.honest_decisions().values())
         db = frozenset(v for v in pair.run_b.honest_decisions().values())
         assert da != db
+
+    def test_max_runs_cap_is_exact(self, monkeypatch):
+        from repro.consensus import lower_bounds
+
+        calls = []
+        simulate = lower_bounds.run_synchronous
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(lower_bounds, "run_synchronous", counting)
+        find_fooling_pair(FloodSet(), n=3, t=1, rounds=2, max_runs=5)
+        assert len(calls) == 5
+        # The cap takes the first runs in search order: one input vector.
+        assert all(inputs == [0, 0, 0] for inputs in calls)
+        calls.clear()
+        find_fooling_pair(FloodSet(), n=3, t=1, rounds=1, max_runs=10_000)
+        assert len(calls) == 8 * len(list(enumerate_crash_adversaries(3, 1, 1)))
