@@ -12,6 +12,8 @@ Protocols are written state-passing style so configurations are hashable
 and the valency machinery of :mod:`repro.impossibility.bivalence` applies
 directly — :class:`AsyncConsensusSystem` is the
 :class:`~repro.impossibility.bivalence.DecisionSystem` instantiation.
+The searches run on its :class:`ConfigurationCodec`, which packs a
+configuration into one canonical int.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import (
     Hashable,
     Iterable,
     Iterator,
+    List,
     Mapping,
     Optional,
     Sequence,
@@ -32,6 +35,7 @@ from typing import (
 from dataclasses import dataclass, field
 
 from ..core.budget import BudgetMeter
+from ..core.errors import EncodingOverflow, ModelError
 from ..core.freeze import frozendict
 from ..core.runtime import FaultAdversary, Trace
 from ..impossibility.bivalence import DecisionSystem
@@ -155,6 +159,9 @@ class AsyncConsensusSystem(DecisionSystem):
             Tuple[Pid, Hashable, Message],
             Tuple[Hashable, Tuple[Tuple[Pid, Message], ...]],
         ] = {}
+        # Built by the first TransitionCache over this system; plain
+        # simulation (run_fair_traced) never needs it.
+        self._codec: Optional[ConfigurationCodec] = None
 
     # -- DecisionSystem interface ------------------------------------------
 
@@ -225,49 +232,11 @@ class AsyncConsensusSystem(DecisionSystem):
         new_states = states[:dest] + (new_state,) + states[dest + 1:]
         return (new_states, frozendict._from_data(contents))
 
-    def sweep_transitions(
-        self, config: Configuration
-    ) -> "list[Tuple[Event, Configuration]]":
-        """Every ``(event, successor)`` pair out of ``config``, sharing the
-        per-configuration setup (sorted deliverables, memo lookups) across
-        the row.  Same event order as :meth:`events`; used by the packed
-        transition cache to expand a whole CSR row in one call.
-        """
-        states, buffer = config
-        data = buffer._data
-        memo = self._transitions
-        transition = self.protocol.transition
-        from_data = frozendict._from_data
-        out = []
-        for key in sorted(data, key=_repr_key):
-            dest, msg = key
-            local = states[dest]
-            tkey = (dest, local, msg)
-            try:
-                new_state, sends = memo[tkey]
-            except KeyError:
-                new_state, sends = transition(dest, local, msg)
-                memo[tkey] = (new_state, sends)
-            contents = dict(data)
-            count = contents[key]
-            if count == 1:
-                del contents[key]
-            else:
-                contents[key] = count - 1
-            for skey in sends:
-                contents[skey] = contents.get(skey, 0) + 1
-            out.append((
-                ("deliver", dest, msg),
-                (
-                    states[:dest] + (new_state,) + states[dest + 1:],
-                    from_data(contents),
-                ),
-            ))
-        if self.protocol.uses_null_steps:
-            for pid in range(self.n):
-                event = ("deliver", pid, NULL)
-                out.append((event, self.apply(config, event)))
-        return out
+    def configuration_codec(self) -> "ConfigurationCodec":
+        """This system's :class:`ConfigurationCodec`, built on first use."""
+        if self._codec is None:
+            self._codec = ConfigurationCodec(self)
+        return self._codec
 
     def decisions(self, config: Configuration) -> Mapping[Pid, Hashable]:
         states, _buffer = config
@@ -443,3 +412,274 @@ class AsyncConsensusSystem(DecisionSystem):
                 replayer=replayer,
             )
         return FairRun(config=config, steps=steps, trace=trace)
+
+
+# -- integer configuration codes ---------------------------------------------
+
+#: Width of one process's local-state field in a configuration code.
+LOCAL_BITS = 32
+#: Width of one message's count field; its top bit is a guard bit, so a
+#: field holds counts below ``2 ** (COUNT_BITS - 1)``.
+COUNT_BITS = 16
+_COUNT_LIMIT = 1 << (COUNT_BITS - 1)
+_COUNT_MASK = (1 << COUNT_BITS) - 1
+_UNSET = object()  # "no decision memoized yet" (None is a decision)
+
+
+class ConfigurationCodec:
+    """Canonical integer codes for one :class:`AsyncConsensusSystem`.
+
+    Local states and ``(dest, message)`` buffer keys are interned to
+    small ids, per system.  A configuration's code is one int: process
+    ``p``'s local id in bits ``[p * LOCAL_BITS, (p + 1) * LOCAL_BITS)``,
+    then one ``COUNT_BITS`` count field per message id.  Equal
+    configurations give equal codes, and :meth:`decode` inverts
+    :meth:`encode`.
+
+    A delivery is an additive delta per ``(local id, message id)``: the
+    local field moves to the new state's id, the delivered message's
+    count drops by one and each sent message's count rises.  So
+    ``protocol.transition`` runs once per distinct pair, and expanding a
+    configuration is integer additions (:meth:`row`).
+
+    No field ever carries into its neighbour.  A delta adds less than
+    ``2 ** (COUNT_BITS - 1)`` to any count field, so a sum stays inside
+    its field, and the field's top (guard) bit is set exactly when the
+    count has outgrown the limit.  :meth:`row` checks the guard bits of
+    every successor and raises :class:`EncodingOverflow`, as do local-id
+    allocation past ``2 ** LOCAL_BITS`` ids and a delta whose own count
+    reaches the limit.
+    """
+
+    def __init__(self, system: "AsyncConsensusSystem"):
+        # No reference back to the system: it holds this codec.
+        self.protocol = system.protocol
+        self._decisions = system._decisions  # shared per-state memo
+        n = system.n
+        self.local_shifts = tuple(pid * LOCAL_BITS for pid in range(n))
+        self.local_mask = (1 << LOCAL_BITS) - 1
+        self.base = n * LOCAL_BITS
+        self.guard = 0
+        self._local_ids: Dict[Hashable, int] = {}
+        self._locals: List[Hashable] = []
+        #: ``protocol.decision`` of each local id.
+        self.local_decisions: List[Optional[Hashable]] = []
+        self._message_ids: Dict[Tuple[Pid, Message], int] = {}
+        self._messages: List[Tuple[Pid, Message]] = []
+        self._deltas: List[Dict[int, int]] = []  # per message id: lid -> delta
+        # Per message id, in _repr_key order: (count field mask over the
+        # buffer bits, (dest's local shift, deltas, mid), event label).
+        self._scan: List[Tuple[int, Tuple[int, Dict[int, int], int], Event]] = []
+        if self.protocol.uses_null_steps:
+            self._null_events: Tuple[Event, ...] = tuple(
+                ("deliver", pid, NULL) for pid in range(n)
+            )
+        else:
+            self._null_events = ()
+        self._null_deltas: List[Dict[int, int]] = [{} for _ in range(n)]
+        # buffer bits -> (row labels, ((local shift, deltas, mid), ...))
+        self._rows: Dict[int, Tuple[Tuple[Event, ...], Tuple]] = {}
+
+    # -- ids -------------------------------------------------------------
+
+    def _local_id(self, state: Hashable) -> int:
+        lid = self._local_ids.get(state)
+        if lid is None:
+            lid = len(self._locals)
+            if lid > self.local_mask:
+                raise EncodingOverflow(
+                    f"{self.protocol.name}: more than {lid} distinct "
+                    "local states do not fit a configuration code",
+                    field="local", limit=self.local_mask,
+                )
+            self._local_ids[state] = lid
+            self._locals.append(state)
+            decision = self._decisions.get(state, _UNSET)
+            if decision is _UNSET:
+                decision = self.protocol.decision(state)
+                self._decisions[state] = decision
+            self.local_decisions.append(decision)
+        return lid
+
+    def _message_id(self, key: Tuple[Pid, Message]) -> int:
+        mid = self._message_ids.get(key)
+        if mid is None:
+            mid = len(self._messages)
+            self._message_ids[key] = mid
+            self._messages.append(key)
+            deltas: Dict[int, int] = {}
+            self._deltas.append(deltas)
+            self._scan.append((
+                _COUNT_MASK << (mid * COUNT_BITS),
+                (self.local_shifts[key[0]], deltas, mid),
+                ("deliver", key[0], key[1]),
+            ))
+            self._scan.sort(key=lambda entry: _repr_key(
+                self._messages[entry[1][2]]
+            ))
+            self.guard |= 1 << (self._count_shift(mid) + COUNT_BITS - 1)
+        return mid
+
+    def _count_shift(self, mid: int) -> int:
+        return self.base + mid * COUNT_BITS
+
+    def _overflow(self, key: Tuple[Pid, Message]) -> EncodingOverflow:
+        return EncodingOverflow(
+            f"{self.protocol.name}: {_COUNT_LIMIT} or more copies of "
+            f"message {key!r} in flight do not fit a configuration code",
+            field=key, limit=_COUNT_LIMIT - 1,
+        )
+
+    # -- codes -------------------------------------------------------------
+
+    def encode(self, config: Configuration, create: bool = True) -> Optional[int]:
+        """The code of ``config``.  With ``create=False``, None when a
+        local state or message has never been seen (so no code of this
+        system can equal it)."""
+        states, buffer = config
+        if len(states) != len(self.local_shifts):
+            raise ModelError(
+                f"configuration has {len(states)} local states, "
+                f"system has {len(self.local_shifts)} processes"
+            )
+        code = 0
+        for shift, state in zip(self.local_shifts, states):
+            lid = self._local_ids.get(state)
+            if lid is None:
+                if not create:
+                    return None
+                lid = self._local_id(state)
+            code |= lid << shift
+        for key, count in buffer.items():
+            mid = self._message_ids.get(key)
+            if mid is None:
+                if not create:
+                    return None
+                mid = self._message_id(key)
+            if count < 1:
+                raise ModelError(f"buffer count {count!r} for {key!r}")
+            if count >= _COUNT_LIMIT:
+                raise self._overflow(key)
+            code |= count << self._count_shift(mid)
+        return code
+
+    def decode(self, code: int) -> Configuration:
+        """The frozen ``(states, buffer)`` configuration behind ``code``."""
+        local_mask = self.local_mask
+        states = tuple(
+            self._locals[(code >> shift) & local_mask]
+            for shift in self.local_shifts
+        )
+        bits = code >> self.base
+        contents = {}
+        for field, (_shift, _deltas, mid), _event in self._scan:
+            if bits & field:
+                contents[self._messages[mid]] = (bits & field) >> (
+                    mid * COUNT_BITS
+                )
+        return (states, frozendict._from_data(contents))
+
+    def decided_values(self, code: int) -> FrozenSet[Hashable]:
+        """The decided values of ``code``'s processes, read off the
+        per-local-id decisions."""
+        decisions = self.local_decisions
+        local_mask = self.local_mask
+        values = [
+            decisions[(code >> shift) & local_mask]
+            for shift in self.local_shifts
+        ]
+        return frozenset(value for value in values if value is not None)
+
+    def fair_events(self, code: int) -> Dict[Pid, Event]:
+        """:meth:`AsyncConsensusSystem.fair_events` of ``code``: the first
+        event per process in row order."""
+        bits = code >> self.base
+        spec = self._rows.get(bits)
+        if spec is None:
+            spec = self._row_spec(bits)
+        owed: Dict[Pid, Event] = {}
+        for event in spec[0]:
+            owed.setdefault(event[1], event)
+        return owed
+
+    # -- successors ----------------------------------------------------------
+
+    def row(self, code: int) -> Tuple[Tuple[Event, ...], List[int]]:
+        """``(events, successor codes)`` out of ``code``, in the order of
+        :meth:`AsyncConsensusSystem.events`."""
+        bits = code >> self.base
+        spec = self._rows.get(bits)
+        if spec is None:
+            spec = self._row_spec(bits)
+        labels, plan = spec
+        local_mask = self.local_mask
+        guard = self.guard
+        children = []
+        for shift, deltas, mid in plan:
+            lid = (code >> shift) & local_mask
+            delta = deltas.get(lid)
+            if delta is None:
+                delta = self._delta(mid, lid)
+                guard = self.guard
+            child = code + delta
+            if child & guard:
+                raise self._overflow(self._overflowing(child))
+            children.append(child)
+        if self._null_events:
+            for pid, shift in enumerate(self.local_shifts):
+                lid = (code >> shift) & local_mask
+                delta = self._null_deltas[pid].get(lid)
+                if delta is None:
+                    delta = self._delta(None, lid, pid)
+                    guard = self.guard
+                child = code + delta
+                if child & guard:
+                    raise self._overflow(self._overflowing(child))
+                children.append(child)
+        return labels, children
+
+    def _row_spec(self, bits: int) -> Tuple[Tuple[Event, ...], Tuple]:
+        plan = []
+        labels = []
+        for field, step, event in self._scan:
+            if bits & field:
+                plan.append(step)
+                labels.append(event)
+        spec = (tuple(labels) + self._null_events, tuple(plan))
+        self._rows[bits] = spec
+        return spec
+
+    def _delta(self, mid: Optional[int], lid: int, pid: Optional[Pid] = None) -> int:
+        """The additive delta of delivering message ``mid`` (None: the
+        null message to ``pid``) to a process in local state ``lid``."""
+        if mid is None:
+            dest, msg = pid, NULL
+        else:
+            dest, msg = self._messages[mid]
+        new_state, sends = self.protocol.transition(
+            dest, self._locals[lid], msg
+        )
+        delta = (self._local_id(new_state) - lid) << self.local_shifts[dest]
+        if msg != NULL:
+            delta -= 1 << self._count_shift(mid)
+        counts: Dict[int, int] = {}
+        for key in sends:
+            sent = self._message_id(key)
+            counts[sent] = counts.get(sent, 0) + 1
+        for sent, count in counts.items():
+            if count >= _COUNT_LIMIT:
+                raise self._overflow(self._messages[sent])
+            delta += count << self._count_shift(sent)
+        if mid is None:
+            self._null_deltas[pid][lid] = delta
+        else:
+            self._deltas[mid][lid] = delta
+        return delta
+
+    def _overflowing(self, code: int) -> Tuple[Pid, Message]:
+        bits = code >> self.base
+        for mid, key in enumerate(self._messages):
+            if (bits >> (mid * COUNT_BITS)) & _COUNT_MASK >= _COUNT_LIMIT:
+                return key
+        raise AssertionError("no count field overflowed")
+

@@ -41,5 +41,22 @@ class SearchBudgetExceeded(ReproError):
     """An exhaustive search exceeded its configured state/depth budget."""
 
 
+class EncodingOverflow(SearchBudgetExceeded):
+    """A configuration does not fit the fixed-width integer code of a
+    search kernel (for example, more copies of one message in flight
+    than its count field holds).
+
+    The kernel raises this instead of letting a field carry into its
+    neighbour, so an over-large model ends the search with a structured
+    error, never a wrong answer.  ``field`` names the overflowing field,
+    ``limit`` is the largest value it can hold.
+    """
+
+    def __init__(self, message: str, field=None, limit=None):
+        super().__init__(message)
+        self.field = field
+        self.limit = limit
+
+
 class CertificateError(ReproError):
     """A machine-checked certificate failed re-validation."""

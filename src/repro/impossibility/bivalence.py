@@ -27,6 +27,7 @@ twice.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -111,6 +112,22 @@ class DecisionSystem(ABC):
     def decided_values(self, config: Configuration) -> FrozenSet[Hashable]:
         return frozenset(self.decisions(config).values())
 
+    def configuration_codec(self):
+        """An integer codec for this system's configurations, or None.
+
+        A codec maps configurations to canonical int codes (equal
+        configurations, equal codes) and expands codes directly, so the
+        searches never build or hash a frozen configuration.  It offers
+        ``encode(config, create=True)``, ``decode(code)``,
+        ``row(code) -> (events, successor codes)`` in :meth:`events`
+        order, ``decided_values(code)`` and ``fair_events(code)``; a
+        code holds one local-id field per process at ``local_shifts``
+        (width ``local_mask``), and ``local_decisions[lid]`` is that
+        local state's decision.
+        See :class:`repro.asynchronous.network.ConfigurationCodec`.
+        """
+        return None
+
 
 @dataclass
 class TransitionCache:
@@ -125,8 +142,13 @@ class TransitionCache:
 
     Storage is packed: an interner assigns each configuration a dense id
     and successor sweeps live as CSR integer rows
-    (:class:`~repro.core.packed.PackedGraph`).  The id-level surface
-    (:meth:`intern`, :meth:`ensure_expanded`, :meth:`row_bounds`,
+    (:class:`~repro.core.packed.PackedGraph`).  What the interner keys on
+    is the configuration's *key*: the configuration itself, or its int
+    code when the system has a configuration codec
+    (:meth:`DecisionSystem.configuration_codec`).  Every configuration
+    enters through :meth:`intern` and leaves through :meth:`config_of`,
+    so both kinds of system look the same from outside.  The id-level
+    surface (:meth:`intern`, :meth:`ensure_expanded`, :meth:`row_bounds`,
     :meth:`decided_values_of`) is what the analyses' hot loops use; the
     configuration-level surface (:meth:`transitions`, :meth:`successors`,
     :meth:`apply`) is preserved for callers and materializes frozen
@@ -141,27 +163,61 @@ class TransitionCache:
     __hash__ = object.__hash__
 
     def __post_init__(self):
-        self.interner = StateInterner()
-        self.graph = PackedGraph(self.interner)
-        self._views: List[Optional[Tuple[Tuple[Event, Configuration], ...]]] = []
-        self._decided: List[Optional[FrozenSet[Hashable]]] = []
+        # Duck-typed systems need not subclass DecisionSystem.
+        make_codec = getattr(self.system, "configuration_codec", None)
+        self.codec = make_codec() if make_codec is not None else None
+        self._sweep = getattr(self.system, "sweep_transitions", None)
+        self.reset_packed_state()
         register_packed_owner(self)
 
     def reset_packed_state(self) -> None:
         """Drop every id and row (cascade target of ``clear_intern_table``)."""
         self.interner = StateInterner()
         self.graph = PackedGraph(self.interner)
-        self._views = []
-        self._decided = []
+        self._views: List[Optional[Tuple[Tuple[Event, Configuration], ...]]] = []
+        self._decided: List[Optional[FrozenSet[Hashable]]] = []
+        self._configs: List[Optional[Configuration]] = []
+
+    def row(self, key) -> Tuple[Sequence[Event], Sequence]:
+        """``(events, successor keys)`` out of the configuration ``key``."""
+        if self.codec is not None:
+            return self.codec.row(key)
+        if self._sweep is not None:
+            # Bulk hook: one call computes every (event, successor) pair,
+            # sharing per-configuration setup across the whole row.
+            pairs = self._sweep(key)
+            return tuple(zip(*pairs)) if pairs else ((), ())
+        system = self.system
+        events = list(system.events(key))
+        return events, [system.apply(key, event) for event in events]
 
     # -- id-level surface (hot paths) --------------------------------------
 
     def intern(self, config: Configuration) -> int:
         """The dense id of ``config`` (its only deep hash in this cache)."""
+        if self.codec is not None:
+            return self.interner.intern(self.codec.encode(config))
         return self.interner.intern(config)
 
+    def id_of(self, config: Configuration) -> Optional[int]:
+        """The id of ``config`` if it has been interned, else None."""
+        if self.codec is not None:
+            code = self.codec.encode(config, create=False)
+            return None if code is None else self.interner.id_of(code)
+        return self.interner.id_of(config)
+
     def config_of(self, sid: int) -> Configuration:
-        return self.interner.state_of(sid)
+        """The frozen configuration behind ``sid`` (decoded once)."""
+        key = self.interner.state_of(sid)
+        if self.codec is None:
+            return key
+        memo = self._configs
+        if sid >= len(memo):
+            memo.extend([None] * (sid + 1 - len(memo)))
+        config = memo[sid]
+        if config is None:
+            config = memo[sid] = self.codec.decode(key)
+        return config
 
     def ensure_expanded(self, sid: int) -> None:
         """Record ``sid``'s successor sweep if absent; count hit/miss."""
@@ -170,23 +226,9 @@ class TransitionCache:
             self.hits += 1
             return
         self.misses += 1
-        system = self.system
-        config = self.interner.state_of(sid)
+        events, children = self.row(self.interner.state_of(sid))
         intern = self.interner.intern
-        events: List[Event] = []
-        succ_ids: List[int] = []
-        sweep = getattr(system, "sweep_transitions", None)
-        if sweep is not None:
-            # Bulk hook: one call computes every (event, successor) pair,
-            # sharing per-configuration setup across the whole row.
-            for event, child in sweep(config):
-                events.append(event)
-                succ_ids.append(intern(child))
-        else:
-            for event in system.events(config):
-                events.append(event)
-                succ_ids.append(intern(system.apply(config, event)))
-        graph.add_row(sid, events, succ_ids)
+        graph.add_row(sid, events, [intern(child) for child in children])
 
     def row_bounds(self, sid: int) -> Tuple[int, int]:
         """(start, end) offsets of ``sid``'s CSR row (expanding if needed)."""
@@ -211,7 +253,10 @@ class TransitionCache:
         return None
 
     def decided_values_of(self, sid: int) -> FrozenSet[Hashable]:
-        """``system.decided_values`` memoized per id."""
+        """``system.decided_values`` memoized per id (read off the code,
+        without decoding, when the system has a codec)."""
+        if self.codec is not None:
+            return self.codec.decided_values(self.interner.state_of(sid))
         memo = self._decided
         if sid >= len(memo):
             memo.extend([None] * (sid + 1 - len(memo)))
@@ -221,13 +266,20 @@ class TransitionCache:
             memo[sid] = vals
         return vals
 
+    def fair_events_of(self, sid: int) -> Mapping[ProcessId, Event]:
+        """``system.fair_events`` of ``sid`` (read off the code, without
+        decoding, when the system has a codec)."""
+        if self.codec is not None:
+            return self.codec.fair_events(self.interner.state_of(sid))
+        return self.system.fair_events(self.interner.state_of(sid))
+
     # -- configuration-level surface ---------------------------------------
 
     def transitions(
         self, config: Configuration
     ) -> Tuple[Tuple[Event, Configuration], ...]:
         """All ``(event, successor)`` pairs out of ``config``, memoized."""
-        return self.transitions_of(self.interner.intern(config))
+        return self.transitions_of(self.intern(config))
 
     def transitions_of(
         self, sid: int
@@ -244,9 +296,9 @@ class TransitionCache:
         self.ensure_expanded(sid)
         start, end = self.graph.row_bounds(sid)
         succ, labels = self.graph._succ, self.graph._labels
-        state_of = self.interner.state_of
+        config_of = self.config_of
         view = tuple(
-            (labels[i], state_of(succ[i])) for i in range(start, end)
+            (labels[i], config_of(succ[i])) for i in range(start, end)
         )
         views[sid] = view
         return view
@@ -287,7 +339,7 @@ class _ValencyView(Mapping):
         self._analyzer = analyzer
 
     def _sid_of(self, config: Configuration) -> Optional[int]:
-        return self._analyzer.cache.interner.id_of(config)
+        return self._analyzer.cache.id_of(config)
 
     def __contains__(self, config: object) -> bool:
         sid = self._sid_of(config)
@@ -351,6 +403,11 @@ class ValencyAnalyzer:
             self.cache = TransitionCache(self.system)
         self._masks = IdToValue()
         self._value_table = ValueTable(self.system.values)
+        # Each labelled id's own decided-value mask (what the agreement
+        # search reads), and for codec systems each local id's decision
+        # bit.
+        self._own = array("q")
+        self._local_bits: List[int] = []
         # The config-keyed label mapping is a read-through view over the
         # mask table (kept as a field for API/debugging compatibility).
         self._valency_cache = _ValencyView(self)
@@ -359,6 +416,7 @@ class ValencyAnalyzer:
     def reset_packed_state(self) -> None:
         """Drop id-indexed labels (cascade target of ``clear_intern_table``)."""
         self._masks = IdToValue()
+        self._own = array("q")
 
     def transitions(
         self, config: Configuration
@@ -397,127 +455,193 @@ class ValencyAnalyzer:
     def _label_ids(self, roots: Sequence[int]) -> None:
         """Label every configuration in the cones of the ``roots`` ids.
 
-        One forward expansion discovers the not-yet-labelled subgraph
-        (already-labelled ids act as boundary: their valencies are
-        final).  Tarjan's algorithm then emits its strongly connected
-        components sinks-first, so a single reverse-topological sweep —
-        union of own decided-value masks and all successor masks —
-        computes the exact fixpoint without iteration.
+        One fused pass: an iterative Tarjan SCC walk over the unlabelled
+        cone (already-labelled ids act as boundary: their valencies are
+        final) that expands each configuration's row the first time it
+        is visited.  Components pop off sinks-first, so a single
+        reverse-topological sweep — union of own decided-value masks and
+        all successor masks — computes the exact fixpoint without
+        iteration.
+
+        Everything per node is inline: interning the row's successor
+        keys, appending the CSR row, the own decision mask (per local id
+        when the system has a codec) and the label writes.  Ids are born
+        in the same order as a visit-by-visit expansion would give them,
+        so ids, rows and labels do not depend on which analysis expanded
+        a row first.
         """
         cache = self.cache
         masks = self._masks
-        roots = [sid for sid in roots if masks.get(sid) < 0]
+        mvals = masks._vals
+        roots = [sid for sid in roots if sid >= len(mvals) or mvals[sid] < 0]
         if not roots:
             return
-        # One fused pass: iterative Tarjan SCC over the unlabelled cone,
-        # expanding rows lazily the first time a node is visited.
-        # Components pop off in reverse topological order of the
-        # condensation, so every cross-edge target is already labelled
-        # when its source's component is processed.  All bookkeeping is
-        # raw and id-indexed — index/lowlink are flat lists, the
-        # recursion stack holds [id, cursor, row_end] frames over the
-        # CSR row offsets, and valencies union as int masks.  A child is
-        # *boundary* (valency final, do not recurse) exactly when its
-        # mask is already set and it is not part of this pass.
+        interner = cache.interner
+        ids = interner._ids
+        ids_get = ids.get
+        keys = interner._states
         graph = cache.graph
-        ensure_expanded = cache.ensure_expanded
-        mvals = masks._vals
         succ = graph._succ
+        succ_append = succ.append
+        labels_extend = graph._labels.extend
         gstart = graph._start
         gend = graph._end
-        total = len(cache.interner)
+        own_vals = self._own
+        codec = cache.codec
+        row = cache.row if codec is None else codec.row
+        mask_of = self._value_table.mask_of
+        if codec is not None:
+            local_shifts = codec.local_shifts
+            local_mask = codec.local_mask
+            local_decisions = codec.local_decisions
+            local_bits = self._local_bits
+        else:
+            decided = cache._decided
+            decided_values = self.system.decided_values
+        limit = self.max_configurations - len(masks)
+        total = len(keys)
+        # Every id-indexed column spans the whole id space; they grow
+        # together whenever an expansion interns new keys.  A visited id
+        # is on Tarjan's stack exactly while its mask is still unset.
+        for column in (mvals, own_vals, gstart, gend):
+            if len(column) < total:
+                column.extend([-1] * (total - len(column)))
         index: List[int] = [-1] * total
         low: List[int] = [0] * total
-        on_stack = bytearray(total)
         scc_stack: List[int] = []
-        counter = 0
-        new_count = 0
-        already = len(masks)
-        max_configurations = self.max_configurations
-        value_table = self._value_table
-        decided_values_of = cache.decided_values_of
-
-        def visit(sid: int) -> None:
-            # First touch of ``sid`` in this pass: budget, expand, index.
-            nonlocal counter, new_count, total
-            new_count += 1
-            if new_count + already > max_configurations:
-                raise SearchBudgetExceeded(
-                    f"valency analysis exceeded {max_configurations} configurations"
-                )
-            ensure_expanded(sid)
-            grown = len(cache.interner)
-            if grown > total:
-                index.extend([-1] * (grown - total))
-                low.extend([0] * (grown - total))
-                on_stack.extend(b"\x00" * (grown - total))
-                total = grown
-            index[sid] = low[sid] = counter
-            counter += 1
-            scc_stack.append(sid)
-            on_stack[sid] = 1
-
-        for root in roots:
-            if index[root] >= 0 or (root < len(mvals) and mvals[root] >= 0):
-                continue
-            visit(root)
-            work: List[List[int]] = [[root, gstart[root], gend[root]]]
-            while work:
-                frame = work[-1]
-                node, cursor, row_end = frame
-                advanced = False
-                while cursor < row_end:
-                    child = succ[cursor]
-                    cursor += 1
-                    if index[child] < 0:
-                        if child < len(mvals) and mvals[child] >= 0:
-                            continue  # boundary: labelled before this pass
-                        frame[1] = cursor
-                        visit(child)
-                        work.append([child, gstart[child], gend[child]])
-                        advanced = True
-                        break
-                    if on_stack[child] and index[child] < low[node]:
-                        low[node] = index[child]
-                if advanced:
+        counter = new_count = expanded = reused = 0
+        keys_before = total
+        edges_before = len(succ)
+        try:
+            for root in roots:
+                if index[root] >= 0 or mvals[root] >= 0:
                     continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[node] < low[parent]:
-                        low[parent] = low[node]
-                if low[node] == index[node]:
+                work: List[List[int]] = []
+                pending = root
+                while True:
+                    if pending >= 0:
+                        # First touch of ``pending``: budget, expand, index.
+                        new_count += 1
+                        if new_count > limit:
+                            raise SearchBudgetExceeded(
+                                "valency analysis exceeded "
+                                f"{self.max_configurations} configurations"
+                            )
+                        begin = gstart[pending]
+                        if begin >= 0:
+                            reused += 1
+                            end = gend[pending]
+                        else:
+                            events, children = row(keys[pending])
+                            begin = len(succ)
+                            for key in children:
+                                child = ids_get(key)
+                                if child is None:
+                                    child = len(keys)
+                                    ids[key] = child
+                                    keys.append(key)
+                                succ_append(child)
+                            labels_extend(events)
+                            end = len(succ)
+                            gstart[pending] = begin
+                            gend[pending] = end
+                            expanded += 1
+                            if len(keys) > total:
+                                grow = len(keys) - total
+                                index.extend([-1] * grow)
+                                low.extend([0] * grow)
+                                filler = [-1] * grow
+                                for column in (mvals, own_vals, gstart, gend):
+                                    column.extend(filler)
+                                total += grow
+                        index[pending] = low[pending] = counter
+                        counter += 1
+                        scc_stack.append(pending)
+                        work.append([pending, begin, end])
+                        pending = -1
+                    frame = work[-1]
+                    node, cursor, row_end = frame
+                    while cursor < row_end:
+                        child = succ[cursor]
+                        cursor += 1
+                        seen_at = index[child]
+                        if seen_at < 0:
+                            if mvals[child] >= 0:
+                                continue  # boundary: labelled before this pass
+                            frame[1] = cursor
+                            pending = child
+                            break
+                        if seen_at < low[node] and mvals[child] < 0:
+                            low[node] = seen_at
+                    if pending >= 0:
+                        continue
+                    work.pop()
+                    node_low = low[node]
+                    if work:
+                        parent = work[-1][0]
+                        if node_low < low[parent]:
+                            low[parent] = node_low
+                    if node_low != index[node]:
+                        continue
                     # Pop one SCC and label it: union of member decision
                     # masks and of every outgoing mask (final by now).
-                    component: List[int] = []
-                    while True:
-                        member = scc_stack.pop()
-                        on_stack[member] = 0
-                        component.append(member)
-                        if member == node:
-                            break
+                    member = scc_stack.pop()
+                    if member == node:
+                        component = (node,)
+                    else:
+                        component = [member]
+                        while member != node:
+                            member = scc_stack.pop()
+                            component.append(member)
+                    if codec is not None:
+                        for value in local_decisions[len(local_bits):]:
+                            local_bits.append(
+                                0 if value is None else mask_of((value,))
+                            )
                     valency = 0
                     for member in component:
-                        vals = decided_values_of(member)
-                        if vals:
-                            valency |= value_table.mask_of(vals)
+                        if codec is not None:
+                            code = keys[member]
+                            own = 0
+                            for shift in local_shifts:
+                                own |= local_bits[(code >> shift) & local_mask]
+                        else:
+                            if member >= len(decided):
+                                decided.extend(
+                                    [None] * (member + 1 - len(decided))
+                                )
+                            vals = decided[member]
+                            if vals is None:
+                                vals = decided[member] = decided_values(
+                                    keys[member]
+                                )
+                            own = mask_of(vals) if vals else 0
+                        own_vals[member] = own
+                        valency |= own
                     if len(component) == 1:
-                        sole = component[0]
-                        for i in range(gstart[sole], gend[sole]):
+                        for i in range(gstart[node], gend[node]):
                             child = succ[i]
-                            if child != sole:
+                            if child != node:
                                 valency |= mvals[child]
                     else:
                         in_component = set(component)
                         for member in component:
                             for i in range(gstart[member], gend[member]):
                                 child = succ[i]
-                                if child in in_component:
-                                    continue
-                                valency |= mvals[child]
+                                if child not in in_component:
+                                    valency |= mvals[child]
                     for member in component:
-                        masks.set(member, valency)
-                    mvals = masks._vals
+                        mvals[member] = valency
+                    masks.count += len(component)
+                    if not work:
+                        break
+        finally:
+            cache.misses += expanded
+            cache.hits += reused
+            graph.rows += expanded
+            born = len(keys) - keys_before
+            interner.misses += born
+            interner.hits += len(succ) - edges_before - born
 
     def label_reachable(self) -> Dict[Configuration, FrozenSet[Hashable]]:
         """Valency of *every* reachable configuration, in one linear pass."""
@@ -556,12 +680,16 @@ class ValencyAnalyzer:
         self, max_configurations: Optional[int] = None
     ) -> Optional[Configuration]:
         """Search the full reachable space for two processes deciding differently."""
-        budget = max_configurations or self.max_configurations
+        budget = (
+            self.max_configurations if max_configurations is None
+            else max_configurations
+        )
         cache = self.cache
         graph = cache.graph
         ensure_expanded = cache.ensure_expanded
         decided_values_of = cache.decided_values_of
         intern = cache.intern
+        own_vals = self._own
         seen = bytearray(len(cache.interner))
         seen_count = 0
         queue: deque = deque(
@@ -582,7 +710,13 @@ class ValencyAnalyzer:
                 raise SearchBudgetExceeded(
                     f"agreement check exceeded {budget} configurations"
                 )
-            if len(decided_values_of(sid)) >= 2:
+            # Labelled ids carry their own decision mask: two bits set
+            # means two distinct decided values.
+            own = own_vals[sid] if sid < len(own_vals) else -1
+            if own >= 0:
+                if own.bit_count() >= 2:
+                    return cache.config_of(sid)
+            elif len(decided_values_of(sid)) >= 2:
                 return cache.config_of(sid)
             ensure_expanded(sid)
             for i in range(gstart[sid], gend[sid]):
@@ -685,7 +819,7 @@ class StallingAdversary:
             explored += 1
             if explored > self.extension_budget:
                 return None
-            owed = system.fair_events(cache.config_of(sid))
+            owed = cache.fair_events_of(sid)
             if obligation_process in owed:
                 obligation = owed[obligation_process]
                 candidate = cache.apply_id(sid, obligation)

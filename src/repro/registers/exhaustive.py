@@ -21,9 +21,8 @@ contain the natural write-then-read-then-decide protocols.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.budget import Budget, BudgetExceeded
 from ..impossibility.certificate import ImpossibilityCertificate
@@ -116,160 +115,187 @@ class ProgramConsensus(ObjectConsensusProtocol):
         return self._resolve(tree[1], input_value, seen)
 
 
-def _flatten_program(
-    program: Program,
-) -> Tuple[List[int], List, List[int]]:
-    """DFS-number the subtrees of ``program``.
-
-    Returns ``(kinds, args, heights)`` indexed by node id: kind 0 is a
-    decide leaf (arg = leaf tag), 1 a write (arg = ``(value_tag,
-    sub_nid)``), 2 a read (arg = ``(if0_nid, if1_nid)``).  ``heights``
-    is the max accesses remaining below each node, used to discharge
-    wait-freedom structurally.
-    """
-    kinds: List[int] = []
-    args: List = []
-    heights: List[int] = []
-
-    def visit(tree: Program) -> int:
-        nid = len(kinds)
-        kinds.append(0)
-        args.append(None)
-        heights.append(0)
-        op = tree[0]
-        if op == "write":
-            sub = visit(tree[2])
-            kinds[nid] = 1
-            args[nid] = (tree[1], sub)
-            heights[nid] = 1 + heights[sub]
-        elif op == "read":
-            if0 = visit(tree[1])
-            if1 = visit(tree[2])
-            kinds[nid] = 2
-            args[nid] = (if0, if1)
-            heights[nid] = 1 + max(heights[if0], heights[if1])
-        else:
-            args[nid] = tree[1]
-        return nid
-
-    visit(program)
-    return kinds, args, heights
+# The value of each leaf/write tag per (own input, last read) slot,
+# slot = input * 3 + (seen + 1) with seen = -1 for "nothing read yet"
+# (which falls back to the own input, exactly ProgramConsensus._resolve).
+_RESOLVED = {
+    "zero": (0, 0, 0, 0, 0, 0),
+    "one": (1, 1, 1, 1, 1, 1),
+    "own": (0, 0, 0, 1, 1, 1),
+    "seen": (0, 0, 1, 1, 0, 1),
+}
+_ZEROS = (0,) * 6
+_NONE = (-1,) * 6
+_NO_READ = ((-1, -1),) * 6
 
 
-def _packed_verdict_kind(program: Program, solo_bound: int) -> str:
-    """Classify one candidate over a dense integer state encoding.
+class SubtreeTable:
+    """Every program of the class as one hash-consed table of subtrees.
 
-    A configuration of :class:`ProgramConsensus` is two local states
-    ``(pid, input, seen, subtree)`` plus two binary registers.  ``pid``
-    is positional and ``input`` never changes, so a local state packs
-    into a small id ``(node, input, seen)`` and a whole configuration
-    into one int — the BFS of :func:`wait_free_verdict` then runs as
-    integer arithmetic over a bytearray visited-set, with no frozen
-    containers, hashing, or per-event object allocation.  Equivalence
-    with the generic verdict on the full class is pinned by test.
+    A node is a subtree: ``("decide", leaf)``, ``("write", value,
+    sub_node)`` or ``("read", if0_node, if1_node)``, interned once per
+    search, so the 1124 depth-2 candidates share 1124 nodes instead of
+    flattening a tree each.  A local state of :class:`ProgramConsensus`
+    is ``(pid, input, seen, subtree)``; ``pid`` is positional and
+    ``input`` never changes, so it packs into a local id ``lid = node * 6
+    + input * 3 + (seen + 1)``, and each node owns six rows of the
+    decide/write/read tables below.  A configuration of a candidate is
+    one int ``(lid0 * L + lid1) * 4 + mem0 * 2 + mem1`` over the table's
+    lid space ``L``, so a candidate check is just a BFS over ints.
 
     Wait-freedom is discharged structurally: a solo run from node ``v``
     decides after at most ``height(v)`` accesses (programs are trees, so
     solo runs neither halt undecided nor cycle), hence it can only fail
-    when the tree is deeper than the solo bound — in which case we defer
-    to the generic verdict rather than replicate its failure order.
+    when the tree is deeper than the solo bound — and then
+    :meth:`verdict` defers to the generic :func:`wait_free_verdict`
+    rather than replicate its failure order.
     """
-    kinds, node_args, heights = _flatten_program(program)
-    if heights[0] > solo_bound:
-        system = ObjectConsensusSystem(ProgramConsensus(program), 2)
-        verdict = wait_free_verdict(system, solo_bound=solo_bound)
-        if verdict.solves_consensus:
-            return "solution"
-        return verdict.failure_kind or "wait_freedom"
 
-    # Local-state id: lid = (node * 2 + input) * 3 + (seen + 1), with
-    # seen = -1 encoding "nothing read yet" (decides fall back to own
-    # input, exactly ProgramConsensus._resolve).
-    nnodes = len(kinds)
-    L = nnodes * 6
+    def __init__(self, depth: int):
+        self._ids: Dict[Tuple, int] = {}
+        self._programs: List[Optional[Program]] = []
+        self._keys: List[Tuple] = []
+        self.heights: List[int] = []
+        # Per lid: decided value (-1 while running), written value and
+        # successor of a write (-1 if not a write), successors of a read
+        # per response.
+        self.decide: List[int] = []
+        self.write_value: List[int] = []
+        self.write_next: List[int] = []
+        self.read_next: List[Tuple[int, int]] = []
+        level: List[int] = []
+        for d in range(depth + 1):
+            leaves = [self._node(("decide", leaf)) for leaf in LEAVES]
+            subs = level
+            level = leaves
+            if d:
+                level += [
+                    self._node(("write", value, sub))
+                    for value in WRITE_VALUES for sub in subs
+                ]
+                level += [
+                    self._node(("read", if0, if1))
+                    for if0 in subs for if1 in subs
+                ]
+        #: The class's candidates, as node ids in enumerate_programs order.
+        self.candidates = level
 
-    def resolve(tag: str, input_value: int, seen: int) -> int:
-        if tag == "zero":
-            return 0
-        if tag == "one":
-            return 1
-        if tag == "own":
-            return input_value
-        return input_value if seen < 0 else seen
+    def _node(self, key: Tuple) -> int:
+        nid = self._ids.get(key)
+        if nid is not None:
+            return nid
+        nid = len(self._keys)
+        self._ids[key] = nid
+        self._keys.append(key)
+        self._programs.append(None)
+        op = key[0]
+        if op == "decide":
+            self.heights.append(0)
+            self.decide.extend(_RESOLVED[key[1]])
+            self.write_value.extend(_ZEROS)
+            self.write_next.extend(_NONE)
+            self.read_next.extend(_NO_READ)
+        elif op == "write":
+            sub = key[2] * 6
+            self.heights.append(1 + self.heights[key[2]])
+            self.decide.extend(_NONE)
+            self.write_value.extend(_RESOLVED[key[1]])
+            self.write_next.extend(range(sub, sub + 6))  # slot unchanged
+            self.read_next.extend(_NO_READ)
+        else:
+            if0, if1 = key[1] * 6, key[2] * 6
+            self.heights.append(
+                1 + max(self.heights[key[1]], self.heights[key[2]])
+            )
+            self.decide.extend(_NONE)
+            self.write_value.extend(_ZEROS)
+            self.write_next.extend(_NONE)
+            # A read keeps the input and sets seen to the response.
+            self.read_next.extend((
+                (if0 + 1, if1 + 2), (if0 + 1, if1 + 2), (if0 + 1, if1 + 2),
+                (if0 + 4, if1 + 5), (if0 + 4, if1 + 5), (if0 + 4, if1 + 5),
+            ))
+        return nid
 
-    # Per-lid tables: decided value (-1 if still running), written value
-    # and successor for writes, successors per read response for reads.
-    dec = [-1] * L
-    wval = [0] * L
-    wnext = [-1] * L
-    rnext = [(-1, -1)] * L
-    for nid in range(nnodes):
-        kind = kinds[nid]
-        arg = node_args[nid]
-        for input_value in (0, 1):
-            for seen in (-1, 0, 1):
-                lid = (nid * 2 + input_value) * 3 + (seen + 1)
-                if kind == 0:
-                    dec[lid] = resolve(arg, input_value, seen)
-                elif kind == 1:
-                    wval[lid] = resolve(arg[0], input_value, seen)
-                    wnext[lid] = (arg[1] * 2 + input_value) * 3 + (seen + 1)
+    def program_of(self, nid: int) -> Program:
+        """The program tree of node ``nid`` (built once per node)."""
+        program = self._programs[nid]
+        if program is None:
+            key = self._keys[nid]
+            if key[0] == "decide":
+                program = key
+            elif key[0] == "write":
+                program = ("write", key[1], self.program_of(key[2]))
+            else:
+                program = (
+                    "read", self.program_of(key[1]), self.program_of(key[2])
+                )
+            self._programs[nid] = program
+        return program
+
+    def verdict(self, nid: int, solo_bound: int) -> str:
+        """Classify candidate ``nid``: ``"solution"``, ``"agreement"``,
+        ``"validity"`` or ``"wait_freedom"``, as the generic verdict
+        would over the same program."""
+        if self.heights[nid] > solo_bound:
+            program = self.program_of(nid)
+            system = ObjectConsensusSystem(ProgramConsensus(program), 2)
+            verdict = wait_free_verdict(system, solo_bound=solo_bound)
+            if verdict.solves_consensus:
+                return "solution"
+            return verdict.failure_kind or "wait_freedom"
+        decide = self.decide
+        write_value = self.write_value
+        write_next = self.write_next
+        read_next = self.read_next
+        L = len(decide)
+        start = nid * 6  # lid of (nid, input 0, nothing seen)
+        queue = [
+            ((start + in0 * 3) * L + start + in1 * 3) * 4
+            for in0 in (0, 1) for in1 in (0, 1)
+        ]
+        # Marking on enqueue visits configurations in the same order as
+        # a mark-on-dequeue BFS would.
+        seen = set(queue)
+        for cfg in queue:
+            mem = cfg & 3
+            lid0, lid1 = divmod(cfg >> 2, L)
+            d0 = decide[lid0]
+            d1 = decide[lid1]
+            if d0 >= 0 or d1 >= 0:
+                if d0 >= 0 and d1 >= 0 and d0 != d1:
+                    return "agreement"
+                # Inputs are positional and immutable, so the originating
+                # input vector is recoverable from the lids.
+                in0 = lid0 % 6 // 3
+                in1 = lid1 % 6 // 3
+                if d0 >= 0 and d0 != in0 and d0 != in1:
+                    return "validity"
+                if d1 >= 0 and d1 != in0 and d1 != in1:
+                    return "validity"
+            # Wait-freedom cannot fail: height(program) <= solo_bound.
+            if d0 < 0:
+                nxt = write_next[lid0]
+                if nxt >= 0:
+                    child = (((nxt * L + lid1) * 4)
+                             | (write_value[lid0] << 1) | (mem & 1))
                 else:
-                    rnext[lid] = (
-                        (arg[0] * 2 + input_value) * 3 + 1,  # seen := 0
-                        (arg[1] * 2 + input_value) * 3 + 2,  # seen := 1
-                    )
-
-    # cfg = ((lid0 * L) + lid1) * 4 + mem0 * 2 + mem1
-    seen_configs = bytearray(L * L * 4)
-    queue = deque()
-    for in0 in (0, 1):
-        for in1 in (0, 1):
-            lid0 = in0 * 3  # node 0, seen = -1
-            lid1 = in1 * 3
-            queue.append((lid0 * L + lid1) * 4)
-    while queue:
-        cfg = queue.popleft()
-        if seen_configs[cfg]:
-            continue
-        seen_configs[cfg] = 1
-        mem = cfg & 3
-        rest = cfg >> 2
-        lid1 = rest % L
-        lid0 = rest // L
-        d0 = dec[lid0]
-        d1 = dec[lid1]
-        if d0 >= 0 or d1 >= 0:
-            if d0 >= 0 and d1 >= 0 and d0 != d1:
-                return "agreement"
-            # inputs are positionally encoded and immutable, so the
-            # originating input vector is recoverable from the config.
-            in0 = (lid0 // 3) & 1
-            in1 = (lid1 // 3) & 1
-            if d0 >= 0 and d0 != in0 and d0 != in1:
-                return "validity"
-            if d1 >= 0 and d1 != in0 and d1 != in1:
-                return "validity"
-        # Wait-freedom cannot fail: height(program) <= solo_bound.
-        if d0 < 0:
-            nxt = wnext[lid0]
-            if nxt >= 0:
-                child = ((nxt * L + lid1) * 4) | (wval[lid0] << 1) | (mem & 1)
-            else:
-                nxt = rnext[lid0][mem & 1]  # read the other's register r1
-                child = ((nxt * L + lid1) * 4) | mem
-            if not seen_configs[child]:
-                queue.append(child)
-        if d1 < 0:
-            nxt = wnext[lid1]
-            if nxt >= 0:
-                child = ((lid0 * L + nxt) * 4) | (mem & 2) | wval[lid1]
-            else:
-                nxt = rnext[lid1][mem >> 1]  # read the other's register r0
-                child = ((lid0 * L + nxt) * 4) | mem
-            if not seen_configs[child]:
-                queue.append(child)
-    return "solution"
+                    nxt = read_next[lid0][mem & 1]  # read r1
+                    child = ((nxt * L + lid1) * 4) | mem
+                if child not in seen:
+                    seen.add(child)
+                    queue.append(child)
+            if d1 < 0:
+                nxt = write_next[lid1]
+                if nxt >= 0:
+                    child = ((lid0 * L + nxt) * 4) | (mem & 2) | write_value[lid1]
+                else:
+                    nxt = read_next[lid1][mem >> 1]  # read r0
+                    child = ((lid0 * L + nxt) * 4) | mem
+                if child not in seen:
+                    seen.add(child)
+                    queue.append(child)
+        return "solution"
 
 
 @dataclass
@@ -284,36 +310,28 @@ class RegisterSearchOutcome:
     resume_at: int = 0
 
 
-def _verdict_of(program: Program, depth: int) -> str:
-    """Model-check one candidate; classify the outcome."""
-    return _packed_verdict_kind(program, solo_bound=depth + 2)
-
-
 def _check_program_range(args: Tuple) -> Tuple:
     """Worker shard: model-check candidates ``lo <= index < hi``.
 
-    Re-enumerates the (cheap, deterministic) program stream and returns
-    an order-preserving census for its contiguous index range, so the
+    Rebuilds the (cheap, deterministic) subtree table and returns an
+    order-preserving census for its contiguous index range, so the
     parent can merge shards by simple concatenation/summing.
     """
     depth, lo, hi = args
-    checked = 0
+    table = SubtreeTable(depth)
+    solo_bound = depth + 2
     solutions: List[Program] = []
     census = {"agreement": 0, "validity": 0, "wait_freedom": 0}
-    for index, program in enumerate(enumerate_programs(depth)):
-        if index < lo:
-            continue
-        if index >= hi:
-            break
-        checked += 1
-        kind = _verdict_of(program, depth)
+    candidates = table.candidates[lo:hi]
+    for nid in candidates:
+        kind = table.verdict(nid, solo_bound)
         if kind == "solution":
-            solutions.append(program)
+            solutions.append(table.program_of(nid))
         elif kind in census:
             census[kind] += 1
         else:
             census["wait_freedom"] += 1
-    return (checked, solutions, census)
+    return (len(candidates), solutions, census)
 
 
 def _search_register_consensus_sharded(
@@ -408,9 +426,10 @@ def search_register_consensus(
     wait_freedom = resume.wait_freedom_failures if resume else 0
     total = resume.candidates if resume else 0
     meter = budget.meter("register-consensus-search") if budget else None
-    for index, program in enumerate(enumerate_programs(depth)):
-        if index < start:
-            continue
+    table = SubtreeTable(depth)
+    solo_bound = depth + 2
+    for index in range(start, len(table.candidates)):
+        nid = table.candidates[index]
         if meter is not None:
             try:
                 meter.charge_steps()
@@ -426,9 +445,9 @@ def search_register_consensus(
                     resume_at=index,
                 )
         total += 1
-        kind = _verdict_of(program, depth)
+        kind = table.verdict(nid, solo_bound)
         if kind == "solution":
-            solutions.append(program)
+            solutions.append(table.program_of(nid))
         elif kind == "agreement":
             agreement += 1
         elif kind == "validity":

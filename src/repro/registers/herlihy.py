@@ -241,7 +241,6 @@ def wait_free_verdict(
     protocol = system.protocol
     if cache is None:
         cache = TransitionCache(system)
-    interner = cache.interner
     graph = cache.graph
     ensure_expanded = cache.ensure_expanded
     config_of = cache.config_of
@@ -320,7 +319,7 @@ def wait_free_verdict(
     queue: deque = deque()
     inputs_of: Dict[int, Tuple[Hashable, ...]] = {}
     for inputs in system.input_vectors:
-        sid = interner.intern(system.configuration_for(inputs))
+        sid = cache.intern(system.configuration_for(inputs))
         queue.append(sid)
         inputs_of[sid] = inputs
 

@@ -36,7 +36,7 @@ from repro.core import (
 )
 from repro.registers.exhaustive import (
     ProgramConsensus,
-    _packed_verdict_kind,
+    SubtreeTable,
     enumerate_programs,
 )
 from repro.registers.herlihy import ObjectConsensusSystem, wait_free_verdict
@@ -190,6 +190,15 @@ class TestFrozenEquivalence:
 
 # ---------------------------------------------------------------------------
 # Register search: packed integer checker == generic wait_free_verdict
+
+
+_TABLE = SubtreeTable(2)
+_NODES = {_TABLE.program_of(nid): nid for nid in _TABLE.candidates}
+
+
+def _packed_verdict_kind(program, solo_bound):
+    """The shared-subtree-table verdict of one program of the class."""
+    return _TABLE.verdict(_NODES[program], solo_bound)
 
 
 class TestPackedRegisterSearch:
