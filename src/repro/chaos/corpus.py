@@ -168,9 +168,7 @@ class ScheduleCorpus:
         replay reports — independent of directory listing order.
         """
         loaded: List[CorpusEntry] = []
-        for kind, fingerprint in self.store.entries():
-            if kind != "object":
-                continue
+        for fingerprint in self.store.entries():
             found = self.store.load_object(fingerprint)
             if found is None:
                 continue

@@ -49,10 +49,9 @@ def atomic_write_text(path: str, text: str, encoding: str = "utf-8") -> str:
 def atomic_write_bytes(path: str, data: bytes) -> str:
     """Write ``data`` to ``path`` atomically; return ``path``.
 
-    The binary sibling of :func:`atomic_write_text`, used for packed
-    state-graph blobs in the certificate store: same staging-file
+    The binary sibling of :func:`atomic_write_text`: same staging-file
     protocol, same guarantee that readers see either the previous
-    complete blob or the new complete blob, never a prefix.
+    complete file or the new complete file, never a prefix.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)

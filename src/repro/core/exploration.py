@@ -85,7 +85,6 @@ def explore(
     actions_filter: Optional[Callable[[State, Action], bool]] = None,
     initial_states: Optional[Iterable[State]] = None,
     budget: Optional[Budget] = None,
-    workers=1,
 ) -> ReachabilityResult:
     """Breadth-first search of the reachable state graph.
 
@@ -106,27 +105,13 @@ def explore(
     returns a partial :class:`ReachabilityResult` (``complete=False``)
     rather than raising, and — on the default shared-frontier path — a
     later call resumes the same frontier where the budget ran out.
-
-    ``workers > 1`` shards successor expansion across worker processes
-    (:mod:`repro.parallel.explore`) on the shared-frontier path; the
-    result — discovery order, parents, partial-on-overdraft state — is
-    bit-identical to the serial expansion.  ``actions_filter`` /
-    ``initial_states`` questions stay serial (their one-off frontiers
-    are not worth a pool).
     """
     graph = state_graph(automaton)
     meter = budget.meter(automaton.name) if budget is not None else None
     if actions_filter is None and initial_states is None:
         frontier = graph.frontier(include_inputs)
         try:
-            if workers not in (None, 0, 1):
-                from ..parallel.explore import expand_frontier_parallel
-
-                expand_frontier_parallel(
-                    graph, include_inputs, max_states, meter, workers
-                )
-            else:
-                frontier.expand_all(max_states, meter)
+            frontier.expand_all(max_states, meter)
         except BudgetExceeded as overdraft:
             return ReachabilityResult(
                 automaton,

@@ -21,8 +21,7 @@ Id lifetime rules:
   the lifetime of the interner** — an id is never reassigned;
 * ids are **local to one interner** (one per :class:`~repro.core.stategraph.StateGraph`
   / transition cache); they must never be compared across interners —
-  ship the frozen state (or an explicit id-table delta, see
-  :mod:`repro.parallel.explore`) across that boundary;
+  ship the frozen state across that boundary;
 * :meth:`StateInterner.clear` resets the id space; every packed
   structure holding ids from it must be dropped with it (the owning
   graph does this, see ``clear_intern_table``).
@@ -31,7 +30,7 @@ Id lifetime rules:
 from __future__ import annotations
 
 from array import array
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 UNEXPANDED = -1
 
@@ -92,24 +91,6 @@ class StateInterner:
         self.hits = 0
         self.misses = 0
 
-    def bulk_load(self, states: Iterable[Any]) -> None:
-        """Restore an id -> state table saved from another process.
-
-        Only valid on an empty interner: ids are positional, so the
-        restored table must *be* the id space, not extend one.  Counts
-        neither hits nor misses — a restore is cache plumbing, not live
-        interning, and the counters stay meaningful as "work this
-        process did".
-        """
-        if self._states:
-            raise ValueError(
-                f"bulk_load needs an empty interner, found {len(self._states)} "
-                "states already interned"
-            )
-        for state in states:
-            self._ids[state] = len(self._states)
-            self._states.append(state)
-
     @property
     def stats(self) -> Dict[str, Any]:
         probes = self.hits + self.misses
@@ -166,8 +147,7 @@ class PackedGraph:
         """Record ``sid``'s full successor sweep (append-once).
 
         ``labels`` and ``succ_ids`` must be aligned.  A second add for
-        the same id is ignored — first sweep wins, matching the
-        prefetch-tolerant memo discipline of the frontier fold.
+        the same id is ignored — first sweep wins.
         """
         self._ensure_slot(sid)
         if self._start[sid] != UNEXPANDED:
@@ -214,82 +194,6 @@ class PackedGraph:
             (labels[i], succ[i]) for i in range(start, end)
         )
 
-    # -- persistence ---------------------------------------------------------
-
-    def export_rows(self) -> Dict[str, Any]:
-        """The raw CSR storage, for cross-run persistence.
-
-        Returns live references (not copies): ``succ``/``start``/``end``
-        are the flat ``array('q')`` columns, ``labels`` the aligned edge
-        label list, ``rows`` the expanded-row count.  Callers serialize
-        via ``array.tobytes()`` (see :mod:`repro.service.graphs`) and
-        must not mutate.
-        """
-        return {
-            "succ": self._succ,
-            "start": self._start,
-            "end": self._end,
-            "labels": self._labels,
-            "rows": self.rows,
-        }
-
-    def import_rows(
-        self,
-        succ: "array",
-        start: "array",
-        end: "array",
-        labels: List[Any],
-        rows: int,
-    ) -> None:
-        """Adopt CSR storage saved by :meth:`export_rows`.
-
-        Only valid on an empty graph (the restored offsets index the
-        restored arrays; merging into live rows would corrupt both), and
-        the columns must be mutually consistent — the label list aligned
-        with the successor array, offsets within bounds.  Ids in ``succ``
-        refer to the attached interner's id space, so the interner must
-        be restored first (``StateInterner.bulk_load``).
-        """
-        if self.rows or len(self._succ) or len(self._start):
-            raise ValueError("import_rows needs an empty PackedGraph")
-        if len(labels) != len(succ):
-            raise ValueError(
-                f"misaligned rows: {len(labels)} labels vs {len(succ)} "
-                "successor ids"
-            )
-        if len(start) != len(end):
-            raise ValueError(
-                f"misaligned offsets: {len(start)} starts vs {len(end)} ends"
-            )
-        nstates = len(self.interner)
-        nedges = len(succ)
-        counted = 0
-        for sid in range(len(start)):
-            lo, hi = start[sid], end[sid]
-            if lo == UNEXPANDED and hi == UNEXPANDED:
-                continue
-            if not (0 <= lo <= hi <= nedges):
-                raise ValueError(
-                    f"row {sid} offsets ({lo}, {hi}) out of bounds "
-                    f"for {nedges} edges"
-                )
-            counted += 1
-        if counted != rows:
-            raise ValueError(
-                f"row count {rows} does not match {counted} expanded rows"
-            )
-        for sid in succ:
-            if not (0 <= sid < nstates):
-                raise ValueError(
-                    f"successor id {sid} outside the interned id space "
-                    f"of {nstates} states"
-                )
-        self._succ = array("q", succ)
-        self._start = array("q", start)
-        self._end = array("q", end)
-        self._labels = list(labels)
-        self.rows = rows
-
     # -- accounting ----------------------------------------------------------
 
     @property
@@ -317,28 +221,6 @@ class PackedGraph:
                 self.nbytes() / len(self.interner) if len(self.interner) else 0.0
             ),
         }
-
-
-def expand_packed(
-    packed: PackedGraph,
-    sid: int,
-    sweep: Callable[[Any], Iterable[Tuple[Any, Any]]],
-) -> None:
-    """Expand ``sid`` through ``sweep(state) -> (label, successor_state)``.
-
-    The glue between a domain successor function (``enabled``/``apply``,
-    ``events``/``apply``) and the packed store: successors are interned
-    and the row is recorded in sweep order.  No-op if already expanded.
-    """
-    if packed.is_expanded(sid):
-        return
-    intern = packed.interner.intern
-    labels: List[Any] = []
-    succ_ids: List[int] = []
-    for label, succ in sweep(packed.interner.state_of(sid)):
-        labels.append(label)
-        succ_ids.append(intern(succ))
-    packed.add_row(sid, labels, succ_ids)
 
 
 class IdFlags:

@@ -97,8 +97,8 @@ class FingerprintMismatch(ReplayError):
 
     Structured: ``expected`` is the fingerprint the artifact recorded,
     ``actual`` the one recomputed from its content, and ``context`` names
-    the artifact being verified (a reloaded trace, a store entry, a
-    packed-graph blob).  Raised by :meth:`Trace.from_jsonl` and reused by
+    the artifact being verified (a reloaded trace, a store entry).
+    Raised by :meth:`Trace.from_jsonl` and reused by
     the certificate store (:mod:`repro.service.store`) — anywhere
     "re-verify on read" fails, the error carries both digests so the
     diagnosis never requires re-running the verifier by hand.

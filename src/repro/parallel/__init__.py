@@ -1,31 +1,23 @@
-"""The parallel execution fabric: multiprocess campaigns and exploration.
+"""The parallel execution fabric: multiprocess campaigns and sweeps.
 
-Every CPU-bound search in this repository — chaos campaigns, exhaustive
-register-protocol enumeration, state-graph frontier expansion — is a
-deterministic function of ``(protocol, inputs, adversary, seed)`` thanks
-to the unified runtime's seed plumbing (:func:`repro.core.runtime.derive_seed`).
-That makes the workloads embarrassingly parallel *and* checkable: the
-work partitions into independent shards whose results merge
-order-independently, exactly the property extension-based and FLP-style
-proof reconstructions exploit when they explore independent branches of
-the execution tree in any order.
+Every CPU-bound search in this repository that splits into independent
+cases — chaos campaigns, exhaustive register-protocol enumeration, the
+Ben-Or termination sweep, batches of service queries — is a
+deterministic function of ``(protocol, inputs, adversary, seed)``
+thanks to the unified runtime's seed plumbing
+(:func:`repro.core.runtime.derive_seed`).  That makes the workloads
+embarrassingly parallel *and* checkable: the work partitions into
+independent shards whose results merge order-independently.
 
-The fabric has three layers:
+The fabric has two layers:
 
 * :mod:`repro.parallel.pool` — process-pool plumbing on the stdlib only
   (:class:`WorkerPool` over :class:`concurrent.futures.ProcessPoolExecutor`,
-  a cross-process :class:`SharedCounter` for budget fan-in,
   :func:`resolve_workers`, :func:`split_chunks`);
-* :mod:`repro.parallel.explore` — batched frontier **prefetch** for
-  :class:`~repro.core.stategraph.StateGraph`: workers expand frontier
-  states and return edge lists, the parent folds them into the memoized
-  graph by re-running the *serial* expansion over the warmed cache, so
-  discovery order, parent maps and budget accounting are bit-identical
-  to a serial run by construction;
 * consumers — :func:`repro.chaos.campaign.run_campaign`,
-  :func:`repro.core.exploration.explore`,
-  :meth:`repro.core.stategraph.StateGraph.reachable` and
-  :func:`repro.registers.exhaustive.search_register_consensus` all take
+  :func:`repro.registers.exhaustive.search_register_consensus`,
+  :func:`repro.circumvention.randomized.expected_rounds` and
+  :class:`repro.service.service.QueryService` all take
   ``workers=N``.
 
 The headline guarantee, enforced by ``tests/test_parallel_fabric.py``
@@ -34,18 +26,10 @@ and the golden-trace suite: **every result is bit-identical for
 optimization; it never changes an answer.
 """
 
-from .explore import expand_frontier_parallel
-from .pool import (
-    SharedCounter,
-    WorkerPool,
-    resolve_workers,
-    split_chunks,
-)
+from .pool import WorkerPool, resolve_workers, split_chunks
 
 __all__ = [
-    "SharedCounter",
     "WorkerPool",
-    "expand_frontier_parallel",
     "resolve_workers",
     "split_chunks",
 ]

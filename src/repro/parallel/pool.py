@@ -5,8 +5,8 @@ Design rules, shared by every consumer:
 * **The parent is authoritative.**  Workers only *compute*; the parent
   merges results in a deterministic order and does all budget accounting
   through the ordinary :class:`~repro.core.budget.BudgetMeter` calls the
-  serial code path makes.  A slow, dead or early-stopped worker can cost
-  wall-clock time, never correctness.
+  serial code path makes.  A slow or dead worker can cost wall-clock
+  time, never correctness.
 * **Shards are derived, not shared.**  A worker never receives mutable
   campaign state — only the immutable coordinates (target, index, seed
   policy) it needs to re-derive its shard from scratch via
@@ -15,13 +15,6 @@ Design rules, shared by every consumer:
   loaded interpreter, so pools are cheap enough for test-sized work;
   platforms without it fall back to ``spawn`` transparently (everything
   shipped to workers is picklable).
-
-:class:`SharedCounter` is the budget fan-in channel: workers add the
-steps/states they burn to one cross-process account, so the parent can
-observe aggregate spend while shards are in flight and workers can
-stop early once the aggregate passes a limit — an *optimization* only,
-since the parent re-charges its own meter deterministically during the
-merge.
 """
 
 from __future__ import annotations
@@ -93,50 +86,6 @@ def split_chunks(items: Sequence[T], chunks: int) -> List[List[T]]:
     return out
 
 
-class SharedCounter:
-    """A cross-process (steps, states) account for budget fan-in.
-
-    Workers :meth:`add` what they burn; the parent (or any worker)
-    reads :meth:`snapshot` and :meth:`exceeded`.  Backed by two
-    lock-protected ``multiprocessing.Value`` cells, inherited by pool
-    workers through the process-creation channel (pass the counter via
-    ``initargs``, never through a task submission).
-    """
-
-    def __init__(self, ctx=None):
-        ctx = ctx if ctx is not None else pool_context()
-        self._lock = ctx.Lock()
-        self._steps = ctx.Value("q", 0, lock=False)
-        self._states = ctx.Value("q", 0, lock=False)
-
-    def add(self, steps: int = 0, states: int = 0) -> None:
-        with self._lock:
-            self._steps.value += steps
-            self._states.value += states
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {"steps": self._steps.value, "states": self._states.value}
-
-    def exceeded(
-        self,
-        max_steps: Optional[int] = None,
-        max_states: Optional[int] = None,
-    ) -> bool:
-        """Has the aggregate spend passed either limit?
-
-        Workers poll this to stop early once the *fleet* has spent the
-        budget, even if their own shard is still cheap.  Advisory only:
-        the parent's deterministic meter is what actually raises.
-        """
-        spent = self.snapshot()
-        if max_steps is not None and spent["steps"] >= max_steps:
-            return True
-        if max_states is not None and spent["states"] >= max_states:
-            return True
-        return False
-
-
 def _run_chunk(fn: Callable[[T], R], batch: List[T]) -> List[R]:
     """Worker-side body of one :meth:`WorkerPool.map_stream` chunk."""
     return [fn(item) for item in batch]
@@ -146,28 +95,18 @@ class WorkerPool:
     """A process pool with a serial in-process fallback at ``workers=1``.
 
     At ``workers=1`` no subprocess is created and :meth:`map` is a plain
-    loop (the initializer runs in-process), so consumers write one code
-    path and serial callers pay zero fabric overhead.  Use as a context
-    manager; exit shuts the pool down and waits for the workers.
+    loop, so consumers write one code path and serial callers pay zero
+    fabric overhead.  Use as a context manager; exit shuts the pool down
+    and waits for the workers.
     """
 
-    def __init__(
-        self,
-        workers,
-        initializer: Optional[Callable] = None,
-        initargs: tuple = (),
-    ):
+    def __init__(self, workers):
         self.workers = resolve_workers(workers)
         self._executor: Optional[ProcessPoolExecutor] = None
         if self.workers > 1:
             self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=pool_context(),
-                initializer=initializer,
-                initargs=initargs,
+                max_workers=self.workers, mp_context=pool_context()
             )
-        elif initializer is not None:
-            initializer(*initargs)
 
     @property
     def parallel(self) -> bool:

@@ -6,8 +6,7 @@ repository's mechanized results exactly that: every engine answer is a
 pure function of its canonicalized request, so it can be stored under a
 content address (:mod:`repro.service.keys`), verified on the way back
 out (:mod:`repro.service.store`), and served to later processes without
-re-running the search (:mod:`repro.service.service`) — including whole
-warm state graphs (:mod:`repro.service.graphs`).
+re-running the search (:mod:`repro.service.service`).
 
     store = CertificateStore("certs/")
     service = QueryService(store)
@@ -17,13 +16,6 @@ warm state graphs (:mod:`repro.service.graphs`).
 ``python -m repro.service`` is the CLI face of the same queries.
 """
 
-from .graphs import (
-    graph_blob_key,
-    pack_state_graph,
-    persist_state_graph,
-    unpack_state_graph,
-    warm_state_graph,
-)
 from .keys import (
     KEY_SCHEMA,
     QueryKey,
@@ -72,16 +64,11 @@ __all__ = [
     "encode_canonical",
     "flp_key",
     "flp_report_payload",
-    "graph_blob_key",
     "gst_run_key",
     "lease_run_key",
-    "pack_state_graph",
     "payload_fingerprint",
-    "persist_state_graph",
     "register_outcome_payload",
     "register_search_key",
     "run_campaign_cached",
-    "unpack_state_graph",
     "valency_key",
-    "warm_state_graph",
 ]

@@ -159,8 +159,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "stats":
         count = 0
-        for kind, fingerprint in store.entries():
-            print(f"{kind}  {fingerprint}")
+        for fingerprint in store.entries():
+            print(f"object  {fingerprint}")
             count += 1
         print(f"{count} entries in {store.root}")
         return 0

@@ -10,47 +10,38 @@ result payload.  The contract on read is *verify or miss*:
   not match the recomputed one is treated as a **miss** (and counted in
   ``corrupt``) — a damaged store can cost recomputation, never a wrong
   answer;
-* writes go through the atomic writers in :mod:`repro.core.artifacts`
+* writes go through the atomic writer in :mod:`repro.core.artifacts`
   (stage + fsync + ``os.replace``), so concurrent writers of the same
   key converge on one complete entry and a killed writer leaves either
   the old complete entry or none.
 
-Two object classes share the directory:
-
-* ``objects/<fp[:2]>/<fp>.json`` — query results (JSON payloads);
-* ``graphs/<fp[:2]>/<fp>.bin`` — packed state-graph blobs (binary,
-  written with :func:`~repro.core.artifacts.atomic_write_bytes`), with
-  their integrity header handled by :mod:`repro.service.graphs`.
-
-Layout and discipline follow the content-addressing idea of iroh-blobs:
+Entries live at ``objects/<fp[:2]>/<fp>.json``.  Layout and discipline
+follow the content-addressing idea of iroh-blobs:
 the name *is* the hash, so a reader never needs to trust the writer —
 only the digest check.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-from ..core.artifacts import atomic_write_bytes, atomic_write_text
+from ..core.artifacts import atomic_write_text
 from ..core.runtime import FingerprintMismatch
 from .keys import QueryKey, canonical_json, payload_fingerprint
 
 ENTRY_SCHEMA = "repro-store-entry/v1"
-BLOB_MAGIC = b"repro-store-blob/v1\n"
 
 
 class CertificateStore:
     """Disk-persistent map from request fingerprints to verified results.
 
-    ``get``/``put`` move JSON payloads; ``get_blob``/``put_blob`` move
-    binary blobs (packed graphs).  All verification failures degrade to
-    misses; counters (``hits``, ``misses``, ``corrupt``, ``puts``) make
-    hit rates and store health observable — "the warm run was all hits"
-    is an assertable proposition, which is what the store-smoke CI job
-    and the acceptance tests check.
+    ``get``/``put`` move JSON payloads.  All verification failures
+    degrade to misses; counters (``hits``, ``misses``, ``corrupt``,
+    ``puts``) make hit rates and store health observable — "the warm
+    run was all hits" is an assertable proposition, which is what the
+    store-smoke CI job and the acceptance tests check.
     """
 
     def __init__(self, root: str):
@@ -65,11 +56,6 @@ class CertificateStore:
     def _object_path(self, fingerprint: str) -> str:
         return os.path.join(
             self.root, "objects", fingerprint[:2], fingerprint + ".json"
-        )
-
-    def _blob_path(self, fingerprint: str) -> str:
-        return os.path.join(
-            self.root, "graphs", fingerprint[:2], fingerprint + ".bin"
         )
 
     # -- JSON entries --------------------------------------------------------
@@ -192,92 +178,20 @@ class CertificateStore:
         self.hits += 1
         return key, result
 
-    # -- binary blobs --------------------------------------------------------
-
-    def get_blob(self, key: QueryKey) -> Optional[bytes]:
-        """The verified blob body for ``key``, or None (miss).
-
-        Blob files are ``BLOB_MAGIC`` + one JSON header line (key
-        fingerprint, body sha256, body length) + raw body bytes; every
-        field is re-verified before the body is returned.
-        """
-        path = self._blob_path(key.fingerprint())
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except OSError:
-            self.corrupt += 1
-            self.misses += 1
-            return None
-        try:
-            body = self._verify_blob(raw, key)
-        except (FingerprintMismatch, KeyError, TypeError, ValueError):
-            self.corrupt += 1
-            self.misses += 1
-            return None
-        self.hits += 1
-        return body
-
-    def _verify_blob(self, raw: bytes, key: QueryKey) -> bytes:
-        if not raw.startswith(BLOB_MAGIC):
-            raise ValueError("bad blob magic")
-        newline = raw.index(b"\n", len(BLOB_MAGIC))
-        header = json.loads(raw[len(BLOB_MAGIC):newline].decode("utf-8"))
-        body = raw[newline + 1:]
-        if header.get("key_fingerprint") != key.fingerprint():
-            raise FingerprintMismatch(
-                key.fingerprint(),
-                header.get("key_fingerprint"),
-                context=f"store blob key for kind {key.kind!r}",
-            )
-        if header.get("length") != len(body):
-            raise ValueError(
-                f"blob length {len(body)} != recorded {header.get('length')}"
-            )
-        digest = hashlib.sha256(body).hexdigest()
-        if header.get("body_sha256") != digest:
-            raise FingerprintMismatch(
-                header.get("body_sha256"),
-                digest,
-                context=f"store blob body for kind {key.kind!r}",
-            )
-        return body
-
-    def put_blob(self, key: QueryKey, body: bytes) -> str:
-        """Persist a binary blob under ``key``; return the path."""
-        header = {
-            "key_fingerprint": key.fingerprint(),
-            "kind": key.kind,
-            "body_sha256": hashlib.sha256(body).hexdigest(),
-            "length": len(body),
-        }
-        raw = BLOB_MAGIC + canonical_json(header).encode("utf-8") + b"\n" + body
-        path = self._blob_path(key.fingerprint())
-        atomic_write_bytes(path, raw)
-        self.puts += 1
-        return path
-
     # -- accounting ----------------------------------------------------------
 
-    def entries(self) -> Iterator[Tuple[str, str]]:
-        """Yield ``(class, fingerprint)`` for every stored object."""
-        for kind, subdir, suffix in (
-            ("object", "objects", ".json"),
-            ("graph", "graphs", ".bin"),
-        ):
-            base = os.path.join(self.root, subdir)
-            if not os.path.isdir(base):
+    def entries(self) -> Iterator[str]:
+        """Yield the fingerprint of every stored object."""
+        base = os.path.join(self.root, "objects")
+        if not os.path.isdir(base):
+            return
+        for bucket in sorted(os.listdir(base)):
+            bucket_dir = os.path.join(base, bucket)
+            if not os.path.isdir(bucket_dir):
                 continue
-            for bucket in sorted(os.listdir(base)):
-                bucket_dir = os.path.join(base, bucket)
-                if not os.path.isdir(bucket_dir):
-                    continue
-                for name in sorted(os.listdir(bucket_dir)):
-                    if name.endswith(suffix):
-                        yield kind, name[: -len(suffix)]
+            for name in sorted(os.listdir(bucket_dir)):
+                if name.endswith(".json"):
+                    yield name[: -len(".json")]
 
     @property
     def stats(self) -> Dict[str, int]:

@@ -1,14 +1,15 @@
 """The parallel fabric's headline guarantee: workers never change answers.
 
-Every consumer of :mod:`repro.parallel` — sharded chaos campaigns,
-parallel frontier expansion, the sharded register search — must produce
-results *bit-identical* to its serial twin, including under budget
-overdrafts and across resume boundaries.  Hypothesis drives the
-equivalence over seeds, shard widths and roster subsets; fixed-seed
-tests pin the budget fan-in and cross-mode resume paths; a subprocess
-test proves the whole pipeline is independent of ``PYTHONHASHSEED``.
+Every consumer of :mod:`repro.parallel` — sharded chaos campaigns and
+the sharded register search — must produce results *bit-identical* to
+its serial twin, including under budget overdrafts and across resume
+boundaries.  Hypothesis drives the equivalence over seeds, shard widths
+and roster subsets; fixed-seed tests pin the budget and resume paths; a
+subprocess test proves the whole pipeline is independent of
+``PYTHONHASHSEED``.
 """
 
+import os
 import subprocess
 import sys
 
@@ -24,15 +25,8 @@ from repro.chaos.targets import (
     default_targets,
 )
 from repro.core.budget import Budget
-from repro.core.exploration import explore
-from repro.parallel import (
-    SharedCounter,
-    WorkerPool,
-    resolve_workers,
-    split_chunks,
-)
+from repro.parallel import WorkerPool, resolve_workers, split_chunks
 from repro.registers.exhaustive import search_register_consensus
-from repro.shared_memory.mutex.peterson import peterson_system
 
 
 def _campaign_summary(report):
@@ -43,10 +37,6 @@ def _campaign_summary(report):
         report.complete,
         report.resume_at,
     )
-
-
-def _explore_summary(result):
-    return (result.reachable, result.parents, result.complete)
 
 
 # ---------------------------------------------------------------------------
@@ -71,22 +61,17 @@ def test_split_chunks_partitions_in_order(items, chunks):
     assert len(parts) <= chunks
 
 
-def test_shared_counter_aggregates():
-    counter = SharedCounter()
-    counter.add(steps=3, states=5)
-    counter.add(steps=2)
-    assert counter.snapshot() == {"steps": 5, "states": 5}
-    assert not counter.exceeded(max_steps=6, max_states=6)
-    assert counter.exceeded(max_steps=5)  # at the limit == spent
-    assert counter.exceeded(max_states=3)
-    assert not counter.exceeded()
-
-
 def test_worker_pool_serial_fallback_runs_in_process():
-    seen = []
-    with WorkerPool(1, initializer=seen.append, initargs=("init",)) as pool:
-        assert pool.map(len, [(1, 2), (3,), ()]) == [2, 1, 0]
-    assert seen == ["init"]  # workers=1 never leaves the parent process
+    pids = []
+
+    def length(item):
+        pids.append(os.getpid())
+        return len(item)
+
+    with WorkerPool(1) as pool:
+        assert not pool.parallel
+        assert pool.map(length, [(1, 2), (3,), ()]) == [2, 1, 0]
+    assert pids == [os.getpid()] * 3  # workers=1 never leaves the parent
 
 
 # ---------------------------------------------------------------------------
@@ -143,42 +128,6 @@ def test_campaign_budget_fanin_and_resume_match_serial():
 
 
 # ---------------------------------------------------------------------------
-# Parallel exploration == serial exploration
-
-
-@settings(max_examples=5, deadline=None)
-@given(workers=st.integers(2, 4), include_inputs=st.booleans())
-def test_explore_equivalence(workers, include_inputs):
-    # Fresh automata per leg: the state-graph memo lives on the instance.
-    serial = explore(peterson_system(), include_inputs=include_inputs)
-    parallel = explore(
-        peterson_system(), include_inputs=include_inputs, workers=workers
-    )
-    assert _explore_summary(parallel) == _explore_summary(serial)
-
-
-def test_explore_budget_overdraft_and_cross_mode_resume():
-    """A budgeted parallel run stops on the same state set as serial, and
-    resuming it *serially* (or vice versa) completes to the same graph."""
-    budget = Budget(max_states=41)  # exploration charges per state found
-    serial_sys, parallel_sys = peterson_system(), peterson_system()
-    serial = explore(serial_sys, include_inputs=True, budget=budget)
-    parallel = explore(
-        parallel_sys, include_inputs=True, budget=budget, workers=3
-    )
-    assert not serial.complete
-    assert _explore_summary(parallel) == _explore_summary(serial)
-
-    # Cross-mode resume: parallel partial -> serial finish, and serial
-    # partial -> parallel finish, both land on the full serial graph.
-    full = explore(peterson_system(), include_inputs=True)
-    finish_serial = explore(parallel_sys, include_inputs=True)
-    finish_parallel = explore(serial_sys, include_inputs=True, workers=2)
-    assert _explore_summary(finish_serial) == _explore_summary(full)
-    assert _explore_summary(finish_parallel) == _explore_summary(full)
-
-
-# ---------------------------------------------------------------------------
 # Sharded register search == serial register search
 
 
@@ -227,8 +176,6 @@ def test_campaign_independent_of_pythonhashseed(tmp_path):
     on is explicit, so set-iteration scrambling from a different
     ``PYTHONHASHSEED`` must not leak into verdicts, seeds or artifacts.
     """
-    import os
-
     outputs = set()
     for hashseed in ("0", "1", "31337"):
         env = dict(os.environ)

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from repro.consensus import ByzantineAdversary, EIGByzantine, run_synchronous
 from repro.impossibility import (
+    find_changing_link,
+    first_collision,
     guaranteed_collision_count,
+    incompatible_collision,
     input_vector_chain,
     matrix_flip_chain,
     verify_chain,
@@ -140,6 +143,71 @@ class TestChainProperties:
     def test_pigeonhole_count(self, items, holes):
         count = guaranteed_collision_count(items, holes)
         assert (count - 1) * holes < items <= count * holes
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 9), max_size=12),
+           st.integers(min_value=1, max_value=6))
+    def test_first_collision_matches_brute_force(self, items, holes):
+        def key(x):
+            return x % holes
+
+        # Oracle: the earliest second arrival, paired with the first item
+        # that landed in its hole.
+        expected = None
+        for j in range(len(items)):
+            earlier = [i for i in range(j) if key(items[i]) == key(items[j])]
+            if earlier:
+                expected = (items[earlier[0]], items[j])
+                break
+        assert first_collision(items, key) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                    max_size=10))
+    def test_incompatible_collision_matches_brute_force(self, items):
+        def key(item):
+            return item[0]
+
+        def incompatible(a, b):
+            return a[1] != b[1]
+
+        exists = any(
+            key(a) == key(b) and incompatible(a, b)
+            for a, b in itertools.combinations(items, 2)
+        )
+        found = incompatible_collision(items, key, incompatible)
+        if not exists:
+            assert found is None
+        else:
+            a, b = found
+            assert a in items and b in items
+            assert key(a) == key(b) and incompatible(a, b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=1, max_value=8))
+    def test_majority_changes_along_the_input_chain(self, n):
+        chain = input_vector_chain(n)
+
+        def majority(vector):
+            return int(2 * sum(vector) > n)
+
+        index, left, right = find_changing_link(chain, majority)
+        assert left != right
+        assert (left, right) == (majority(chain[index]),
+                                 majority(chain[index + 1]))
+        assert all(majority(v) == left for v in chain[:index + 1])
+        assert find_changing_link(chain, lambda vector: "same") is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 2), max_size=10))
+    def test_changing_link_matches_brute_force(self, labels):
+        expected = next(
+            ((i, labels[i], labels[i + 1])
+             for i in range(len(labels) - 1) if labels[i] != labels[i + 1]),
+            None,
+        )
+        assert find_changing_link(list(range(len(labels))),
+                                  labels.__getitem__) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -6,30 +6,16 @@ and the tagged value encoding round-trips the frozen vocabulary exactly.
 :mod:`repro.service.store`: every flavor of damage — truncation, garbage,
 a bit-flipped result, an entry filed under the wrong key — degrades to a
 counted miss, never a wrong answer, and concurrent/interrupted writers
-converge through atomic replace.  :mod:`repro.service.graphs`: a
-:class:`StateGraph` round-tripped through a store blob is bit-identical
-to the graph that was saved and explores entirely from cache (hypothesis
-over randomly generated small automata).
+converge through atomic replace.
 """
 
 import json
 import os
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core import Signature, TableAutomaton
 from repro.core.freeze import frozendict, intern_frozen
 from repro.core.runtime import FingerprintMismatch
-from repro.core.stategraph import StateGraph
-from repro.service.graphs import (
-    graph_blob_key,
-    pack_state_graph,
-    persist_state_graph,
-    unpack_state_graph,
-    warm_state_graph,
-)
 from repro.service.keys import (
     QueryKey,
     canonical_json,
@@ -205,192 +191,13 @@ class TestStoreIntegrity:
         monkeypatch.undo()
         assert store.get(KEY) == RESULT
 
-    def test_entries_lists_both_object_classes(self, store):
+    def test_entries_lists_every_object(self, store):
+        other = QueryKey.make("register-search", depth=2)
         store.put(KEY, RESULT)
-        store.put_blob(QueryKey.make("state-graph", automaton="c"), b"body")
-        listed = list(store.entries())
-        assert ("object", KEY.fingerprint()) in listed
-        kinds = [kind for kind, _fp in listed]
-        assert kinds.count("object") == 1 and kinds.count("graph") == 1
-
-
-class TestBlobIntegrity:
-    def test_blob_round_trip(self, store):
-        key = QueryKey.make("state-graph", automaton="counter")
-        body = bytes(range(256)) * 3
-        store.put_blob(key, body)
-        assert store.get_blob(key) == body
-
-    def test_bit_flip_in_body_is_a_corrupt_miss(self, store):
-        key = QueryKey.make("state-graph", automaton="counter")
-        store.put_blob(key, b"the packed graph body")
-        path = store._blob_path(key.fingerprint())
-        with open(path, "rb") as handle:
-            raw = bytearray(handle.read())
-        raw[-3] ^= 0x40
-        with open(path, "wb") as handle:
-            handle.write(bytes(raw))
-        assert store.get_blob(key) is None
-        assert store.stats["corrupt"] == 1
-
-    def test_truncated_blob_is_a_corrupt_miss(self, store):
-        key = QueryKey.make("state-graph", automaton="counter")
-        store.put_blob(key, b"the packed graph body")
-        path = store._blob_path(key.fingerprint())
-        with open(path, "rb") as handle:
-            raw = handle.read()
-        with open(path, "wb") as handle:
-            handle.write(raw[:-5])
-        assert store.get_blob(key) is None
-        assert store.stats["corrupt"] == 1
-
-    def test_blob_under_the_wrong_key_is_a_miss(self, store):
-        key_a = QueryKey.make("state-graph", automaton="a")
-        key_b = QueryKey.make("state-graph", automaton="b")
-        store.put_blob(key_a, b"graph of a")
-        os.makedirs(
-            os.path.dirname(store._blob_path(key_b.fingerprint())),
-            exist_ok=True,
+        store.put(other, RESULT)
+        assert sorted(store.entries()) == sorted(
+            [KEY.fingerprint(), other.fingerprint()]
         )
-        os.replace(
-            store._blob_path(key_a.fingerprint()),
-            store._blob_path(key_b.fingerprint()),
-        )
-        assert store.get_blob(key_b) is None
-        assert store.stats["corrupt"] == 1
-
-
-# ---------------------------------------------------------------------------
-# Graph persistence: warm == cold, bit for bit
-# ---------------------------------------------------------------------------
-
-
-def _counter_automaton(limit):
-    sig = Signature(internals=frozenset({"inc"}))
-    transitions = {(i, "inc"): [i + 1] for i in range(limit)}
-    return TableAutomaton(
-        sig, initial=[0], transitions=transitions, name="counter"
-    )
-
-
-def _table_automaton(n_states, edges):
-    """A small automaton over states 0..n-1 from hypothesis-drawn edges."""
-    sig = Signature(internals=frozenset({"a", "b"}))
-    transitions = {}
-    for (state, action), succs in edges.items():
-        transitions[(state % n_states, action)] = [
-            succ % n_states for succ in succs
-        ]
-    return TableAutomaton(
-        sig, initial=[0], transitions=transitions, name=f"rand-{n_states}"
-    )
-
-
-class TestGraphRoundTrip:
-    def test_counter_round_trip_zero_misses(self, store):
-        cold_auto = _counter_automaton(40)
-        cold = StateGraph(cold_auto)
-        cold_states = cold.reachable()
-        key = graph_blob_key("counter", limit=40)
-        persist_state_graph(store, key, cold)
-
-        warm_auto = _counter_automaton(40)
-        graph, warmed = warm_state_graph(store, key, warm_auto)
-        assert warmed
-        assert graph.reachable() == cold_states
-        # Every expansion the warm run needed was already a row: the
-        # zero-live-search receipt.
-        assert graph.stats["misses"] == 0
-        assert graph.stats["hits"] > 0
-
-    def test_round_trip_blob_is_bit_identical(self, store):
-        cold = StateGraph(_counter_automaton(25))
-        cold.reachable()
-        blob = pack_state_graph(cold)
-        fresh = StateGraph(_counter_automaton(25))
-        unpack_state_graph(fresh, blob)
-        assert pack_state_graph(fresh) == blob
-
-    def test_unpack_needs_a_fresh_graph(self):
-        cold = StateGraph(_counter_automaton(5))
-        cold.reachable()
-        blob = pack_state_graph(cold)
-        dirty = StateGraph(_counter_automaton(5))
-        dirty.reachable()
-        with pytest.raises(ValueError):
-            unpack_state_graph(dirty, blob)
-
-    def test_corrupt_blob_falls_back_to_cold_exploration(self, store):
-        cold = StateGraph(_counter_automaton(12))
-        expected = cold.reachable()
-        key = graph_blob_key("counter", limit=12)
-        persist_state_graph(store, key, cold)
-        path = store._blob_path(key.fingerprint())
-        with open(path, "rb") as handle:
-            raw = bytearray(handle.read())
-        raw[len(raw) // 2] ^= 0x01
-        with open(path, "wb") as handle:
-            handle.write(bytes(raw))
-
-        graph, warmed = warm_state_graph(
-            store, key, _counter_automaton(12)
-        )
-        assert not warmed
-        assert store.stats["corrupt"] == 1
-        # Live exploration still produces the right answer.
-        assert graph.reachable() == expected
-
-    def test_frozen_container_states_round_trip(self, store):
-        # States carrying frozendicts exercise the {"fd": ...} tag.
-        sig = Signature(internals=frozenset({"step"}))
-        s0 = intern_frozen(frozendict({"phase": 0, "seen": ()}))
-        s1 = intern_frozen(frozendict({"phase": 1, "seen": (0,)}))
-        s2 = intern_frozen(frozendict({"phase": 2, "seen": (0, 1)}))
-        transitions = {(s0, "step"): [s1], (s1, "step"): [s2]}
-        auto = TableAutomaton(
-            sig, initial=[s0], transitions=transitions, name="fd"
-        )
-        cold = StateGraph(auto)
-        cold_states = cold.reachable()
-        blob = pack_state_graph(cold)
-        fresh = StateGraph(
-            TableAutomaton(
-                sig, initial=[s0], transitions=transitions, name="fd"
-            )
-        )
-        unpack_state_graph(fresh, blob)
-        warm_states = fresh.reachable()
-        assert warm_states == cold_states
-        assert fresh.stats["misses"] == 0
-        # Decoded states are the interned instances, not lookalikes.
-        assert all(s is intern_frozen(s) for s in warm_states)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        n_states=st.integers(min_value=1, max_value=5),
-        edges=st.dictionaries(
-            keys=st.tuples(
-                st.integers(min_value=0, max_value=4),
-                st.sampled_from(["a", "b"]),
-            ),
-            values=st.lists(
-                st.integers(min_value=0, max_value=4), min_size=1, max_size=3
-            ),
-            max_size=8,
-        ),
-    )
-    def test_random_automata_round_trip_bit_identically(
-        self, n_states, edges
-    ):
-        cold = StateGraph(_table_automaton(n_states, edges))
-        cold_states = cold.reachable()
-        blob = pack_state_graph(cold)
-
-        warm = StateGraph(_table_automaton(n_states, edges))
-        unpack_state_graph(warm, blob)
-        assert warm.reachable() == cold_states
-        assert warm.stats["misses"] == 0
-        assert pack_state_graph(warm) == blob
 
     def test_mismatch_error_reused_for_store_verification(self, store):
         # The structured FingerprintMismatch from Trace.from_jsonl is the

@@ -15,6 +15,7 @@ from repro.core import (
     check_invariant,
     explore,
     find_state,
+    forget_state_graph,
     freeze,
     frozendict,
     intern_frozen,
@@ -52,6 +53,15 @@ class TestSuccessorCache:
 
     def test_distinct_automata_get_distinct_graphs(self):
         assert state_graph(counter(3)) is not state_graph(counter(3))
+
+    def test_forget_drops_the_cached_graph(self):
+        auto = counter(3)
+        graph = state_graph(auto)
+        explore(auto)
+        forget_state_graph(auto)
+        fresh = state_graph(auto)
+        assert fresh is not graph
+        assert fresh.misses == 0
 
     def test_stats_accounting(self):
         auto = counter(4)
