@@ -20,16 +20,15 @@ from typing import List, Optional
 
 from ..core.budget import Budget
 from .campaign import reproduce, run_campaign, write_artifacts
-from .corpus import ScheduleCorpus, replay_corpus
+from .corpus import LegacyCorpusLayout, ScheduleCorpus, replay_corpus
 from .targets import target_registry
 
 
-def _replay(directory: str, roster) -> int:
+def _replay(corpus: ScheduleCorpus, roster) -> int:
     """Replay every corpus schedule; the corpus-as-regression-suite gate."""
-    corpus = ScheduleCorpus(directory)
     outcome = replay_corpus(corpus, roster)
     print(
-        f"corpus replay: {outcome['entries']} entries from {directory}"
+        f"corpus replay: {outcome['entries']} entries from {corpus.root}"
     )
     for name, stats in sorted(outcome["per_target"].items()):
         print(
@@ -103,7 +102,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="DIR",
         help="persist every novel-coverage schedule into this "
-        "store-backed corpus directory (and skip behaviours already in it)",
+        "segment-log corpus directory (and skip behaviours already in it)",
     )
     parser.add_argument(
         "--mutations",
@@ -190,8 +189,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         roster = list(registry.values())
 
+    def open_corpus(directory: str) -> ScheduleCorpus:
+        try:
+            return ScheduleCorpus(directory)
+        except LegacyCorpusLayout as exc:
+            parser.error(str(exc))
+
     if args.replay_corpus is not None:
-        return _replay(args.replay_corpus, roster)
+        return _replay(open_corpus(args.replay_corpus), roster)
 
     if args.mutations and not args.corpus:
         parser.error("--mutations requires --corpus")
@@ -230,7 +235,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         print(f"campaign answered from {source}; {store.stats_line()}")
     else:
-        corpus = ScheduleCorpus(args.corpus) if args.corpus else None
+        corpus = open_corpus(args.corpus) if args.corpus else None
         report = run_campaign(
             targets=roster,
             runs=runs,
@@ -248,6 +253,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"corpus {corpus.root}: +{report.corpus_added} novel "
                 f"schedules ({len(corpus)} total)"
             )
+            corpus.close()
         if streaming and report.throughput:
             print(
                 f"streamed {report.cases} cases at "

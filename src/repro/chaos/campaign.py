@@ -659,10 +659,12 @@ def run_campaign(
     ``keep_results=False`` is streaming mode: the report's ``results``
     is None and memory is bounded by behaviours found, not by ``runs``.
     ``corpus`` (a directory path or :class:`ScheduleCorpus`) persists
-    every novel-coverage schedule; ``mutations=k`` then re-expands each
-    corpus schedule k times through seeded mutation operators after the
-    base sweep.  ``case_log`` streams one JSON line per case to the
-    given path through an atomic incremental writer.
+    every novel-coverage schedule, made durable at two sync points: after
+    the base sweep and when the campaign returns or raises (a corpus
+    opened here from a path is also closed then).  ``mutations=k`` then
+    re-expands each corpus schedule k times through seeded mutation
+    operators after the base sweep.  ``case_log`` streams one JSON line
+    per case to the given path through an atomic incremental writer.
 
     ``budget`` (one step charged per case) bounds the whole campaign; on
     overdraft the report comes back with ``complete=False`` and
@@ -714,6 +716,10 @@ def run_campaign(
                 _execute_case, plan, chunk=chunk
             ):
                 fold.fold(item, result)
+            if corpus_obj is not None:
+                # First sync point: the base sweep's entries are durable
+                # before the mutation stage reads them back.
+                corpus_obj.sync()
             if (
                 corpus_obj is not None
                 and mutations > 0
@@ -739,6 +745,13 @@ def run_campaign(
         if log_writer is not None:
             log_writer.discard()
         raise
+    finally:
+        if corpus_obj is not None:
+            # Second sync point: however the campaign ends, every entry
+            # it added is durable.
+            corpus_obj.sync()
+            if corpus_obj is not corpus:
+                corpus_obj.close()  # opened here from a path
     return CampaignReport(
         master_seed=master_seed,
         runs=runs,

@@ -12,17 +12,21 @@ repository already trusts:
   we own, so the fingerprint set *is* the campaign's behavioural
   coverage, with no instrumentation of the substrates.
 
-* **Corpus persistence** is the content-addressed
-  :class:`~repro.service.store.CertificateStore`: each novel-coverage
-  schedule becomes a store entry keyed by ``(target, trace_fingerprint)``
-  via the canonical :class:`~repro.service.keys.QueryKey` fingerprints,
-  written atomically and re-verified on load (a corrupt corpus entry is
-  skipped, never replayed wrong).  Content addressing makes corpus
-  merges trivial — two campaigns writing the same directory converge on
-  one entry per behaviour — and makes the corpus a *regression suite*:
-  :func:`replay_corpus` re-runs every entry and checks the traces (and
-  the planted violations) reproduce exactly, which is what the CI
-  mega-campaign gate asserts.
+* **Corpus persistence** is a :class:`~repro.service.store.SegmentLog`:
+  each novel-coverage schedule becomes one self-verifying store entry,
+  keyed by ``(target, trace_fingerprint)`` via the canonical
+  :class:`~repro.service.keys.QueryKey` fingerprints, appended as one
+  line to this writer's own segment file under ``segments/``.  Lines are
+  the exact bytes the content-addressed
+  :class:`~repro.service.store.CertificateStore` writes for the same
+  entry, so every line re-verifies on load: a torn tail or a corrupt
+  line is skipped and counted, never replayed wrong.  Writes are made
+  durable in groups, at the campaign's sync points, not one fsync per
+  entry.  Content addressing makes corpus merges trivial — two campaigns
+  writing the same directory converge on one entry per behaviour — and
+  makes the corpus a *regression suite*: :func:`replay_corpus` re-runs
+  every entry and checks the traces (and the planted violations)
+  reproduce exactly, which is what the CI mega-campaign gate asserts.
 
 Entries deliberately store the *schedule*, not the trace: schedules are
 tiny (a handful of atoms) where traces are not, so a million-case
@@ -34,12 +38,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.budget import BudgetExceeded
+from ..core.errors import ReproError
 from ..service.keys import QueryKey, decode_canonical, encode_canonical
-from ..service.store import CertificateStore
+from ..service.store import SegmentLog
 from .targets import ChaosTarget, Schedule, target_registry
 
 CORPUS_KIND = "chaos-corpus"
@@ -137,42 +143,64 @@ class CoverageMap:
         return sum(len(fps) for fps in self._seen.values())
 
 
-class ScheduleCorpus:
-    """A directory of novel-coverage schedules, store-backed and mergeable.
+class LegacyCorpusLayout(ReproError):
+    """A corpus directory still holds the old one-file-per-entry
+    ``objects/`` tree, which this version does not read.
 
-    Thin veneer over a :class:`CertificateStore` rooted at ``root``:
-    :meth:`add` persists an entry iff its ``(target, trace_fingerprint)``
+    Raised on open so the old layout is never mistaken for an empty
+    corpus; ``directory`` names it.
+    """
+
+    def __init__(self, directory: str):
+        self.directory = directory
+        super().__init__(
+            f"corpus directory {directory} holds the old objects/ layout, "
+            "which is no longer read; re-run the campaign into a fresh "
+            "corpus directory to rebuild it"
+        )
+
+
+class ScheduleCorpus:
+    """A directory of novel-coverage schedules, self-verifying and mergeable.
+
+    Thin veneer over a :class:`~repro.service.store.SegmentLog` rooted at
+    ``root`` (``store``, whose counters account every read and write):
+    :meth:`add` appends an entry iff its ``(target, trace_fingerprint)``
     key is not already present, :meth:`entries` loads and re-verifies
-    everything on disk in canonical ``(target, fingerprint)`` order, and
+    every segment in canonical ``(target, fingerprint)`` order, and
     :meth:`seed_coverage` pre-loads a :class:`CoverageMap` so a campaign
     resumed against an existing corpus only chases *new* behaviours.
+    Added entries are durable after :meth:`sync` (or :meth:`close`).
     """
 
     def __init__(self, root: str):
-        self.store = CertificateStore(root)
-        self.root = self.store.root
+        root = os.path.abspath(root)
+        if os.path.isdir(os.path.join(root, "objects")):
+            raise LegacyCorpusLayout(root)
+        self.store = SegmentLog(root)
+        self.root = root
 
     def add(self, entry: CorpusEntry) -> bool:
-        """Persist ``entry`` if novel on disk; True iff a write happened."""
-        key = entry.key()
-        if self.store.contains(key):
-            return False
-        self.store.put(key, entry.payload())
-        return True
+        """Append ``entry`` if novel; True iff a line was written."""
+        return self.store.add(entry.key(), entry.payload())
+
+    def sync(self) -> None:
+        """Make every entry added so far durable (one group fsync)."""
+        self.store.sync()
+
+    def close(self) -> None:
+        """Sync and release this writer's segment."""
+        self.store.close()
 
     def entries(self) -> List[CorpusEntry]:
         """Every verified entry, sorted by (target, trace fingerprint).
 
-        Unverifiable files and foreign-kind store entries are skipped
-        (the store counts them); the sort makes replay order — and hence
-        replay reports — independent of directory listing order.
+        Unverifiable lines (counted by the store) and foreign-kind
+        entries are skipped; the sort makes replay order — and hence
+        replay reports — independent of segment names and write order.
         """
         loaded: List[CorpusEntry] = []
-        for fingerprint in self.store.entries():
-            found = self.store.load_object(fingerprint)
-            if found is None:
-                continue
-            key, payload = found
+        for key, payload in self.store.items():
             if key.kind != CORPUS_KIND:
                 continue
             try:

@@ -224,7 +224,10 @@ class _BenOrSim:
             for pid in range(n)
         ]
         self.crashed: set = set()
-        #: in-flight messages (src, dst, msg), delivery order adversarial
+        #: in-flight messages (src, dst, msg), delivery order adversarial.
+        #: Crashes are permanent, so a message to a crashed process never
+        #: enters (or stays in) the list: every message in it is
+        #: deliverable, and the adversary indexes it directly.
         self.flight: List[Tuple[int, int, object]] = []
         self.k = 0  # delivery-step counter (the adversary's clock)
         self._drain()
@@ -240,7 +243,7 @@ class _BenOrSim:
             for msg in proc.outbox:
                 self._emit(proc.pid, SEND, msg, phase=msg[1])
                 for dst in range(self.n):
-                    if dst != proc.pid:
+                    if dst != proc.pid and dst not in self.crashed:
                         self.flight.append((proc.pid, dst, msg))
             proc.outbox.clear()
 
@@ -262,7 +265,8 @@ class _BenOrSim:
                 self.crashed.add(pid)
                 self._emit(pid, CRASH, ("at", self.k))
                 self.flight = [
-                    (s, d, m) for (s, d, m) in self.flight if s != pid
+                    (s, d, m) for (s, d, m) in self.flight
+                    if s != pid and d != pid
                 ]
 
     @property
@@ -274,25 +278,16 @@ class _BenOrSim:
         ]
         if not live_undecided:
             return True
-        deliverable = [
-            i
-            for i, (_s, d, _m) in enumerate(self.flight)
-            if d not in self.crashed
-        ]
-        return not deliverable or self.k >= self.max_events
+        return not self.flight or self.k >= self.max_events
 
     def step(self) -> None:
         """One delivery: crashes due now, then one adversarial delivery."""
         self._crash_due()
-        deliverable = [
-            i
-            for i, (_s, d, _m) in enumerate(self.flight)
-            if d not in self.crashed
-        ]
-        if not deliverable:
+        if not self.flight:
             return
-        choice = self.adversary.schedule(self.k, len(deliverable), self.rng)
-        src, dst, msg = self.flight.pop(deliverable[choice])
+        src, dst, msg = self.flight.pop(
+            self.adversary.schedule(self.k, len(self.flight), self.rng)
+        )
         self._emit(dst, DELIVER, (src, msg), phase=msg[1])
         before = self.processes[dst].decided
         self.processes[dst].handle(src, msg)

@@ -19,22 +19,108 @@ Entries live at ``objects/<fp[:2]>/<fp>.json``.  Layout and discipline
 follow the content-addressing idea of iroh-blobs:
 the name *is* the hash, so a reader never needs to trust the writer —
 only the digest check.
+
+:class:`SegmentLog` holds the same entries, byte for byte, as lines of
+append-only segment files: the layout for writers that add many small
+entries and can group their fsyncs (the chaos schedule corpus).  Both
+layouts encode entries with one encoder and trust them only after one
+verifier (``_verify_entry``).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Set, Tuple
 
-from ..core.artifacts import atomic_write_text
+from ..core.artifacts import atomic_write_bytes
 from ..core.runtime import FingerprintMismatch
 from .keys import QueryKey, canonical_json, payload_fingerprint
 
 ENTRY_SCHEMA = "repro-store-entry/v1"
 
+#: every way a decoded entry can fail :func:`_verify_entry`
+_UNVERIFIED = (
+    AttributeError, FingerprintMismatch, KeyError, TypeError, ValueError,
+)
 
-class CertificateStore:
+
+def _encode_entry(key: QueryKey, result: Any) -> bytes:
+    """The stored bytes of one entry, identical in both layouts: the
+    canonical JSON of a record embedding the key description and the
+    sha256 of the result, plus a newline."""
+    entry = {
+        "schema": ENTRY_SCHEMA,
+        "key": key.describe(),
+        "key_fingerprint": key.fingerprint(),
+        "result": result,
+        "result_fingerprint": payload_fingerprint(result),
+    }
+    return (canonical_json(entry) + "\n").encode("utf-8")
+
+
+def _verify_entry(
+    entry: Any, fingerprint: Optional[str] = None
+) -> Tuple[QueryKey, Any]:
+    """Re-derive every identity in a decoded entry; return (key, result).
+
+    ``fingerprint`` is the key fingerprint the entry is read under (the
+    requested key's, which names its object file); by default it is the
+    entry's own ``key_fingerprint``, which is all a segment line has.
+    The embedded key description must hash to it and the result to the
+    embedded ``result_fingerprint``; a mismatch raises
+    :class:`FingerprintMismatch` carrying both digests, any other
+    malformation one of the other ``_UNVERIFIED`` errors.
+    """
+    if not isinstance(entry, dict) or entry.get("schema") != ENTRY_SCHEMA:
+        raise ValueError(f"unknown store entry schema in {entry!r}")
+    key = QueryKey.from_description(entry["key"])
+    if fingerprint is None:
+        fingerprint = entry.get("key_fingerprint")
+    if key.fingerprint() != fingerprint:
+        raise FingerprintMismatch(
+            fingerprint,
+            key.fingerprint(),
+            context=f"store entry key for kind {key.kind!r}",
+        )
+    recorded = entry.get("result_fingerprint")
+    result = entry["result"]
+    actual = payload_fingerprint(result)
+    if recorded != actual:
+        raise FingerprintMismatch(
+            recorded,
+            actual,
+            context=f"store entry result for kind {key.kind!r}",
+        )
+    return key, result
+
+
+class _Counters:
+    """Verify-or-miss accounting shared by both layouts."""
+
+    def __init__(self, root: str):
+        self.root = os.path.abspath(root)
+        self.hits = 0
+        self.misses = 0
+        self.corrupt = 0
+        self.puts = 0
+
+    def _unusable(self) -> None:
+        """Count an entry that was present but failed verification."""
+        self.corrupt += 1
+        self.misses += 1
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "corrupt": self.corrupt,
+            "puts": self.puts,
+        }
+
+
+class CertificateStore(_Counters):
     """Disk-persistent map from request fingerprints to verified results.
 
     ``get``/``put`` move JSON payloads.  All verification failures
@@ -43,13 +129,6 @@ class CertificateStore:
     run was all hits" is an assertable proposition, which is what the
     store-smoke CI job and the acceptance tests check.
     """
-
-    def __init__(self, root: str):
-        self.root = os.path.abspath(root)
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-        self.puts = 0
 
     # -- paths -------------------------------------------------------------
 
@@ -79,37 +158,14 @@ class CertificateStore:
             self.misses += 1
             return None
         except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            self.corrupt += 1
-            self.misses += 1
+            self._unusable()
             return None
         try:
-            result = self._verify_entry(entry, key)
-        except (FingerprintMismatch, KeyError, TypeError, ValueError):
-            self.corrupt += 1
-            self.misses += 1
+            _key, result = _verify_entry(entry, fingerprint)
+        except _UNVERIFIED:
+            self._unusable()
             return None
         self.hits += 1
-        return result
-
-    def _verify_entry(self, entry: Any, key: QueryKey) -> Any:
-        if not isinstance(entry, dict) or entry.get("schema") != ENTRY_SCHEMA:
-            raise ValueError(f"unknown store entry schema in {entry!r}")
-        described = QueryKey.from_description(entry["key"])
-        if described.fingerprint() != key.fingerprint():
-            raise FingerprintMismatch(
-                key.fingerprint(),
-                described.fingerprint(),
-                context=f"store entry key for kind {key.kind!r}",
-            )
-        recorded = entry.get("result_fingerprint")
-        result = entry["result"]
-        actual = payload_fingerprint(result)
-        if recorded != actual:
-            raise FingerprintMismatch(
-                recorded,
-                actual,
-                context=f"store entry result for kind {key.kind!r}",
-            )
         return result
 
     def put(self, key: QueryKey, result: Any) -> str:
@@ -121,62 +177,10 @@ class CertificateStore:
         — with deterministic engines both bodies are byte-identical
         anyway.
         """
-        entry = {
-            "schema": ENTRY_SCHEMA,
-            "key": key.describe(),
-            "key_fingerprint": key.fingerprint(),
-            "result": result,
-            "result_fingerprint": payload_fingerprint(result),
-        }
         path = self._object_path(key.fingerprint())
-        atomic_write_text(path, canonical_json(entry) + "\n")
+        atomic_write_bytes(path, _encode_entry(key, result))
         self.puts += 1
         return path
-
-    def contains(self, key: QueryKey) -> bool:
-        """Is an entry file present for ``key``?  (No verification, no
-        counter traffic — presence only; ``get`` still decides trust.)"""
-        return os.path.exists(self._object_path(key.fingerprint()))
-
-    def load_object(self, fingerprint: str) -> Optional[Tuple[QueryKey, Any]]:
-        """Load the entry *named* ``fingerprint``, reconstructing its key.
-
-        The enumeration-side read: :meth:`get` answers "what is the
-        result for this request?", this answers "what request and result
-        does this stored file hold?" — which is how a schedule corpus
-        walks :meth:`entries` and replays everything it finds.  The same
-        verify-or-miss discipline applies, with the extra check that the
-        embedded key's fingerprint matches the filename (a renamed file
-        is corrupt, not a different entry).
-        """
-        path = self._object_path(fingerprint)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            self.corrupt += 1
-            self.misses += 1
-            return None
-        try:
-            if not isinstance(entry, dict) or entry.get("schema") != ENTRY_SCHEMA:
-                raise ValueError(f"unknown store entry schema in {entry!r}")
-            key = QueryKey.from_description(entry["key"])
-            if key.fingerprint() != fingerprint:
-                raise FingerprintMismatch(
-                    fingerprint,
-                    key.fingerprint(),
-                    context="store entry filename",
-                )
-            result = self._verify_entry(entry, key)
-        except (FingerprintMismatch, KeyError, TypeError, ValueError):
-            self.corrupt += 1
-            self.misses += 1
-            return None
-        self.hits += 1
-        return key, result
 
     # -- accounting ----------------------------------------------------------
 
@@ -193,15 +197,6 @@ class CertificateStore:
                 if name.endswith(".json"):
                     yield name[: -len(".json")]
 
-    @property
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-            "puts": self.puts,
-        }
-
     def stats_line(self) -> str:
         """One human-readable accounting line for CLIs and CI logs."""
         s = self.stats
@@ -209,3 +204,93 @@ class CertificateStore:
             f"store {self.root}: hits={s['hits']} misses={s['misses']} "
             f"corrupt={s['corrupt']} puts={s['puts']}"
         )
+
+
+class SegmentLog(_Counters):
+    """Store entries as lines of append-only segment files, fsynced in groups.
+
+    Each writer appends to its own segment, ``<root>/segments/<random>.jsonl``,
+    created with ``O_EXCL`` on its first :meth:`add`, so concurrent
+    writers never interleave bytes and merging two logs is copying
+    segments.  A line holds exactly the bytes :meth:`CertificateStore.put`
+    would write for the entry.
+
+    :meth:`add` hands each line to the OS unbuffered — a reader in the
+    same process sees it at once — but does not fsync: durability is per
+    :meth:`sync` point, which fsyncs the segment (and, once, the
+    directory that names it).  Reads re-verify every line: a torn tail or
+    a flipped byte is a counted miss, never a wrong entry.
+    """
+
+    def __init__(self, root: str):
+        super().__init__(root)
+        self.directory = os.path.join(self.root, "segments")
+        self._segment = None
+        self._unsynced = False
+        self._directory_synced = False
+        self._keys: Set[str] = {key.fingerprint() for key, _ in self.items()}
+
+    def add(self, key: QueryKey, result: Any) -> bool:
+        """Append the entry unless its key is already in the log; True
+        iff a line was written."""
+        fingerprint = key.fingerprint()
+        if fingerprint in self._keys:
+            return False
+        data = memoryview(_encode_entry(key, result))
+        if self._segment is None:
+            os.makedirs(self.directory, exist_ok=True)
+            name = os.urandom(16).hex() + ".jsonl"
+            self._segment = open(
+                os.path.join(self.directory, name), "xb", buffering=0
+            )
+        while data:
+            data = data[self._segment.write(data):]
+        self._keys.add(fingerprint)
+        self._unsynced = True
+        self.puts += 1
+        return True
+
+    def sync(self) -> None:
+        """Make every entry added so far durable (a no-op when nothing
+        was added since the last sync)."""
+        if not self._unsynced:
+            return
+        os.fsync(self._segment.fileno())
+        if not self._directory_synced:
+            fd = os.open(self.directory, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            self._directory_synced = True
+        self._unsynced = False
+
+    def close(self) -> None:
+        """Sync, then release this writer's segment."""
+        if self._segment is not None:
+            self.sync()
+            self._segment.close()
+            self._segment = None
+
+    def items(self) -> Iterator[Tuple[QueryKey, Any]]:
+        """Yield ``(key, result)`` for every verified line, each key once
+        (the first segment in name order wins a duplicate)."""
+        if not os.path.isdir(self.directory):
+            return
+        seen: Set[str] = set()
+        for name in sorted(os.listdir(self.directory)):
+            if not name.endswith(".jsonl"):
+                continue
+            with open(os.path.join(self.directory, name), "rb") as handle:
+                for line in handle:
+                    try:
+                        key, result = _verify_entry(json.loads(line))
+                    except _UNVERIFIED:
+                        self._unusable()
+                        continue
+                    fingerprint = key.fingerprint()
+                    if fingerprint in seen:
+                        continue
+                    seen.add(fingerprint)
+                    self.hits += 1
+                    yield key, result

@@ -23,7 +23,7 @@ from repro.service.keys import (
     encode_canonical,
     payload_fingerprint,
 )
-from repro.service.store import CertificateStore
+from repro.service.store import CertificateStore, _verify_entry
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +208,6 @@ class TestStoreIntegrity:
             entry = json.load(handle)
         entry["result"]["candidates"] = 1
         with pytest.raises(FingerprintMismatch) as info:
-            store._verify_entry(entry, KEY)
+            _verify_entry(entry, KEY.fingerprint())
         assert "store entry result" in info.value.context
         assert info.value.expected != info.value.actual
