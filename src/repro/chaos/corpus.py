@@ -19,14 +19,17 @@ repository already trusts:
   line to this writer's own segment file under ``segments/``.  Lines are
   the exact bytes the content-addressed
   :class:`~repro.service.store.CertificateStore` writes for the same
-  entry, so every line re-verifies on load: a torn tail or a corrupt
-  line is skipped and counted, never replayed wrong.  Writes are made
-  durable in groups, at the campaign's sync points, not one fsync per
-  entry.  Content addressing makes corpus merges trivial — two campaigns
-  writing the same directory converge on one entry per behaviour — and
-  makes the corpus a *regression suite*: :func:`replay_corpus` re-runs
-  every entry and checks the traces (and the planted violations)
-  reproduce exactly, which is what the CI mega-campaign gate asserts.
+  entry, so every line re-verifies on load by its bytes: it must be
+  exactly the prefix of the key its description names, the result, and
+  a tail recording the sha256 of the result bytes.  A torn tail or a
+  corrupt line is skipped and counted, never replayed wrong.  Writes
+  are made durable in groups, at the campaign's sync points, not one
+  fsync per entry.  Content addressing makes corpus merges trivial —
+  two campaigns writing the same directory converge on one entry per
+  behaviour — and makes the corpus a *regression suite*:
+  :func:`replay_corpus` re-runs every entry and checks the traces (and
+  the planted violations) reproduce exactly, which is what the CI
+  mega-campaign gate asserts.
 
 Entries deliberately store the *schedule*, not the trace: schedules are
 tiny (a handful of atoms) where traces are not, so a million-case
@@ -37,14 +40,18 @@ from the determinism invariant.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.budget import BudgetExceeded
 from ..core.errors import ReproError
-from ..service.keys import QueryKey, decode_canonical, encode_canonical
+from ..service.keys import (
+    QueryKey,
+    canonical_json,
+    decode_canonical,
+    encode_canonical,
+)
 from ..service.store import SegmentLog
 from .targets import ChaosTarget, Schedule, target_registry
 
@@ -65,11 +72,7 @@ def stall_fingerprint(atoms: Schedule) -> str:
     across processes and machines — which is what lets expect-stall
     corpus entries replay as first-class regression cases.
     """
-    canonical = json.dumps(
-        encode_canonical(tuple(atoms)),
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    canonical = canonical_json(encode_canonical(tuple(atoms)))
     return "stall:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -133,7 +133,8 @@ def intern_frozen(value: Any) -> Any:
     identity.
     """
     global _INTERN_HITS, _INTERN_MISSES
-    if not isinstance(value, (frozendict, tuple, frozenset)):
+    # frozendict last: its ABC instance check is the slow one.
+    if not isinstance(value, (tuple, frozenset, frozendict)):
         return value
     try:
         canonical = _INTERN.get(value)

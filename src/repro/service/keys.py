@@ -65,6 +65,10 @@ def encode_canonical(value: Any) -> Any:
     )
 
 
+#: JSON scalar types, which :func:`decode_canonical` returns unchanged
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def decode_canonical(value: Any) -> Any:
     """Invert :func:`encode_canonical`, producing interned frozen values.
 
@@ -73,22 +77,27 @@ def decode_canonical(value: Any) -> Any:
     so a decoded state table shares identity with live exploration — a
     reloaded graph probes sets exactly as a freshly built one does.
     """
+    if type(value) in _SCALARS:
+        return value
     if isinstance(value, dict):
-        if set(value) == {"t"}:
-            return intern_frozen(
-                tuple(decode_canonical(v) for v in value["t"])
-            )
-        if set(value) == {"fs"}:
-            return intern_frozen(
-                frozenset(decode_canonical(v) for v in value["fs"])
-            )
-        if set(value) == {"fd"}:
-            return intern_frozen(
-                frozendict(
-                    (decode_canonical(k), decode_canonical(v))
-                    for k, v in value["fd"]
+        if len(value) == 1:
+            ((tag, items),) = value.items()
+            if tag == "t" or tag == "fs":
+                # Scalar items (most of them) skip the recursive call.
+                decoded = [
+                    v if type(v) in _SCALARS else decode_canonical(v)
+                    for v in items
+                ]
+                return intern_frozen(
+                    tuple(decoded) if tag == "t" else frozenset(decoded)
                 )
-            )
+            if tag == "fd":
+                return intern_frozen(
+                    frozendict(
+                        (decode_canonical(k), decode_canonical(v))
+                        for k, v in items
+                    )
+                )
         raise ValueError(f"unknown tagged value {value!r}")
     if isinstance(value, list):
         raise ValueError(f"bare JSON array in canonical encoding: {value!r}")
@@ -122,6 +131,7 @@ class QueryKey:
     kind: str
     params: Tuple[Tuple[str, str], ...] = ()
     _fingerprint: str = field(default="", compare=False, repr=False)
+    _entry_prefix: bytes = field(default=b"", compare=False, repr=False)
 
     @classmethod
     def make(cls, kind: str, **params: Any) -> "QueryKey":
@@ -156,11 +166,26 @@ class QueryKey:
     def fingerprint(self) -> str:
         """Stable sha256 of the canonical identity (memoized)."""
         if not self._fingerprint:
-            digest = hashlib.sha256(
-                canonical_json(self.describe()).encode("utf-8")
-            ).hexdigest()
-            object.__setattr__(self, "_fingerprint", digest)
+            self._memoize_identity()
         return self._fingerprint
+
+    def entry_prefix(self) -> bytes:
+        """The bytes every store entry for this key starts with (memoized).
+
+        ``{"key":<canonical describe()>,"key_fingerprint":"<fp>","result":``
+        — the canonical JSON of a store entry up to its result, since
+        sorted keys put ``key`` and ``key_fingerprint`` first.
+        """
+        if not self._entry_prefix:
+            self._memoize_identity()
+        return self._entry_prefix
+
+    def _memoize_identity(self) -> None:
+        text = canonical_json(self.describe())
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        prefix = f'{{"key":{text},"key_fingerprint":"{digest}","result":'
+        object.__setattr__(self, "_fingerprint", digest)
+        object.__setattr__(self, "_entry_prefix", prefix.encode("utf-8"))
 
     @classmethod
     def from_description(cls, description: Mapping[str, Any]) -> "QueryKey":

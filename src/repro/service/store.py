@@ -3,13 +3,17 @@
 Every entry is keyed by a canonical request fingerprint
 (:class:`~repro.service.keys.QueryKey`) and stored as a self-describing
 JSON blob that embeds both its own key description and the sha256 of its
-result payload.  The contract on read is *verify or miss*:
+result payload.  Its bytes are the key's memoized prefix, the result's
+canonical JSON and a fixed tail recording that JSON's sha256 — together
+the canonical JSON of the whole record.  The contract on read is
+*verify or miss*, checked on those bytes:
 
-* a file that does not parse, carries the wrong schema, describes a
-  different key than its filename claims, or whose result digest does
-  not match the recomputed one is treated as a **miss** (and counted in
-  ``corrupt``) — a damaged store can cost recomputation, never a wrong
-  answer;
+* an entry that does not start with the requested key's exact prefix,
+  does not end with the fixed tail, or whose result bytes do not hash
+  to the recorded digest is a **miss** (counted in ``corrupt``) — a
+  damaged store can cost recomputation, never a wrong answer.  Only
+  exactly what ``put`` writes verifies: an entry re-serialized with
+  other whitespace is a counted miss too;
 * writes go through the atomic writer in :mod:`repro.core.artifacts`
   (stage + fsync + ``os.replace``), so concurrent writers of the same
   key converge on one complete entry and a killed writer leaves either
@@ -23,76 +27,87 @@ only the digest check.
 :class:`SegmentLog` holds the same entries, byte for byte, as lines of
 append-only segment files: the layout for writers that add many small
 entries and can group their fsyncs (the chaos schedule corpus).  Both
-layouts encode entries with one encoder and trust them only after one
-verifier (``_verify_entry``).
+layouts encode entries with one encoder (``_encode_entry``) and trust
+them only after one verifier (``_read_entry``); a segment line, read
+without a requested key, is checked against the key its own
+description rebuilds.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from typing import Any, Dict, Iterator, Optional, Set, Tuple
 
 from ..core.artifacts import atomic_write_bytes
 from ..core.runtime import FingerprintMismatch
-from .keys import QueryKey, canonical_json, payload_fingerprint
+from .keys import QueryKey, canonical_json
 
 ENTRY_SCHEMA = "repro-store-entry/v1"
 
-#: every way a decoded entry can fail :func:`_verify_entry`
+# An entry is the canonical JSON of {key, key_fingerprint, result,
+# result_fingerprint, schema} plus a newline.  Sorted keys lay it out as
+# QueryKey.entry_prefix(), the result's canonical JSON, then this tail
+# around the result's 64-hex-digit sha256.
+_TAIL_HEAD = b',"result_fingerprint":"'
+_TAIL_END = b'","schema":"' + ENTRY_SCHEMA.encode("ascii") + b'"}\n'
+_TAIL_LEN = len(_TAIL_HEAD) + 64 + len(_TAIL_END)
+_KEY_HEAD = b'{"key":'
+_KEY_END = b',"key_fingerprint":"'
+
+#: every way an entry can fail :func:`_read_entry`
 _UNVERIFIED = (
     AttributeError, FingerprintMismatch, KeyError, TypeError, ValueError,
 )
 
 
 def _encode_entry(key: QueryKey, result: Any) -> bytes:
-    """The stored bytes of one entry, identical in both layouts: the
-    canonical JSON of a record embedding the key description and the
-    sha256 of the result, plus a newline."""
-    entry = {
-        "schema": ENTRY_SCHEMA,
-        "key": key.describe(),
-        "key_fingerprint": key.fingerprint(),
-        "result": result,
-        "result_fingerprint": payload_fingerprint(result),
-    }
-    return (canonical_json(entry) + "\n").encode("utf-8")
+    """The stored bytes of one entry, identical in both layouts.
 
-
-def _verify_entry(
-    entry: Any, fingerprint: Optional[str] = None
-) -> Tuple[QueryKey, Any]:
-    """Re-derive every identity in a decoded entry; return (key, result).
-
-    ``fingerprint`` is the key fingerprint the entry is read under (the
-    requested key's, which names its object file); by default it is the
-    entry's own ``key_fingerprint``, which is all a segment line has.
-    The embedded key description must hash to it and the result to the
-    embedded ``result_fingerprint``; a mismatch raises
-    :class:`FingerprintMismatch` carrying both digests, any other
-    malformation one of the other ``_UNVERIFIED`` errors.
+    The result is encoded once; the entry is the key's memoized prefix,
+    those bytes and the tail carrying their sha256 — byte for byte the
+    canonical JSON of the whole record, plus a newline.
     """
-    if not isinstance(entry, dict) or entry.get("schema") != ENTRY_SCHEMA:
-        raise ValueError(f"unknown store entry schema in {entry!r}")
-    key = QueryKey.from_description(entry["key"])
-    if fingerprint is None:
-        fingerprint = entry.get("key_fingerprint")
-    if key.fingerprint() != fingerprint:
+    body = canonical_json(result).encode("utf-8")
+    digest = hashlib.sha256(body).hexdigest().encode("ascii")
+    return b"".join((key.entry_prefix(), body, _TAIL_HEAD, digest, _TAIL_END))
+
+
+def _read_entry(
+    data: bytes, key: Optional[QueryKey] = None
+) -> Tuple[QueryKey, Any]:
+    """Verify one entry by its bytes; return ``(key, result)``.
+
+    ``key`` is the requested key (its fingerprint names the object
+    file).  A segment line has none, so its key is rebuilt from the
+    description before ``,"key_fingerprint":"``.  The entry must be that
+    key's prefix, result bytes hashing to the digest in the tail, and
+    the tail; only then is the result parsed.  A digest mismatch raises
+    :class:`FingerprintMismatch` carrying both digests, any other
+    failure one of the other ``_UNVERIFIED`` errors.
+    """
+    if key is None:
+        description = data[len(_KEY_HEAD):data.index(_KEY_END)]
+        key = QueryKey.from_description(json.loads(description))
+    prefix = key.entry_prefix()
+    body_end = len(data) - _TAIL_LEN
+    if (
+        not data.startswith(prefix)
+        or not data.startswith(_TAIL_HEAD, body_end)
+        or not data.endswith(_TAIL_END)
+    ):
+        raise ValueError(f"not a store entry for kind {key.kind!r}")
+    body = data[len(prefix):body_end]
+    recorded = data[body_end + len(_TAIL_HEAD):-len(_TAIL_END)]
+    actual = hashlib.sha256(body).hexdigest()
+    if recorded != actual.encode("ascii"):
         raise FingerprintMismatch(
-            fingerprint,
-            key.fingerprint(),
-            context=f"store entry key for kind {key.kind!r}",
-        )
-    recorded = entry.get("result_fingerprint")
-    result = entry["result"]
-    actual = payload_fingerprint(result)
-    if recorded != actual:
-        raise FingerprintMismatch(
-            recorded,
+            recorded.decode("ascii", "replace"),
             actual,
             context=f"store entry result for kind {key.kind!r}",
         )
-    return key, result
+    return key, json.loads(body.decode("utf-8"))
 
 
 class _Counters:
@@ -142,26 +157,26 @@ class CertificateStore(_Counters):
     def get(self, key: QueryKey) -> Optional[Any]:
         """The verified result for ``key``, or None (miss).
 
-        Verification re-derives every identity in the entry: the schema,
-        the key description against the requested key's fingerprint, and
-        the result payload against its embedded sha256.  Any failure is
-        a miss — recorded in ``corrupt`` when a file was present but
-        unusable — so a truncated, hand-edited or stale entry falls back
-        to live search instead of serving a wrong answer.
+        Verification is on the stored bytes: they must start with the
+        requested key's prefix (its description and fingerprint), end
+        with the schema tail, and the result bytes must hash to the
+        recorded sha256 before they are parsed.  Any failure is a miss
+        — recorded in ``corrupt`` when a file was present but unusable
+        — so a truncated, hand-edited or stale entry falls back to live
+        search instead of serving a wrong answer.
         """
-        fingerprint = key.fingerprint()
-        path = self._object_path(fingerprint)
+        path = self._object_path(key.fingerprint())
         try:
-            with open(path, encoding="utf-8") as handle:
-                entry = json.load(handle)
+            with open(path, "rb") as handle:
+                data = handle.read()
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+        except OSError:
             self._unusable()
             return None
         try:
-            _key, result = _verify_entry(entry, fingerprint)
+            _key, result = _read_entry(data, key)
         except _UNVERIFIED:
             self._unusable()
             return None
@@ -284,7 +299,7 @@ class SegmentLog(_Counters):
             with open(os.path.join(self.directory, name), "rb") as handle:
                 for line in handle:
                     try:
-                        key, result = _verify_entry(json.loads(line))
+                        key, result = _read_entry(line)
                     except _UNVERIFIED:
                         self._unusable()
                         continue

@@ -125,6 +125,14 @@ class TestStallFingerprint:
         assert stall_fingerprint(atoms) == stall_fingerprint(atoms)
         assert stall_fingerprint(atoms).startswith("stall:")
 
+    def test_pinned_value(self):
+        # Corpus entries recorded by earlier campaigns carry this digest;
+        # a change in the canonical encoding would orphan them.
+        atoms = (("gst", 5), ("delay", 2, (0, 1), 1))
+        assert stall_fingerprint(atoms) == (
+            "stall:59783322ec4cd1af2c92e90847bd8a3648c5833400882284b3e580357437ff66"
+        )
+
     def test_distinguishes_schedules(self):
         assert stall_fingerprint((("gst", 5),)) != stall_fingerprint(
             (("gst", 6),)

@@ -23,7 +23,7 @@ from repro.service.keys import (
     encode_canonical,
     payload_fingerprint,
 )
-from repro.service.store import CertificateStore, _verify_entry
+from repro.service.store import CertificateStore, _read_entry
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +201,13 @@ class TestStoreIntegrity:
 
     def test_mismatch_error_reused_for_store_verification(self, store):
         # The structured FingerprintMismatch from Trace.from_jsonl is the
-        # same error type the store's verifiers raise internally.
-        store.put(KEY, RESULT)
-        path = store._object_path(KEY.fingerprint())
-        with open(path, encoding="utf-8") as handle:
-            entry = json.load(handle)
-        entry["result"]["candidates"] = 1
+        # same error type the store's verifier raises internally.
+        path = store.put(KEY, RESULT)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        tampered = data.replace(b'"candidates":32', b'"candidates":31')
+        assert tampered != data
         with pytest.raises(FingerprintMismatch) as info:
-            _verify_entry(entry, KEY.fingerprint())
+            _read_entry(tampered, KEY)
         assert "store entry result" in info.value.context
         assert info.value.expected != info.value.actual

@@ -1,0 +1,243 @@
+"""The byte-level store entry codec against the dict codec it replaced.
+
+``repro.service.store`` writes an entry as the key's memoized prefix, the
+result's canonical JSON and a fixed tail, and verifies a read by those
+bytes alone.  The reference (``tests/store_reference.py``) builds and
+checks the same entry as a decoded dict.  Under test: the two encoders
+write identical bytes; every single-byte flip and every truncation of a
+stored entry reads back as the original result or a counted ``corrupt``
+miss, never a different answer; a store the reference wrote reads back
+as all hits; and an entry re-serialized with other whitespace — which
+the reference accepted — is now a counted miss.
+"""
+
+import json
+import os
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.freeze import frozendict, intern_frozen
+from repro.service.keys import (
+    QueryKey,
+    canonical_json,
+    decode_canonical,
+    encode_canonical,
+)
+from repro.service.store import CertificateStore, SegmentLog, _encode_entry
+
+from .store_reference import reference_encode_entry, reference_verify_entry
+
+# -- strategies -------------------------------------------------------------
+
+_TEXT = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12
+)
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=False)
+    | _TEXT
+)
+
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+def _frozen(scalars):
+    return st.recursive(
+        scalars,
+        lambda children: st.lists(children, max_size=4).map(tuple)
+        | st.frozensets(children, max_size=4)
+        | st.dictionaries(children, children, max_size=3).map(frozendict),
+        max_leaves=12,
+    )
+
+
+PARAM_VALUES = _frozen(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-1000, max_value=1000)
+    | st.floats(allow_nan=False)
+    | _TEXT
+)
+
+# No bools or floats here: decoding interns into the global,
+# equality-keyed table, where (0, True) or (0, 0.0) would stand in for a
+# later (0, 0) and change what other tests decode.
+INTERNED_VALUES = _frozen(
+    st.none() | st.integers(min_value=-1000, max_value=1000) | _TEXT
+)
+
+QUERY_KEYS = st.builds(
+    lambda kind, params: QueryKey.make(kind, **params),
+    _TEXT,
+    st.dictionaries(
+        st.from_regex(r"[a-z_]{1,8}", fullmatch=True), PARAM_VALUES,
+        max_size=3,
+    ),
+)
+
+
+# -- fixtures ---------------------------------------------------------------
+
+KEY = QueryKey.make(
+    "flp-analysis", protocol="quorum-vote", n=3, tags=frozenset({"ä", 2})
+)
+RESULT = {
+    "protocol": "quorum-vote",
+    "failure_mode": "agreement-violation",
+    "path": [[0, "m→1"], [1, None]],
+    "ratio": 0.25,
+    "ok": False,
+}
+
+
+def _stored(tmp_path):
+    store = CertificateStore(str(tmp_path / "certs"))
+    path = store.put(KEY, RESULT)
+    with open(path, "rb") as handle:
+        return store, path, handle.read()
+
+
+def _read_back(store, path, data):
+    """Write ``data`` as the entry for KEY and read it; return
+    (result, corrupt counted by this read)."""
+    with open(path, "wb") as handle:
+        handle.write(data)
+    before = store.corrupt
+    return store.get(KEY), store.corrupt - before
+
+
+# -- the encoder ------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(QUERY_KEYS, JSON_PAYLOADS)
+def test_entry_bytes_equal_the_reference(key, result):
+    assert _encode_entry(key, result) == reference_encode_entry(key, result)
+
+
+def test_entry_prefix_is_memoized_on_the_key():
+    key = QueryKey.make("register-search", depth=2)
+    assert key.entry_prefix() is key.entry_prefix()
+    assert key.entry_prefix().startswith(b'{"key":')
+    assert key.fingerprint().encode() in key.entry_prefix()
+
+
+# -- reads: never a different answer ----------------------------------------
+
+
+@pytest.mark.parametrize("mask", [0x01, 0x20, 0x80])
+def test_every_single_byte_flip_is_a_counted_miss(tmp_path, mask):
+    store, path, data = _stored(tmp_path)
+    for position in range(len(data)):
+        flipped = bytearray(data)
+        flipped[position] ^= mask
+        # Never a different answer; in fact the checks cover every
+        # byte, so no flip goes unnoticed.
+        assert _read_back(store, path, bytes(flipped)) == (None, 1), position
+    assert store.hits == 0
+
+
+def test_every_truncation_is_a_counted_miss(tmp_path):
+    store, path, data = _stored(tmp_path)
+    for length in range(len(data)):
+        assert _read_back(store, path, data[:length]) == (None, 1), length
+    assert _read_back(store, path, data) == (RESULT, 0)
+
+
+def test_segment_flips_never_yield_a_wrong_entry(tmp_path):
+    keys = [QueryKey.make("chaos-corpus", target="t", n=i) for i in range(3)]
+    expected = {k.fingerprint(): {"seed": i, "atoms": [i, "x"]}
+                for i, k in enumerate(keys)}
+    log = SegmentLog(str(tmp_path / "corpus"))
+    for key in keys:
+        log.add(key, expected[key.fingerprint()])
+    log.close()
+    (name,) = os.listdir(log.directory)
+    segment = os.path.join(log.directory, name)
+    with open(segment, "rb") as handle:
+        data = handle.read()
+    for position in range(len(data)):
+        flipped = bytearray(data)
+        flipped[position] ^= 0x01
+        with open(segment, "wb") as handle:
+            handle.write(flipped)
+        reader = SegmentLog(str(tmp_path / "corpus"))
+        read = {key.fingerprint(): result for key, result in reader.items()}
+        assert all(expected[fp] == result for fp, result in read.items())
+        assert len(read) < len(keys), position
+        assert reader.corrupt >= 1
+
+
+def test_store_written_by_the_reference_reads_back_all_hits(tmp_path):
+    store = CertificateStore(str(tmp_path / "certs"))
+    written = {}
+    for i in range(6):
+        key = QueryKey.make("valency", depth=i, inputs=(0, 1, i))
+        result = {"i": i, "labels": ["bivalent", "0-valent"][: i % 3],
+                  "text": "ünïcödé" * i, "x": i / 7}
+        path = store._object_path(key.fingerprint())
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as handle:
+            handle.write(reference_encode_entry(key, result))
+        written[key] = result
+    for key, result in written.items():
+        assert store.get(key) == result
+    assert store.stats == {"hits": 6, "misses": 0, "corrupt": 0, "puts": 0}
+
+
+def test_reserialized_entry_is_a_counted_miss(tmp_path):
+    # The one deliberate behaviour change: the reference verifier
+    # accepted any JSON re-serialization of a valid entry; the store now
+    # trusts only the exact bytes put writes.
+    store, path, data = _stored(tmp_path)
+    entry = json.loads(data)
+    reformatted = (json.dumps(entry, indent=1) + "\n").encode("utf-8")
+    assert reference_verify_entry(json.loads(reformatted))[1] == RESULT
+    result, corrupt = _read_back(store, path, reformatted)
+    assert (result, corrupt) == (None, 1)
+    assert store.stats == {"hits": 0, "misses": 1, "corrupt": 1, "puts": 1}
+
+
+# -- the canonical value codec ----------------------------------------------
+
+
+def _containers(value):
+    if isinstance(value, (tuple, frozenset)):
+        yield value
+        for item in value:
+            yield from _containers(item)
+    elif isinstance(value, frozendict):
+        yield value
+        for k, v in value.items():
+            yield from _containers(k)
+            yield from _containers(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(INTERNED_VALUES)
+def test_canonical_round_trip_returns_interned_instances(value):
+    text = canonical_json(encode_canonical(value))
+    decoded = decode_canonical(json.loads(text))
+    assert decoded == value
+    for container in _containers(decoded):
+        assert container is intern_frozen(container)
+    if isinstance(value, (tuple, frozenset, frozendict)):
+        assert decoded is intern_frozen(value)
+
+
+@pytest.mark.parametrize(
+    "bad", [{"t": [1], "fs": [2]}, {"x": [1]}, {}, [1, 2]]
+)
+def test_malformed_canonical_values_raise(bad):
+    with pytest.raises(ValueError):
+        decode_canonical(bad)
