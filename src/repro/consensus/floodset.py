@@ -44,8 +44,11 @@ class FloodSet(SyncProtocol):
     """The full t+1-round FloodSet protocol.
 
     ``rounds_override`` truncates the protocol — deliberately breaking it —
-    for the lower-bound experiments.
+    for the lower-bound experiments.  Its processes never read a pid, so
+    the protocol is symmetric.
     """
+
+    symmetric = True
 
     def __init__(self, rounds_override: Optional[int] = None):
         self.rounds_override = rounds_override

@@ -13,7 +13,8 @@ adversary enumeration on bounded instances*:
 * :func:`find_round_bound_violation` runs a protocol under every pattern
   and every binary input vector, looking for a run that breaks agreement,
   validity or termination, walking the patterns as a round-by-round
-  prefix tree.  For a t-round truncation of FloodSet it finds the
+  prefix tree (one input vector per permutation orbit when the protocol
+  is symmetric).  For a t-round truncation of FloodSet it finds the
   violating pattern (the lower bound's content); for the full t+1-round
   FloodSet it exhausts the space without a violation (the matching upper
   bound);
@@ -26,6 +27,7 @@ adversary enumeration on bounded instances*:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -322,6 +324,13 @@ def find_round_bound_violation(
     each input vector's patterns are walked as a prefix tree of rounds
     (:class:`_CrashTree`), and the witness run is rebuilt by
     :func:`run_synchronous`.
+
+    For a :attr:`~SyncProtocol.symmetric` protocol the tree is walked
+    once per orbit of input vectors under pid permutations, keyed by the
+    vector's multiset: a later vector of the orbit has the violations of
+    the first one relabeled by a permutation, and the first one had none
+    (else the search would have stopped there), so it has none either.
+    ``runs_checked`` still counts every logical run.
     """
     rounds = rounds if rounds is not None else protocol.rounds(n, t)
     if input_vectors is None:
@@ -329,6 +338,7 @@ def find_round_bound_violation(
     patterns = list(_crash_patterns(n, t, rounds))
     rank = {pattern: i for i, pattern in enumerate(patterns)}
     tree = _CrashTree(protocol, n, t, rounds)
+    walked = set()  # input multisets of a symmetric protocol
     runs_checked = 0
     for inputs in input_vectors:
         if len(inputs) != n:
@@ -336,6 +346,12 @@ def find_round_bound_violation(
                 f"input vector {tuple(inputs)!r} has {len(inputs)} values, "
                 f"expected n={n}"
             )
+        if protocol.symmetric:
+            orbit = frozenset(Counter(inputs).items())
+            if orbit in walked:
+                runs_checked += len(patterns)
+                continue
+            walked.add(orbit)
         found = tree.violations(inputs)
         if not found:
             runs_checked += len(patterns)

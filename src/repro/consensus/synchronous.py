@@ -89,6 +89,13 @@ class SyncProtocol(ABC):
 
     name: str = "sync-protocol"
 
+    #: Whether relabeling process ids by any permutation maps runs to
+    #: runs: no process reads its own pid or its senders' ids, so its
+    #: messages and decision depend only on the values it has seen.  The
+    #: round-bound search then walks one input vector per orbit, so a
+    #: false declaration can hide the violations of the other vectors.
+    symmetric: bool = False
+
     @abstractmethod
     def spawn(self, pid: Pid, n: int, t: int, input_value: Hashable) -> SyncProcess:
         """Create the process with identifier ``pid``."""

@@ -149,6 +149,17 @@ class SubtreeTable:
     when the tree is deeper than the solo bound — and then
     :meth:`verdict` defers to the generic :func:`wait_free_verdict`
     rather than replicate its failure order.
+
+    Lids are also sorted into behaviour classes, bottom-up: two lids
+    with equal signatures (:meth:`_signature`: input bit, decided and
+    written value, classes of the successors) are bisimilar, as are
+    ``("decide", "own")`` and ``("decide", "zero")`` under input 0.  A
+    BFS first reaches the configurations of bisimilar candidates in the
+    same order of their class vectors, and its checks read only what a
+    class fixes, so a candidate's verdict is a function of the
+    signatures of its two root lids: :meth:`verdict` runs one BFS per
+    such pair.  Only the lids of subtrees need a class; a root's
+    signature is taken when its candidate is checked.
     """
 
     def __init__(self, depth: int):
@@ -163,8 +174,17 @@ class SubtreeTable:
         self.write_value: List[int] = []
         self.write_next: List[int] = []
         self.read_next: List[Tuple[int, int]] = []
+        #: Per lid of a subtree of some candidate: its behaviour class.
+        self.behaviour: List[int] = []
+        self._verdicts: Dict[Tuple[Tuple, Tuple], str] = {}
         level: List[int] = []
         for d in range(depth + 1):
+            if d == depth:  # every subtree of a candidate is interned
+                classes: Dict[Tuple, int] = {}
+                for lid in range(len(self.decide)):
+                    self.behaviour.append(
+                        classes.setdefault(self._signature(lid), len(classes))
+                    )
             leaves = [self._node(("decide", leaf)) for leaf in LEAVES]
             subs = level
             level = leaves
@@ -217,6 +237,19 @@ class SubtreeTable:
             ))
         return nid
 
+    def _signature(self, lid: int) -> Tuple:
+        """``(input bit, decided value, written value, class of the write
+        successor, classes of the read successors)``, -1 where absent."""
+        behaviour = self.behaviour
+        nxt = self.write_next[lid]
+        if0, if1 = self.read_next[lid]
+        return (
+            lid % 6 // 3, self.decide[lid], self.write_value[lid],
+            behaviour[nxt] if nxt >= 0 else -1,
+            behaviour[if0] if if0 >= 0 else -1,
+            behaviour[if1] if if1 >= 0 else -1,
+        )
+
     def program_of(self, nid: int) -> Program:
         """The program tree of node ``nid`` (built once per node)."""
         program = self._programs[nid]
@@ -244,12 +277,22 @@ class SubtreeTable:
             if verdict.solves_consensus:
                 return "solution"
             return verdict.failure_kind or "wait_freedom"
+        start = nid * 6  # lid of (nid, input 0, nothing seen)
+        behaviour = (self._signature(start), self._signature(start + 3))
+        kind = self._verdicts.get(behaviour)
+        if kind is None:
+            kind = self._verdicts[behaviour] = self._search(start)
+        return kind
+
+    def _search(self, start: int) -> str:
+        """The verdict of the candidate whose root lid is ``start``: the
+        kind of the first violating configuration of a BFS over all
+        interleavings, or ``"solution"``."""
         decide = self.decide
         write_value = self.write_value
         write_next = self.write_next
         read_next = self.read_next
         L = len(decide)
-        start = nid * 6  # lid of (nid, input 0, nothing seen)
         queue = [
             ((start + in0 * 3) * L + start + in1 * 3) * 4
             for in0 in (0, 1) for in1 in (0, 1)

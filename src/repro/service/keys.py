@@ -69,13 +69,59 @@ def encode_canonical(value: Any) -> Any:
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
+#: Scalar types whose equal values of one type encode alike
+_FLAT = frozenset({str, int, bool, type(None)})
+
+
+def _encodes_alike(canonical: Any, value: Any) -> bool:
+    """Whether two equal frozen values also encode alike.  Equality
+    conflates ``1``, ``True`` and ``1.0`` (and ``0.0`` with ``-0.0``), so
+    the interned instance equal to a decoded value may not be it."""
+    if canonical is value:
+        return True
+    kind = type(value)
+    if type(canonical) is not kind:
+        return False
+    if kind is tuple:
+        for x, y in zip(canonical, value):
+            if x is not y and (
+                type(x) is not type(y)
+                or type(y) not in _FLAT and not _encodes_alike(x, y)
+            ):
+                return False
+        return True
+    if kind is frozenset:
+        types = set(map(type, value))
+        if _FLAT.issuperset(types):
+            # Of two equal flat scalars only a bool and an int differ.
+            return types == set(map(type, canonical)) and (
+                bool not in types
+                or {x for x in value if type(x) is bool}
+                == {x for x in canonical if type(x) is bool}
+            )
+        match = {item: item for item in canonical}
+        return all(_encodes_alike(match[item], item) for item in value)
+    if kind is frozendict:
+        match = {k: k for k in canonical}
+        return all(
+            _encodes_alike(match[k], k) and _encodes_alike(canonical[k], v)
+            for k, v in value.items()
+        )
+    if kind is float:
+        return repr(canonical) == repr(value)
+    return kind in _FLAT
+
+
 def decode_canonical(value: Any) -> Any:
     """Invert :func:`encode_canonical`, producing interned frozen values.
 
     Tuples, frozensets and frozendicts come back as the canonical
     (hash-consed) instances via :func:`~repro.core.freeze.intern_frozen`,
     so a decoded state table shares identity with live exploration — a
-    reloaded graph probes sets exactly as a freshly built one does.
+    reloaded graph probes sets exactly as a freshly built one does.  The
+    decoding is type-exact: where the canonical instance is equal but
+    not alike (``(0, True)`` for ``(0, 1)``), the decoded value comes
+    back un-interned, so it always re-encodes to the same bytes.
     """
     if type(value) in _SCALARS:
         return value
@@ -88,16 +134,16 @@ def decode_canonical(value: Any) -> Any:
                     v if type(v) in _SCALARS else decode_canonical(v)
                     for v in items
                 ]
-                return intern_frozen(
-                    tuple(decoded) if tag == "t" else frozenset(decoded)
+                value = tuple(decoded) if tag == "t" else frozenset(decoded)
+            elif tag == "fd":
+                value = frozendict(
+                    (decode_canonical(k), decode_canonical(v))
+                    for k, v in items
                 )
-            if tag == "fd":
-                return intern_frozen(
-                    frozendict(
-                        (decode_canonical(k), decode_canonical(v))
-                        for k, v in items
-                    )
-                )
+            else:
+                raise ValueError(f"unknown tagged value {value!r}")
+            canonical = intern_frozen(value)
+            return canonical if _encodes_alike(canonical, value) else value
         raise ValueError(f"unknown tagged value {value!r}")
     if isinstance(value, list):
         raise ValueError(f"bare JSON array in canonical encoding: {value!r}")

@@ -1,9 +1,10 @@
 """The E11 shared-subtree-table kernel checked against the per-candidate
 checker it replaced (``tests/register_reference.py``).
 
-Every candidate must get the reference's verdict at depths 0, 1 and 2;
-the sharded census, the budget cursor and the solutions list must match
-the serial search.
+Every candidate must get the reference's verdict at depths 0, 1 and 2,
+through the per-table memo that runs one BFS per behaviour (the pair of
+root-lid signatures); the sharded census, the budget cursor and the
+solutions list must match the serial search.
 """
 
 import pytest
@@ -21,6 +22,7 @@ from .register_reference import _packed_verdict_kind, reference_verdicts
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_every_candidate_matches_reference(depth):
+    # The search's path: one memoized BFS per behaviour.
     table = SubtreeTable(depth)
     kernel = [table.verdict(nid, depth + 2) for nid in table.candidates]
     assert kernel == reference_verdicts(depth)
@@ -75,3 +77,29 @@ def test_budget_cursor_and_resume_match_serial(workers):
     assert part.candidates == 700
     rest = search_register_consensus(depth=2, resume=part, workers=workers)
     assert rest == full
+
+
+def behaviours(table):
+    return [
+        (table._signature(nid * 6), table._signature(nid * 6 + 3))
+        for nid in table.candidates
+    ]
+
+
+def test_depth_two_behaviour_classes():
+    table = SubtreeTable(2)
+    # The 32 depth-1 subtrees' lids fall into 20 classes; the 1124
+    # candidates into 507 behaviours.
+    assert len(table.behaviour) == 32 * 6
+    assert len(set(table.behaviour)) == 20
+    assert len(set(behaviours(table))) == 507
+
+
+def test_one_search_per_behaviour_on_a_fresh_table():
+    table = SubtreeTable(2)
+    assert table._verdicts == {}
+    kinds = [table.verdict(nid, 4) for nid in table.candidates]
+    assert len(table._verdicts) == 507
+    # Candidates of one behaviour share a verdict, and every verdict is
+    # the memo's for its behaviour.
+    assert kinds == [table._verdicts[pair] for pair in behaviours(table)]

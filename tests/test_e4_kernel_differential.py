@@ -6,13 +6,19 @@ must count the same logical runs and report the same first violation —
 same property, inputs, crash pattern and decisions — as a fresh
 ``run_synchronous`` per (input vector, crash pattern) pair.  The shared
 pattern generator must keep the adversary order the firing-squad search
-and the reference rely on.
+and the reference rely on.  Every protocol under ``src/`` that declares
+itself symmetric (and so is walked one input orbit at a time) is checked
+on every vector.
 """
+
+import importlib
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.consensus import (
     DolevStrong,
     EIGByzantine,
@@ -105,8 +111,8 @@ def test_other_protocols(protocol, n, t):
 @given(
     st.sampled_from([(3, 1), (3, 2), (4, 1)]),
     st.integers(0, 2),
-    st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
-                       st.integers(0, 1)), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+                       st.integers(0, 2)), min_size=1, max_size=4),
 )
 def test_sampled_floodset_instances(shape, rounds, raw_vectors):
     n, t = shape
@@ -179,3 +185,85 @@ def test_adversary_order_unchanged(n, t, rounds):
     old = [shape(a) for a in reference_crash_adversaries(n, t, rounds)]
     assert ours == old
 
+
+# -- the orbit walk of symmetric protocols ------------------------------
+
+#: How to build each symmetric protocol truncated to r rounds.
+SYMMETRIC_FACTORIES = {
+    FloodSet: lambda rounds: FloodSet(rounds_override=rounds),
+}
+
+
+def _symmetric_protocol_classes():
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith("__main__"):
+            importlib.import_module(info.name)
+    found, stack = set(), [SyncProtocol]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.symmetric and cls.__module__.startswith("repro."):
+                found.add(cls)
+    return found
+
+
+def test_every_symmetric_protocol_has_a_factory():
+    assert _symmetric_protocol_classes() == set(SYMMETRIC_FACTORIES)
+
+
+SYMMETRIC_CASES = [(3, 1, r) for r in range(4)] + [(4, 2, r) for r in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("cls", list(SYMMETRIC_FACTORIES), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("n, t, rounds", SYMMETRIC_CASES)
+def test_symmetric_protocols_match_reference_on_every_vector(cls, n, t, rounds):
+    protocol = SYMMETRIC_FACTORIES[cls](rounds)
+    assert protocol.symmetric
+    assert_same(protocol, n, t, rounds)
+
+
+@pytest.mark.parametrize("cls", list(SYMMETRIC_FACTORIES), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("n, t, vectors", [
+    # repeats of one orbit before a violating orbit, unsorted
+    (3, 1, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)]),
+    # non-binary values, the same vector twice
+    (3, 1, [(2, 0, 1), (1, 2, 0), (2, 0, 1), (0, 2, 2), (2, 2, 0)]),
+    (4, 2, [(3, 1, 1, 0), (1, 3, 0, 1), (0, 1, 3, 1), (2, 2, 0, 1),
+            (1, 0, 2, 2)]),
+])
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_symmetric_protocols_on_custom_vectors(cls, n, t, vectors, rounds):
+    assert_same(SYMMETRIC_FACTORIES[cls](rounds), n, t, rounds, vectors)
+
+
+class _UndeclaredFloodSet(FloodSet):
+    """FloodSet without the symmetry declaration: every vector is walked."""
+
+    symmetric = False
+
+
+def test_orbit_walk_simulates_only_representatives():
+    full = find_round_bound_violation(FloodSet(), 4, 2)
+    assert (full.runs_checked, full.rounds_simulated) == (56848, 9937)
+
+
+@pytest.mark.parametrize("rounds, runs, simulated", [
+    (1, 1287, 517), (2, 11299, 6162), (3, 56848, 31856),
+])
+def test_undeclared_protocol_walks_every_vector(rounds, runs, simulated):
+    result = find_round_bound_violation(_UndeclaredFloodSet(rounds), 4, 2, rounds)
+    assert (result.runs_checked, result.rounds_simulated) == (runs, simulated)
+    symmetric = find_round_bound_violation(FloodSet(rounds), 4, 2, rounds)
+    assert outcome(symmetric) == outcome(result)
+    assert symmetric.rounds_simulated < simulated
+
+
+@pytest.mark.parametrize("protocol, n, t, runs, simulated", [
+    (PhaseKing(), 4, 1, 2064, 4320),
+    (EIGByzantine(), 4, 1, 1040, 1568),
+    (DolevStrong(), 3, 1, 177, 258),
+])
+def test_asymmetric_protocols_simulate_as_before(protocol, n, t, runs, simulated):
+    assert not protocol.symmetric
+    result = find_round_bound_violation(protocol, n, t)
+    assert (result.runs_checked, result.rounds_simulated) == (runs, simulated)

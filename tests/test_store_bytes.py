@@ -69,11 +69,15 @@ PARAM_VALUES = _frozen(
     | _TEXT
 )
 
-# No bools or floats here: decoding interns into the global,
-# equality-keyed table, where (0, True) or (0, 0.0) would stand in for a
-# later (0, 0) and change what other tests decode.
+# Bools and floats included: decoding interns into the global,
+# equality-keyed table, where an earlier (0, True) or (0, 0.0) equals a
+# later (0, 0) — and must not stand in for it.
 INTERNED_VALUES = _frozen(
-    st.none() | st.integers(min_value=-1000, max_value=1000) | _TEXT
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-1000, max_value=1000)
+    | st.floats(allow_nan=False)
+    | _TEXT
 )
 
 QUERY_KEYS = st.builds(
@@ -223,16 +227,49 @@ def _containers(value):
             yield from _containers(v)
 
 
+def _text(value):
+    return canonical_json(encode_canonical(value))
+
+
 @settings(max_examples=300, deadline=None)
 @given(INTERNED_VALUES)
 def test_canonical_round_trip_returns_interned_instances(value):
-    text = canonical_json(encode_canonical(value))
+    text = _text(value)
     decoded = decode_canonical(json.loads(text))
     assert decoded == value
+    assert _text(decoded) == text
+    # Interned wherever the interned instance is alike, not just equal.
     for container in _containers(decoded):
-        assert container is intern_frozen(container)
-    if isinstance(value, (tuple, frozenset, frozendict)):
-        assert decoded is intern_frozen(value)
+        canonical = intern_frozen(container)
+        assert container is canonical or _text(canonical) != _text(container)
+
+
+# Each case's first value is interned, then the second decoded: equal
+# values, different encodings.  The tags keep them out of other tests'
+# way in the global intern table.
+TYPE_COLLISIONS = [
+    (("collide-a", 0, True), ("collide-a", 0, 1)),
+    (("collide-b", 0, 1), ("collide-b", 0, True)),
+    (("collide-c", 1.0), ("collide-c", 1)),
+    (("collide-d", -0.0), ("collide-d", 0.0)),
+    ((("collide-e", (0, True)),), (("collide-e", (0, 1)),)),
+    (frozenset({"collide-f", True, 2}), frozenset({"collide-f", 1, 2})),
+    (frozenset({"collide-g", 0, True}), frozenset({"collide-g", False, 1})),
+    (frozenset({"collide-h", (0, 1.0)}), frozenset({"collide-h", (0, 1)})),
+    (frozendict({"collide-i": 1, True: 0}), frozendict({"collide-i": 1, 1: 0})),
+    (frozendict({"collide-j": (1,)}), frozendict({"collide-j": (True,)})),
+]
+
+
+@pytest.mark.parametrize("first, second", TYPE_COLLISIONS)
+def test_decoding_is_type_exact_after_an_equal_value_was_interned(first, second):
+    assert first == second and _text(first) != _text(second)
+    interned = intern_frozen(first)
+    decoded = decode_canonical(json.loads(_text(second)))
+    assert _text(decoded) == _text(second)
+    assert decoded is not interned
+    # The interned instance still decodes to itself.
+    assert decode_canonical(json.loads(_text(first))) is interned
 
 
 @pytest.mark.parametrize(
