@@ -36,21 +36,17 @@ impossibility
     The generic proof-technique engines and certificates.
 """
 
+from ._lazy import lazy_exports
+
 __version__ = "1.0.0"
 
-from . import (  # noqa: E402  (re-exported subpackages)
-    asynchronous,
-    clocks,
-    communication,
-    consensus,
-    core,
-    datalink,
-    impossibility,
-    knowledge,
-    registers,
-    rings,
-    shared_memory,
-)
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".": (
+        "asynchronous", "clocks", "communication", "consensus", "core",
+        "datalink", "impossibility", "knowledge", "registers", "rings",
+        "shared_memory",
+    ),
+})
 
 __all__ = [
     "core",

@@ -5,75 +5,45 @@ Ben-Or's randomized escape, the sessions time bound, and network
 synchronizers.
 """
 
-from .benor import BenOrProcess, BenOrResult, run_ben_or, termination_statistics
-from .flp import (
-    ALL_CANDIDATES,
-    FirstMessageWins,
-    FLPReport,
-    QuorumVote,
-    WaitForAll,
-    flp_analysis,
-    flp_certificate,
-)
-from .network import (
-    NULL,
-    START,
-    AsyncConsensusSystem,
-    AsyncProtocol,
-)
-from .sessions import (
-    SessionsOutcome,
-    ring_diameter,
-    run_async_sessions,
-    run_sync_sessions,
-    stretching_lower_bound,
-)
-from .synchronizer import (
-    SynchronizerOutcome,
-    run_alpha_synchronizer,
-    run_beta_synchronizer,
-    tradeoff_comparison,
-)
-from .partial_synchrony import (
-    DLSResult,
-    run_dls,
-    safety_sweep,
-)
-from .global_snapshot import (
-    SnapshotOutcome,
-    conservation_series,
-    run_token_snapshot,
-)
-from .termination import (
-    TerminationResult,
-    message_bound_series,
-    run_dijkstra_scholten,
-)
-from .tasks import (
-    DecisionTask,
-    SolvabilityVerdict,
-    analyze_task,
-    binary_consensus_task,
-    decision_graph,
-    epsilon_agreement_task,
-    identity_task,
-    input_graph,
-    leader_task,
-    moran_wolfstahl_certificate,
-)
-from .two_generals import (
-    ATTACK,
-    RETREAT,
-    HandshakeProtocol,
-    RecklessProtocol,
-    TimidProtocol,
-    TwoGeneralsProtocol,
-    TwoGeneralsRun,
-    delivery_chain,
-    run_with_losses,
-    two_generals_certificate,
-    validate_chain_links,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".benor": (
+        "BenOrProcess", "BenOrResult", "run_ben_or", "termination_statistics",
+    ),
+    ".flp": (
+        "ALL_CANDIDATES", "FirstMessageWins", "FLPReport", "QuorumVote",
+        "WaitForAll", "flp_analysis", "flp_certificate",
+    ),
+    ".network": ("NULL", "START", "AsyncConsensusSystem", "AsyncProtocol"),
+    ".sessions": (
+        "SessionsOutcome", "ring_diameter", "run_async_sessions",
+        "run_sync_sessions", "stretching_lower_bound",
+    ),
+    ".synchronizer": (
+        "SynchronizerOutcome", "run_alpha_synchronizer",
+        "run_beta_synchronizer", "tradeoff_comparison",
+    ),
+    ".partial_synchrony": ("DLSResult", "run_dls", "safety_sweep"),
+    ".global_snapshot": (
+        "SnapshotOutcome", "conservation_series", "run_token_snapshot",
+    ),
+    ".termination": (
+        "TerminationResult", "message_bound_series", "run_dijkstra_scholten",
+    ),
+    ".tasks": (
+        "DecisionTask", "SolvabilityVerdict", "analyze_task",
+        "binary_consensus_task", "decision_graph", "epsilon_agreement_task",
+        "identity_task", "input_graph", "leader_task",
+        "moran_wolfstahl_certificate",
+    ),
+    ".two_generals": (
+        "ATTACK", "RETREAT", "HandshakeProtocol", "RecklessProtocol",
+        "TimidProtocol", "TwoGeneralsProtocol", "TwoGeneralsRun",
+        "delivery_chain", "run_with_losses", "two_generals_certificate",
+        "validate_chain_links",
+    ),
+})
 
 __all__ = [
     "AsyncProtocol",

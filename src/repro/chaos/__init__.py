@@ -12,67 +12,40 @@ the unified :func:`repro.core.runtime.replay` before reporting the
 ``(seed, fingerprint)`` pair that reproduces it.
 """
 
-from .campaign import (
-    BUDGET_EXCEEDED,
-    CRASH,
-    PASS,
-    VIOLATION,
-    CampaignFold,
-    CampaignReport,
-    CaseResult,
-    Counterexample,
-    reproduce,
-    run_campaign,
-    write_artifacts,
-    write_counterexample,
-)
-from .circumvention_targets import (
-    AdversarialSuspicionTarget,
-    BenOrTarget,
-    BiasedCoinBenOrTarget,
-    BuggyLeaseTarget,
-    GSTConsensusTarget,
-    HeartbeatDetectorTarget,
-    OmegaConsensusTarget,
-    QuorumLeaseTarget,
-    UnstableDetectorTarget,
-    circumvention_targets,
-)
-from .corpus import (
-    CorpusEntry,
-    CoverageMap,
-    ScheduleCorpus,
-    replay_corpus,
-    stall_fingerprint,
-)
-from .monitors import (
-    AgreementMonitor,
-    BoundedStalenessMonitor,
-    DegradedModeMonitor,
-    FifoDeliveryMonitor,
-    LeaderStabilityMonitor,
-    LeaseSafetyMonitor,
-    MutualExclusionMonitor,
-    TerminationMonitor,
-    TraceMonitor,
-    UniqueLeaderMonitor,
-    ValidityMonitor,
-    Violation,
-    check_all,
-)
-from .shrink import shrink_schedule
-from .targets import (
-    AlternatingBitTarget,
-    ChaosTarget,
-    EIGByzantineTarget,
-    EagerMajorityTarget,
-    FloodSetCrashTarget,
-    LCRRingTarget,
-    MobileFloodSetTarget,
-    RacyLockTarget,
-    default_targets,
-    target_registry,
-)
+from .._lazy import lazy_exports
+
+# Bound eagerly: the name is also its submodule's (see repro._lazy).
+from .circumvention_targets import circumvention_targets
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".campaign": (
+        "BUDGET_EXCEEDED", "CRASH", "PASS", "VIOLATION", "CampaignFold",
+        "CampaignReport", "CaseResult", "Counterexample", "reproduce",
+        "run_campaign", "write_artifacts", "write_counterexample",
+    ),
+    ".circumvention_targets": (
+        "AdversarialSuspicionTarget", "BenOrTarget", "BiasedCoinBenOrTarget",
+        "BuggyLeaseTarget", "GSTConsensusTarget", "HeartbeatDetectorTarget",
+        "OmegaConsensusTarget", "QuorumLeaseTarget", "UnstableDetectorTarget",
+    ),
+    ".corpus": (
+        "CorpusEntry", "CoverageMap", "ScheduleCorpus", "replay_corpus",
+        "stall_fingerprint",
+    ),
+    ".monitors": (
+        "AgreementMonitor", "BoundedStalenessMonitor", "DegradedModeMonitor",
+        "FifoDeliveryMonitor", "LeaderStabilityMonitor", "LeaseSafetyMonitor",
+        "MutualExclusionMonitor", "TerminationMonitor", "TraceMonitor",
+        "UniqueLeaderMonitor", "ValidityMonitor", "Violation", "check_all",
+    ),
+    ".shrink": ("shrink_schedule",),
+    ".targets": (
+        "AlternatingBitTarget", "ChaosTarget", "EIGByzantineTarget",
+        "EagerMajorityTarget", "FloodSetCrashTarget", "LCRRingTarget",
+        "MobileFloodSetTarget", "RacyLockTarget", "default_targets",
+        "target_registry",
+    ),
+})
 
 __all__ = [
     "AdversarialSuspicionTarget",

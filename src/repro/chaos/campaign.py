@@ -362,26 +362,39 @@ def _shrink_case(
     shrink_checks: int,
 ) -> Counterexample:
     """Minimize one violating schedule and re-verify the result."""
+    # ``(candidate, trace, violations)`` of the last check that failed.
+    # Its candidate is usually the shrunk schedule, whose run then need
+    # not be repeated: a meter only raises, so it never changes a trace.
+    accepted = None
 
     def fails(candidate: Tuple) -> bool:
+        nonlocal accepted
+        candidate = tuple(candidate)
         meter = (
             per_run_budget.meter(f"{target.name}-shrink")
             if per_run_budget is not None
             else None
         )
         try:
-            trace = target.run(tuple(candidate), seed, meter=meter)
+            trace = target.run(candidate, seed, meter=meter)
         except Exception:
             # A crash or budget overdraft is a *different* failure mode;
             # the shrinker must stay on the monitored violation.
             return False
-        return bool(target.violations(trace, tuple(candidate)))
+        violations = target.violations(trace, candidate)
+        if violations:
+            accepted = candidate, trace, violations
+        return bool(violations)
 
     shrunk, checks = shrink_schedule(
         atoms, fails, target.simplify_atom, max_checks=shrink_checks
     )
-    trace = target.run(shrunk, seed)
-    violation = target.violations(trace, shrunk)[0]
+    if accepted is not None and accepted[0] == shrunk:
+        _, trace, violations = accepted
+    else:
+        trace = target.run(shrunk, seed)
+        violations = target.violations(trace, shrunk)
+    violation = violations[0]
     try:
         replay(trace)
         verified = True

@@ -38,25 +38,21 @@ loop :func:`repro.core.runtime.drive`.  The chaos roster
 protocols and planted-bug variants.
 """
 
-from .detectors import DetectorRun, run_heartbeat_detector
-from .gst import (
-    ConsensusRun,
-    GSTAdversary,
-    GSTRun,
-    blackout_atoms,
-    run_gst_consensus,
-    run_rotating_consensus,
-    simplify_gst_atom,
-)
-from .leases import LeaseRun, run_quorum_lease
-from .partitions import PartitionAdversary
-from .randomized import (
-    BenOrAdversary,
-    BenOrRun,
-    RoundSweep,
-    expected_rounds,
-    run_ben_or_traced,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".detectors": ("DetectorRun", "run_heartbeat_detector"),
+    ".gst": (
+        "ConsensusRun", "GSTAdversary", "GSTRun", "blackout_atoms",
+        "run_gst_consensus", "run_rotating_consensus", "simplify_gst_atom",
+    ),
+    ".leases": ("LeaseRun", "run_quorum_lease"),
+    ".partitions": ("PartitionAdversary",),
+    ".randomized": (
+        "BenOrAdversary", "BenOrRun", "RoundSweep", "expected_rounds",
+        "run_ben_or_traced",
+    ),
+})
 
 __all__ = [
     "BenOrAdversary",

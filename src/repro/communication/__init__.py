@@ -1,18 +1,15 @@
 """Two-party communication complexity (survey §2.6, Yao [103])."""
 
-from .complexity import (
-    complexity_report,
-    constant_matrix,
-    equality_matrix,
-    exact_complexity,
-    fooling_set_bound,
-    function_matrix,
-    greater_than_matrix,
-    largest_fooling_set,
-    log_rank_bound,
-    parity_matrix,
-    trivial_upper_bound,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".complexity": (
+        "complexity_report", "constant_matrix", "equality_matrix",
+        "exact_complexity", "fooling_set_bound", "function_matrix",
+        "greater_than_matrix", "largest_fooling_set", "log_rank_bound",
+        "parity_matrix", "trivial_upper_bound",
+    ),
+})
 
 __all__ = [
     "function_matrix",

@@ -5,93 +5,52 @@ This subpackage implements the unified model Lynch's survey advocates
 execution/trace machinery every other subsystem builds on.
 """
 
-from .automaton import (
-    Action,
-    FunctionAutomaton,
-    IOAutomaton,
-    Signature,
-    State,
-    TableAutomaton,
-)
-from .composition import Composition, compose
-from .errors import (
-    CertificateError,
-    EncodingOverflow,
-    ExecutionError,
-    InvariantViolation,
-    ModelError,
-    ReproError,
-    SearchBudgetExceeded,
-)
-from .execution import Execution, check_execution
-from .exploration import (
-    ReachabilityResult,
-    assert_invariant,
-    can_reach_from,
-    check_invariant,
-    explore,
-    find_state,
-    reachable_states_satisfying,
-)
-from .freeze import (
-    clear_intern_table,
-    freeze,
-    frozendict,
-    intern_frozen,
-    intern_table_stats,
-    is_frozen,
-    register_packed_owner,
-    thaw,
-)
-from .packed import (
-    IdFlags,
-    IdToValue,
-    PackedGraph,
-    StateInterner,
-    ValueTable,
-)
-from .stategraph import (
-    StateGraph,
-    forget_state_graph,
-    state_graph,
-)
-from .indistinguishability import (
-    IndistinguishabilityChain,
-    View,
-    ViewExtractor,
-    decisions_constant_along_chain,
-)
-from .runtime import (
-    CRASH,
-    DECIDE,
-    DECLARE,
-    DELIVER,
-    DROP,
-    DUPLICATE,
-    EVENT_KINDS,
-    HALT,
-    OUTPUT,
-    SEND,
-    STEP,
-    FaultAdversary,
-    FingerprintMismatch,
-    ReplayError,
-    SchedulingAdversary,
-    SimulationRuntime,
-    Trace,
-    TraceEvent,
-    derive_seed,
-    replay,
-    spawn_rng,
-)
-from .scheduler import (
-    FixedScheduler,
-    GreedyScheduler,
-    RandomScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-    TracedExecution,
-)
+from .._lazy import lazy_exports
+
+# Bound eagerly: the name is also its submodule's (see repro._lazy).
+from .freeze import freeze
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".automaton": (
+        "Action", "FunctionAutomaton", "IOAutomaton", "Signature", "State",
+        "TableAutomaton",
+    ),
+    ".composition": ("Composition", "compose"),
+    ".errors": (
+        "CertificateError", "EncodingOverflow", "ExecutionError",
+        "InvariantViolation", "ModelError", "ReproError",
+        "SearchBudgetExceeded",
+    ),
+    ".execution": ("Execution", "check_execution"),
+    ".exploration": (
+        "ReachabilityResult", "assert_invariant", "can_reach_from",
+        "check_invariant", "explore", "find_state",
+        "reachable_states_satisfying",
+    ),
+    ".freeze": (
+        "clear_intern_table", "frozendict", "intern_frozen",
+        "intern_table_stats", "is_frozen", "register_packed_owner", "thaw",
+    ),
+    ".packed": (
+        "IdFlags", "IdToValue", "PackedGraph", "StateInterner", "ValueTable",
+    ),
+    ".stategraph": ("StateGraph", "forget_state_graph", "state_graph"),
+    ".indistinguishability": (
+        "IndistinguishabilityChain", "View", "ViewExtractor",
+        "decisions_constant_along_chain",
+    ),
+    ".runtime": (
+        "CRASH", "DECIDE", "DECLARE", "DELIVER", "DROP", "DUPLICATE",
+        "EVENT_KINDS", "HALT", "OUTPUT", "SEND", "STEP", "FaultAdversary",
+        "FingerprintMismatch", "ReplayError", "SchedulingAdversary",
+        "SimulationRuntime", "Trace", "TraceEvent", "derive_seed", "replay",
+        "spawn_rng",
+    ),
+    ".scheduler": (
+        "FixedScheduler", "GreedyScheduler", "RandomScheduler",
+        "RoundRobinScheduler", "Scheduler", "TracedExecution",
+    ),
+})
 
 __all__ = [
     "Action",

@@ -1,21 +1,21 @@
 """Communication protocols over lossy physical channels (survey §2.5)."""
 
-from .impossibility import bounded_header_attack, crash_attack, packet_growth
-from .protocols import (
-    AlternatingBitReceiver,
-    AlternatingBitSender,
-    StenningReceiver,
-    StenningSender,
-)
-from .simulate import (
-    ChannelAdversary,
-    DataLinkReceiver,
-    DataLinkResult,
-    DataLinkSender,
-    FairLossyScheduler,
-    ScriptedAdversary,
-    run_datalink,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".impossibility": (
+        "bounded_header_attack", "crash_attack", "packet_growth",
+    ),
+    ".protocols": (
+        "AlternatingBitReceiver", "AlternatingBitSender", "StenningReceiver",
+        "StenningSender",
+    ),
+    ".simulate": (
+        "ChannelAdversary", "DataLinkReceiver", "DataLinkResult",
+        "DataLinkSender", "FairLossyScheduler", "ScriptedAdversary",
+        "run_datalink",
+    ),
+})
 
 __all__ = [
     "DataLinkSender",

@@ -15,34 +15,26 @@ their models in :mod:`repro.consensus`, :mod:`repro.clocks` and
 :mod:`repro.rings`.
 """
 
-from .bivalence import (
-    DecisionSystem,
-    DeciderWitness,
-    StallResult,
-    StallingAdversary,
-    TransitionCache,
-    ValencyAnalyzer,
-    find_herlihy_decider,
-)
-from .certificate import (
-    BoundCertificate,
-    CounterexampleCertificate,
-    FailureWitness,
-    ImpossibilityCertificate,
-)
-from .chains import (
-    chain_link_indices,
-    find_changing_link,
-    input_vector_chain,
-    matrix_flip_chain,
-    verify_chain,
-)
-from .pigeonhole import (
-    collisions,
-    first_collision,
-    guaranteed_collision_count,
-    incompatible_collision,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".bivalence": (
+        "DecisionSystem", "DeciderWitness", "StallResult", "StallingAdversary",
+        "TransitionCache", "ValencyAnalyzer", "find_herlihy_decider",
+    ),
+    ".certificate": (
+        "BoundCertificate", "CounterexampleCertificate", "FailureWitness",
+        "ImpossibilityCertificate",
+    ),
+    ".chains": (
+        "chain_link_indices", "find_changing_link", "input_vector_chain",
+        "matrix_flip_chain", "verify_chain",
+    ),
+    ".pigeonhole": (
+        "collisions", "first_collision", "guaranteed_collision_count",
+        "incompatible_collision",
+    ),
+})
 
 __all__ = [
     "DecisionSystem",

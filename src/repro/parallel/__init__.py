@@ -26,7 +26,11 @@ and the golden-trace suite: **every result is bit-identical for
 optimization; it never changes an answer.
 """
 
-from .pool import WorkerPool, resolve_workers, split_chunks
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".pool": ("WorkerPool", "resolve_workers", "split_chunks"),
+})
 
 __all__ = [
     "WorkerPool",

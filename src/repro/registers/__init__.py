@@ -4,58 +4,40 @@ Linearizability checking, register constructions over regular/atomic
 bases, wait-free atomic snapshots, and the Herlihy consensus hierarchy.
 """
 
-from .concurrent import RegisterSpace, ScheduledOp, run_concurrent
-from .herlihy import (
-    BOTTOM,
-    CasConsensus,
-    ObjectConsensusProtocol,
-    ObjectConsensusSystem,
-    QueueConsensus2,
-    RegisterConsensus,
-    TasConsensus2,
-    TasConsensus3,
-    WaitFreeVerdict,
-    hierarchy_table,
-    wait_free_verdict,
-)
-from .history import (
-    HistoryRecorder,
-    Operation,
-    QueueSpec,
-    RegisterSpec,
-    SequentialSpec,
-    SnapshotSpec,
-    check_register_history,
-    is_linearizable,
-)
-from .regular import (
-    SingleReaderMonotonic,
-    TwoReaderMonotonic,
-    check_seq_register_history,
-    inversion_history,
-    single_reader_histories,
-    two_reader_failure,
-)
-from .exhaustive import (
-    ProgramConsensus,
-    RegisterSearchOutcome,
-    count_programs,
-    enumerate_programs,
-    register_consensus_certificate,
-    search_register_consensus,
-)
-from .renaming import (
-    RenamingOutcome,
-    RenamingProtocol,
-    renaming_series,
-    run_renaming,
-)
-from .snapshot import (
-    SnapshotObject,
-    check_snapshot_history,
-    initial_registers,
-    segment_name,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".concurrent": ("RegisterSpace", "ScheduledOp", "run_concurrent"),
+    ".herlihy": (
+        "BOTTOM", "CasConsensus", "ObjectConsensusProtocol",
+        "ObjectConsensusSystem", "QueueConsensus2", "RegisterConsensus",
+        "TasConsensus2", "TasConsensus3", "WaitFreeVerdict", "hierarchy_table",
+        "wait_free_verdict",
+    ),
+    ".history": (
+        "HistoryRecorder", "Operation", "QueueSpec", "RegisterSpec",
+        "SequentialSpec", "SnapshotSpec", "check_register_history",
+        "is_linearizable",
+    ),
+    ".regular": (
+        "SingleReaderMonotonic", "TwoReaderMonotonic",
+        "check_seq_register_history", "inversion_history",
+        "single_reader_histories", "two_reader_failure",
+    ),
+    ".exhaustive": (
+        "ProgramConsensus", "RegisterSearchOutcome", "count_programs",
+        "enumerate_programs", "register_consensus_certificate",
+        "search_register_consensus",
+    ),
+    ".renaming": (
+        "RenamingOutcome", "RenamingProtocol", "renaming_series",
+        "run_renaming",
+    ),
+    ".snapshot": (
+        "SnapshotObject", "check_snapshot_history", "initial_registers",
+        "segment_name",
+    ),
+})
 
 __all__ = [
     "Operation",

@@ -5,42 +5,33 @@ the anonymous-ring symmetry argument, symmetric-ring message bounds and
 general-graph edge bounds.
 """
 
-from .anonymous import (
-    AnonymousProtocol,
-    ItaiRodehProcess,
-    MaxTokenProtocol,
-    SilentProtocol,
-    SymmetryTrace,
-    itai_rodeh_election,
-    run_lockstep,
-    symmetry_certificate,
-)
-from .general_graphs import (
-    GraphElectionResult,
-    edge_involvement_series,
-    flooding_election,
-    hidden_node_demonstration,
-)
-from .hs import HSProcess, hs_election
-from .lcr import LCRProcess, best_case_ring, lcr_election, worst_case_ring
-from .lower_bounds import (
-    bit_reversal_ring,
-    message_series,
-    n_log_n,
-    order_equivalent_rotations,
-    order_equivalent_segments,
-    ring_election_certificate,
-)
-from .simulator import (
-    LEFT,
-    RIGHT,
-    RingProcess,
-    RingResult,
-    SyncRingProcess,
-    run_async_ring,
-    run_sync_ring,
-)
-from .timeslice import TimeSliceProcess, timeslice_election
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".anonymous": (
+        "AnonymousProtocol", "ItaiRodehProcess", "MaxTokenProtocol",
+        "SilentProtocol", "SymmetryTrace", "itai_rodeh_election",
+        "run_lockstep", "symmetry_certificate",
+    ),
+    ".general_graphs": (
+        "GraphElectionResult", "edge_involvement_series", "flooding_election",
+        "hidden_node_demonstration",
+    ),
+    ".hs": ("HSProcess", "hs_election"),
+    ".lcr": (
+        "LCRProcess", "best_case_ring", "lcr_election", "worst_case_ring",
+    ),
+    ".lower_bounds": (
+        "bit_reversal_ring", "message_series", "n_log_n",
+        "order_equivalent_rotations", "order_equivalent_segments",
+        "ring_election_certificate",
+    ),
+    ".simulator": (
+        "LEFT", "RIGHT", "RingProcess", "RingResult", "SyncRingProcess",
+        "run_async_ring", "run_sync_ring",
+    ),
+    ".timeslice": ("TimeSliceProcess", "timeslice_election"),
+})
 
 __all__ = [
     "RingProcess",

@@ -16,34 +16,23 @@ re-running the search (:mod:`repro.service.service`).
 ``python -m repro.service`` is the CLI face of the same queries.
 """
 
-from .keys import (
-    KEY_SCHEMA,
-    QueryKey,
-    canonical_json,
-    decode_canonical,
-    encode_canonical,
-    payload_fingerprint,
-)
-from .service import (
-    QUERY_KINDS,
-    Answer,
-    PendingQuery,
-    QueryService,
-    benor_run_key,
-    campaign_key,
-    certificate_from_flp_payload,
-    certificate_from_register_payload,
-    detector_run_key,
-    flp_key,
-    flp_report_payload,
-    gst_run_key,
-    lease_run_key,
-    register_outcome_payload,
-    register_search_key,
-    run_campaign_cached,
-    valency_key,
-)
-from .store import ENTRY_SCHEMA, CertificateStore
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".keys": (
+        "KEY_SCHEMA", "QueryKey", "canonical_json", "decode_canonical",
+        "encode_canonical", "payload_fingerprint",
+    ),
+    ".service": (
+        "QUERY_KINDS", "Answer", "PendingQuery", "QueryService",
+        "benor_run_key", "campaign_key", "certificate_from_flp_payload",
+        "certificate_from_register_payload", "detector_run_key", "flp_key",
+        "flp_report_payload", "gst_run_key", "lease_run_key",
+        "register_outcome_payload", "register_search_key",
+        "run_campaign_cached", "valency_key",
+    ),
+    ".store": ("ENTRY_SCHEMA", "CertificateStore"),
+})
 
 __all__ = [
     "Answer",

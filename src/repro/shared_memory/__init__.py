@@ -5,59 +5,34 @@ operations — the model in which the survey's earliest impossibility proofs
 (Cremers–Hibbard, Burns et al., Burns–Lynch) live.
 """
 
-from .choice_coordination import (
-    MARK,
-    RabinChoiceCoordination,
-    symmetric_deterministic_failure,
-)
-from .kexclusion import (
-    CountingSemaphoreProcess,
-    KExclusionSystem,
-    counting_semaphore_system,
-)
-from .lower_bounds import (
-    CandidateVerdict,
-    NaiveSpinLockProcess,
-    ProtocolTable,
-    SyntheticTasProcess,
-    burns_lynch_attack,
-    check_candidate,
-    cremers_hibbard_certificate,
-    enumerate_protocol_tables,
-    naive_spin_lock_system,
-    search_two_process_protocols,
-)
-from .process import SharedMemoryProcess
-from .system import (
-    SharedMemorySystem,
-    StarvationWitness,
-    find_starvation_cycle,
-    run_system,
-)
-from .variables import (
-    BINARY_TAS,
-    CAS,
-    FETCH_AND_ADD,
-    READ,
-    SWAP,
-    WRITE,
-    Access,
-    BinaryTestAndSet,
-    CompareAndSwap,
-    FetchAndAdd,
-    Operation,
-    Read,
-    Swap,
-    TestAndSet,
-    Write,
-    binary_tas,
-    cas,
-    fetch_and_add,
-    read,
-    swap,
-    tas,
-    write,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".choice_coordination": (
+        "MARK", "RabinChoiceCoordination", "symmetric_deterministic_failure",
+    ),
+    ".kexclusion": (
+        "CountingSemaphoreProcess", "KExclusionSystem",
+        "counting_semaphore_system",
+    ),
+    ".lower_bounds": (
+        "CandidateVerdict", "NaiveSpinLockProcess", "ProtocolTable",
+        "SyntheticTasProcess", "burns_lynch_attack", "check_candidate",
+        "cremers_hibbard_certificate", "enumerate_protocol_tables",
+        "naive_spin_lock_system", "search_two_process_protocols",
+    ),
+    ".process": ("SharedMemoryProcess",),
+    ".system": (
+        "SharedMemorySystem", "StarvationWitness", "find_starvation_cycle",
+        "run_system",
+    ),
+    ".variables": (
+        "BINARY_TAS", "CAS", "FETCH_AND_ADD", "READ", "SWAP", "WRITE",
+        "Access", "BinaryTestAndSet", "CompareAndSwap", "FetchAndAdd",
+        "Operation", "Read", "Swap", "TestAndSet", "Write", "binary_tas",
+        "cas", "fetch_and_add", "read", "swap", "tas", "write",
+    ),
+})
 
 __all__ = [
     "SharedMemoryProcess",

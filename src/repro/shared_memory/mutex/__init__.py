@@ -1,21 +1,19 @@
 """Mutual exclusion: framework, algorithms and checkers (survey §2.1)."""
 
-from .bakery import BakeryProcess, bakery_system
-from .base import (
-    CRITICAL,
-    EXIT,
-    MutexProcess,
-    MutexSystem,
-    REGIONS,
-    REMAINDER,
-    TRYING,
-    region_of,
-)
-from .dijkstra import DijkstraProcess, dijkstra_system
-from .handoff_lock import HandoffLockProcess, handoff_lock_system
-from .peterson import PetersonProcess, peterson_system
-from .tas_semaphore import TasSemaphoreProcess, tas_semaphore_system
-from .tournament import TournamentProcess, tournament_system
+from ..._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".bakery": ("BakeryProcess", "bakery_system"),
+    ".base": (
+        "CRITICAL", "EXIT", "MutexProcess", "MutexSystem", "REGIONS",
+        "REMAINDER", "TRYING", "region_of",
+    ),
+    ".dijkstra": ("DijkstraProcess", "dijkstra_system"),
+    ".handoff_lock": ("HandoffLockProcess", "handoff_lock_system"),
+    ".peterson": ("PetersonProcess", "peterson_system"),
+    ".tas_semaphore": ("TasSemaphoreProcess", "tas_semaphore_system"),
+    ".tournament": ("TournamentProcess", "tournament_system"),
+})
 
 __all__ = [
     "MutexProcess",

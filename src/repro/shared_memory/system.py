@@ -36,10 +36,9 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    TYPE_CHECKING,
     Tuple,
 )
-
-import networkx as nx
 
 from ..core.automaton import Action, IOAutomaton, Signature, State
 from ..core.errors import ModelError
@@ -47,6 +46,9 @@ from ..core.exploration import explore
 from ..core.freeze import frozendict
 from ..core.stategraph import state_graph
 from .process import SharedMemoryProcess
+
+if TYPE_CHECKING:
+    import networkx
 
 
 class SharedMemorySystem(IOAutomaton):
@@ -244,6 +246,8 @@ def find_starvation_cycle(
     Returns a witness or None.  This is the mechanized form of "construct
     an incompatible infinite admissible execution" from [26].
     """
+    import networkx as nx
+
     reach = explore(system, max_states=max_states, include_inputs=True)
     # The exploration above populated the shared state graph; rebuilding
     # the stuck-subgraph edges below is served entirely from its cache.
@@ -311,10 +315,12 @@ def find_starvation_cycle(
 
 
 def _closed_walk_covering(
-    graph: "nx.MultiDiGraph", required_actions: Set[Action]
+    graph: "networkx.MultiDiGraph", required_actions: Set[Action]
 ) -> Optional[Tuple[List[State], List[Action]]]:
     """A closed walk in a strongly connected multigraph covering every
     required action at least once."""
+    import networkx as nx
+
     # Pick, for each required action, one edge carrying it; then stitch the
     # edges together with shortest paths (the graph is strongly connected).
     chosen: List[Tuple[State, State, Action]] = []

@@ -31,6 +31,7 @@ from repro.chaos import (
     write_counterexample,
 )
 from repro.chaos.__main__ import main as chaos_main
+from repro.chaos.campaign import DEFAULT_PER_RUN_BUDGET, _shrink_case
 from repro.core.budget import Budget
 from repro.core.runtime import ReplayError, derive_seed
 
@@ -141,6 +142,54 @@ class TestShrinking:
         for cx in report.counterexamples:
             fresh = registry[cx.target].run(cx.shrunk, cx.seed)
             assert fresh.fingerprint() == cx.fingerprint
+
+
+class CountingRacyLock(RacyLockTarget):
+    """The racy lock, counting its runs."""
+
+    runs = 0
+
+    def run(self, atoms, seed, meter=None):
+        self.runs += 1
+        return super().run(atoms, seed, meter=meter)
+
+
+def _violating_case(target):
+    for index in range(100):
+        seed = derive_seed(MASTER_SEED, target.name, index)
+        atoms = target.generate(random.Random(seed))
+        if target.violations(target.run(atoms, seed), atoms):
+            return atoms, seed
+    raise AssertionError(f"no violating case for {target.name}")
+
+
+class TestShrinkRuns:
+    """A shrink runs the target once per check, plus once only when no
+    check was accepted: the accepted check's trace is the result's."""
+
+    def test_shrunk_schedule_is_not_run_again(self):
+        target = CountingRacyLock()
+        atoms, seed = _violating_case(target)
+        target.runs = 0
+        cx = _shrink_case(target, atoms, seed, 0, DEFAULT_PER_RUN_BUDGET, 256)
+        assert cx.shrunk != atoms
+        assert target.runs == cx.shrink_checks
+        assert cx.replay_verified
+        fresh = target.run(cx.shrunk, seed)
+        assert fresh.fingerprint() == cx.fingerprint
+        assert target.violations(fresh, cx.shrunk)[0] == cx.violation
+
+    def test_minimal_schedule_is_run_once_more(self):
+        target = CountingRacyLock()
+        atoms, seed = _violating_case(target)
+        shrunk = _shrink_case(
+            target, atoms, seed, 0, DEFAULT_PER_RUN_BUDGET, 256
+        ).shrunk
+        target.runs = 0
+        cx = _shrink_case(target, shrunk, seed, 0, DEFAULT_PER_RUN_BUDGET, 256)
+        assert cx.shrunk == shrunk
+        assert target.runs == cx.shrink_checks + 1
+        assert cx.replay_verified
 
 
 class TestShrinkSchedule:

@@ -1,0 +1,177 @@
+"""Lazy package exports: a package import loads only what is used.
+
+Every package ``__init__`` re-exports its submodules' names through a
+:func:`repro._lazy.lazy_exports` table, so ``import repro`` loads one
+package and a proof or CLI loads only the modules it reaches.  These
+tests pin that down: what an import loads (checked in a fresh
+interpreter, where ``sys.modules`` starts clean), that every exported
+name still resolves to its defining module's object, and that every
+module imports on its own, with no circular import that an eager
+``__init__`` used to hide.
+"""
+
+import ast
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
+import repro
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(REPO, "src")
+PACKAGE = os.path.join(SRC, "repro")
+
+CLIS = ("repro.chaos.__main__", "repro.service.__main__",
+        "repro.circumvention.__main__")
+
+#: Names that are also their own submodule's name, bound eagerly.
+SHADOWING = (("repro.core", "freeze"),
+             ("repro.chaos", "circumvention_targets"))
+
+
+def _fresh(code):
+    """Run ``code`` in a new interpreter that imports ``repro`` from src."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _packages():
+    """``{package name: path of its __init__}`` for every repro package."""
+    found = {}
+    for directory, _dirs, files in os.walk(PACKAGE):
+        if "__init__.py" in files:
+            rel = os.path.relpath(directory, SRC)
+            found[rel.replace(os.sep, ".")] = os.path.join(directory, "__init__.py")
+    return dict(sorted(found.items()))
+
+
+def _origins(path):
+    """``{name: defining module}`` from an ``__init__``'s table and its
+    eager imports, or None for a name that is itself a submodule."""
+    package = os.path.relpath(os.path.dirname(path), SRC).replace(os.sep, ".")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    origins = {}
+    for node in tree.body:
+        if (isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module != "_lazy"):
+            for alias in node.names:
+                origins[alias.name] = f"{package}.{node.module}"
+        elif (isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Call)
+              and getattr(node.value.func, "id", None) == "lazy_exports"):
+            table = ast.literal_eval(node.value.args[1])
+            for module, names in table.items():
+                for name in names:
+                    origins[name] = (None if module == "."
+                                     else package + module)
+    return origins
+
+
+def _proofs_engines():
+    """``ENGINES`` of perfbench's ``proofs`` workload, read from its source."""
+    path = os.path.join(REPO, "perfbench", "proofs_workload.py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "ENGINES"):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no ENGINES in {path}")
+
+
+PACKAGES = _packages()
+ENGINES = _proofs_engines()
+
+
+def test_every_package_init_exports_lazily():
+    for name, path in PACKAGES.items():
+        origins = _origins(path)
+        exported = set(importlib.import_module(name).__all__) - {"__version__"}
+        assert set(origins) == exported, name
+
+
+def test_import_repro_loads_only_the_package():
+    loaded = _fresh(
+        "import sys, repro\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'repro'))"
+    )
+    assert loaded.strip() == "['repro', 'repro._lazy']"
+
+
+@pytest.mark.parametrize("modules", [ENGINES, CLIS], ids=["engines", "clis"])
+def test_engines_and_clis_load_no_numpy_or_networkx(modules):
+    loaded = _fresh(
+        "import importlib, sys\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted({'numpy', 'networkx'} & set(sys.modules)))"
+    )
+    assert loaded.strip() == "[]"
+
+
+@pytest.mark.parametrize("package", list(PACKAGES))
+def test_every_export_is_its_defining_modules_object(package):
+    module = importlib.import_module(package)
+    for name, origin in _origins(PACKAGES[package]).items():
+        value = getattr(module, name)
+        if origin is None:
+            assert value is sys.modules[f"{package}.{name}"]
+        else:
+            assert value is getattr(importlib.import_module(origin), name)
+    assert set(module.__all__) <= set(dir(module))
+    namespace = {}
+    exec(f"from {package} import *", namespace)
+    assert set(module.__all__) <= set(namespace)
+
+
+def test_unknown_names_are_attribute_errors():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repro.core.no_such_name
+    assert not hasattr(repro, "no_such_name")
+
+
+def test_shadowing_names_are_the_functions():
+    for package, name in SHADOWING:
+        module = importlib.import_module(package)
+        assert callable(getattr(module, name))
+        assert getattr(module, name) is getattr(
+            sys.modules[f"{package}.{name}"], name
+        )
+
+
+@pytest.mark.parametrize("package, name", SHADOWING)
+def test_shadowing_names_survive_importing_their_submodule_first(package, name):
+    _fresh(
+        "import importlib\n"
+        f"submodule = importlib.import_module('{package}.{name}')\n"
+        f"package = importlib.import_module('{package}')\n"
+        f"assert getattr(package, '{name}') is submodule.{name}\n"
+        f"assert callable(getattr(package, '{name}'))\n"
+    )
+
+
+def test_every_module_imports_on_its_own():
+    names = sorted(
+        info.name
+        for info in pkgutil.walk_packages([PACKAGE], prefix="repro.")
+    )
+    assert len(names) > 90
+    failures = _fresh(
+        "import importlib, sys, traceback\n"
+        f"for name in {names!r}:\n"
+        "    for loaded in [m for m in sys.modules if m.split('.')[0] == 'repro']:\n"
+        "        del sys.modules[loaded]\n"
+        "    try:\n"
+        "        importlib.import_module(name)\n"
+        "    except Exception:\n"
+        "        print(name, traceback.format_exc(limit=-1))\n"
+    )
+    assert failures == ""
