@@ -1,11 +1,10 @@
-"""Parallel fabric — serial-vs-parallel speedup of the sharded searches.
+"""Parallel fabric — serial-vs-parallel speedup of sharded campaigns.
 
-Benchmarks two fabric consumers (sharded chaos campaigns, the sharded
-register-protocol search) at ``workers=4`` against their serial twins,
-recording the measured speedup in ``extra_info`` so the BENCH trajectory
-tracks it.
+Benchmarks the sharded chaos campaign at ``workers=4`` against its
+serial twin, recording the measured speedup in ``extra_info`` so the
+BENCH trajectory tracks it.
 
-Every benchmark *also* asserts bit-identical results between the serial
+The benchmark *also* asserts bit-identical results between the serial
 and parallel runs — a speedup that changed an answer is a bug, not a
 win.  Speedups are honest measurements on the current machine
 (``cpu_count`` is recorded): on a single-core box the parallel run is
@@ -20,7 +19,6 @@ from conftest import record
 
 from repro.chaos import run_campaign
 from repro.chaos.targets import default_targets
-from repro.registers.exhaustive import search_register_consensus
 
 WORKERS = 4
 CAMPAIGN_RUNS = 60
@@ -71,29 +69,6 @@ def test_parallel_campaign_workers4(benchmark):
         cpu_count=os.cpu_count(),
         cases=len(report.results),
         counterexamples=len(report.counterexamples),
-        serial_s=round(serial_s, 4),
-        parallel_s=round(parallel_s, 4),
-        speedup=round(serial_s / parallel_s, 3),
-        identical_to_serial=True,
-    )
-
-
-def test_parallel_register_search_workers4(benchmark):
-    """Sharded exhaustive register search at workers=4 vs serial (depth 2)."""
-    serial_outcome = search_register_consensus(depth=2)
-    serial_s = _best_of(lambda: search_register_consensus(depth=2), reps=1)
-    parallel_s = _best_of(
-        lambda: search_register_consensus(depth=2, workers=WORKERS), reps=1
-    )
-    outcome = benchmark(
-        lambda: search_register_consensus(depth=2, workers=WORKERS)
-    )
-    assert outcome == serial_outcome
-    record(
-        benchmark,
-        workers=WORKERS,
-        cpu_count=os.cpu_count(),
-        candidates=outcome.candidates,
         serial_s=round(serial_s, 4),
         parallel_s=round(parallel_s, 4),
         speedup=round(serial_s / parallel_s, 3),

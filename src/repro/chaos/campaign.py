@@ -27,11 +27,19 @@ every worker count, so reports, summaries and artifacts are
 byte-identical from ``workers=1`` to ``workers=N`` and from batch to
 streaming mode.
 
+A run is a pure function of ``(target, schedule)`` (targets take no
+seed), so the fold keeps a bounded **run memo**: a planned case whose
+schedule this campaign already ran is folded from the memo instead of
+being simulated again, and the shrinker consults the same memo before
+each check.
+
 Violating schedules are delta-debugged
 (:func:`~repro.chaos.shrink.shrink_schedule`) to 1-minimal
 counterexamples, re-executed, and re-verified byte-identical through
-:func:`repro.core.runtime.replay`.  An optional campaign-wide budget
-turns the sweep into a resumable anytime computation: overdraft returns
+:func:`repro.core.runtime.replay` — unless the shrunk schedule is one a
+known exemplar already holds, which then just counts one more
+occurrence.  An optional campaign-wide budget turns the sweep into a
+resumable anytime computation: overdraft returns
 a partial report with ``complete=False`` and per-target ``resume_at``
 indices, accepted back via ``resume=`` to continue exactly where it
 stopped.  After the base sweep, an optional **mutation stage**
@@ -91,6 +99,11 @@ DEFAULT_PER_RUN_BUDGET = Budget(max_steps=20_000)
 #: window of ``2 * workers`` chunks, at most ``32 * workers`` cases are
 #: in flight regardless of campaign size.
 STREAM_CHUNK = 16
+
+#: Most ``(target, schedule)`` runs one campaign's run memo holds; the
+#: oldest are evicted first, so a streaming campaign's memory stays
+#: bounded by behaviours, not by cases.
+RUN_MEMO_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -294,18 +307,59 @@ class CampaignReport:
 # Case execution (worker side)
 # ---------------------------------------------------------------------------
 
+#: A run's monitored outcome: its violations and its trace fingerprint
+#: (empty when only the violations are known).
+KnownRun = Tuple[Tuple[Violation, ...], str]
+
 #: One planned case: everything a worker needs to execute it from
-#: scratch.  ``atoms`` is None for base cases (the worker re-derives the
-#: schedule from the seed) and explicit for mutation-stage cases.
-PlanItem = Tuple[ChaosTarget, int, int, Optional[Tuple], Optional[Budget]]
+#: scratch — ``(target, index, seed, atoms, per_run_budget, known)``.
+#: ``known`` is the memoized outcome of ``atoms`` when the campaign has
+#: already run that schedule; such a case is folded without a run.
+PlanItem = Tuple[
+    ChaosTarget, int, int, Tuple, Optional[Budget], Optional[KnownRun]
+]
 
 
-def _case_atoms(item: PlanItem) -> Tuple:
-    """The schedule a plan item runs — re-derived or carried."""
-    target, _index, seed, atoms, _budget = item
-    if atoms is not None:
-        return atoms
-    return tuple(target.generate(random.Random(seed)))
+class _RunMemo:
+    """The outcomes of the ``(target, schedule)`` runs a campaign made.
+
+    Only completed runs (PASS or VIOLATION) are kept: a CRASH or
+    BUDGET_EXCEEDED error names the per-case meter, so those cases
+    always run.  Shrink checks record violations alone (no
+    fingerprint), which answers a later check but not a case.  At most
+    :data:`RUN_MEMO_CAP` entries are kept, oldest evicted first.
+    """
+
+    def __init__(self):
+        self._runs: Dict[Tuple[ChaosTarget, Tuple], KnownRun] = {}
+
+    def __len__(self) -> int:
+        return len(self._runs)
+
+    def get(self, target: ChaosTarget, atoms: Tuple) -> Optional[KnownRun]:
+        return self._runs.get((target, atoms))
+
+    def known_case(
+        self, target: ChaosTarget, atoms: Tuple
+    ) -> Optional[KnownRun]:
+        """The outcome a case of ``atoms`` would fold, if fully known."""
+        known = self._runs.get((target, atoms))
+        return known if known is not None and known[1] else None
+
+    def remember(
+        self,
+        target: ChaosTarget,
+        atoms: Tuple,
+        violations: Tuple[Violation, ...],
+        fingerprint: str = "",
+    ) -> None:
+        key = (target, atoms)
+        known = self._runs.get(key)
+        if known is not None and (known[1] or not fingerprint):
+            return
+        self._runs[key] = (violations, fingerprint)
+        if len(self._runs) > RUN_MEMO_CAP:
+            del self._runs[next(iter(self._runs))]
 
 
 def _execute_case(item: PlanItem) -> CaseResult:
@@ -315,15 +369,24 @@ def _execute_case(item: PlanItem) -> CaseResult:
     order.  Shrinking stays in the parent fold so counterexample
     artifacts are byte-identical at every worker count.
     """
-    target, index, seed, _atoms, per_run_budget = item
-    atoms = _case_atoms(item)
+    target, index, seed, atoms, per_run_budget, known = item
+    if known is not None:
+        violations, fingerprint = known
+        return CaseResult(
+            target.name,
+            index,
+            seed,
+            VIOLATION if violations else PASS,
+            violations=violations,
+            fingerprint=fingerprint,
+        )
     meter = (
         per_run_budget.meter(f"{target.name}#{index}")
         if per_run_budget is not None
         else None
     )
     try:
-        trace = target.run(atoms, seed, meter=meter)
+        trace = target.run(atoms, meter=meter)
     except BudgetExceeded as exc:
         # An expect-stall target's budget receipt is a first-class
         # behaviour: give it the synthetic schedule-digest fingerprint so
@@ -353,6 +416,10 @@ def _execute_case(item: PlanItem) -> CaseResult:
     )
 
 
+def _is_known(item: PlanItem) -> bool:
+    return item[5] is not None
+
+
 def _shrink_case(
     target: ChaosTarget,
     atoms: Tuple,
@@ -360,28 +427,41 @@ def _shrink_case(
     index: int,
     per_run_budget: Optional[Budget],
     shrink_checks: int,
+    memo: _RunMemo,
+    exemplars: Dict[Tuple[str, Tuple], Counterexample],
 ) -> Counterexample:
-    """Minimize one violating schedule and re-verify the result."""
-    # ``(candidate, trace, violations)`` of the last check that failed.
-    # Its candidate is usually the shrunk schedule, whose run then need
-    # not be repeated: a meter only raises, so it never changes a trace.
+    """Minimize one violating schedule and re-verify the result.
+
+    ``memo`` answers checks of schedules already run and records the
+    new ones.  ``exemplars`` maps ``(target name, shrunk schedule)`` to
+    known exemplars: a shrink ending at one of those returns it as is,
+    without a final run, fingerprint or replay.
+    """
+    # ``(candidate, trace, violations)`` of the last check that ran and
+    # failed.  Its candidate is usually the shrunk schedule, whose run
+    # then need not be repeated: a meter only raises, so it never
+    # changes a trace.
     accepted = None
 
     def fails(candidate: Tuple) -> bool:
         nonlocal accepted
         candidate = tuple(candidate)
+        known = memo.get(target, candidate)
+        if known is not None:
+            return bool(known[0])
         meter = (
             per_run_budget.meter(f"{target.name}-shrink")
             if per_run_budget is not None
             else None
         )
         try:
-            trace = target.run(candidate, seed, meter=meter)
+            trace = target.run(candidate, meter=meter)
         except Exception:
             # A crash or budget overdraft is a *different* failure mode;
             # the shrinker must stay on the monitored violation.
             return False
-        violations = target.violations(trace, candidate)
+        violations = tuple(target.violations(trace, candidate))
+        memo.remember(target, candidate, violations)
         if violations:
             accepted = candidate, trace, violations
         return bool(violations)
@@ -389,10 +469,13 @@ def _shrink_case(
     shrunk, checks = shrink_schedule(
         atoms, fails, target.simplify_atom, max_checks=shrink_checks
     )
+    exemplar = exemplars.get((target.name, shrunk))
+    if exemplar is not None:
+        return exemplar
     if accepted is not None and accepted[0] == shrunk:
         _, trace, violations = accepted
     else:
-        trace = target.run(shrunk, seed)
+        trace = target.run(shrunk)
         violations = target.violations(trace, shrunk)
     violation = violations[0]
     try:
@@ -429,16 +512,23 @@ class CampaignFold:
     * a behavioural **coverage** map of trace fingerprints, sized by
       distinct behaviours, not cases;
     * optional **corpus** persistence of every novel-coverage schedule;
-    * shrunk counterexample **exemplars**, deduplicated two ways: a raw
-      outcome-signature cache short-circuits re-shrinking cases whose
-      ``(verdict, violations, error)`` was already minimized, and the
-      shrunk-trace fingerprint merges distinct raw outcomes that
-      minimize to the same bug (``occurrences`` counts both);
+    * a capped **run memo** of completed ``(target, schedule)`` runs,
+      which the planner reads to fold repeat cases without running them
+      and the shrinker reads before each check;
+    * shrunk counterexample **exemplars**, deduplicated three ways: a
+      raw outcome-signature cache short-circuits re-shrinking cases
+      whose ``(verdict, violations, error)`` was already minimized, a
+      shrink that ends at an exemplar's shrunk schedule merges into it
+      without re-running that schedule, and the shrunk-trace
+      fingerprint merges distinct shrunk schedules that minimize to the
+      same bug (``occurrences`` counts all three);
     * optionally the full **results** list (batch mode) and an
       incremental per-case JSONL **log**.
 
     Everything here is a pure function of the fold order, which the
-    planner fixes to the serial iteration order at any worker count.
+    planner fixes to the serial iteration order at any worker count;
+    the memo only decides which runs are repeated, never what they
+    produce.
     """
 
     def __init__(
@@ -466,9 +556,11 @@ class CampaignFold:
         self.tallies: Dict[str, Dict[str, int]] = {}
         self.counterexamples: List[Counterexample] = []
         self.coverage = CoverageMap()
+        self.memo = _RunMemo()
         self.cases = 0
         self.corpus_added = 0
         self._exemplars: Dict[Tuple[str, str], Counterexample] = {}
+        self._by_schedule: Dict[Tuple[str, Tuple], Counterexample] = {}
         self._sig_cache: Dict[Tuple, Counterexample] = {}
         self._meter = Budget().meter("chaos-campaign-throughput")
         if resume is not None:
@@ -479,13 +571,14 @@ class CampaignFold:
             self.cases = resume.cases
             for cx in self.counterexamples:
                 self._exemplars[(cx.target, cx.fingerprint)] = cx
+                self._by_schedule[(cx.target, tuple(cx.shrunk))] = cx
         if corpus is not None:
             # A campaign resumed against an existing corpus chases only
             # behaviours the corpus has not seen.
             corpus.seed_coverage(self.coverage)
 
     def fold(self, item: PlanItem, result: CaseResult) -> None:
-        target = item[0]
+        target, _index, _seed, atoms, _budget, known = item
         self.cases += 1
         self._meter.charge_steps()
         per_target = self.tallies.setdefault(result.target, {})
@@ -494,6 +587,10 @@ class CampaignFold:
             self.results.append(result)
         if self.case_log is not None:
             self.case_log.write_json_line(_case_log_line(result))
+        if known is None and result.verdict in (PASS, VIOLATION):
+            self.memo.remember(
+                target, atoms, result.violations, result.fingerprint
+            )
         novel = bool(result.fingerprint) and self.coverage.observe(
             result.target, result.fingerprint
         )
@@ -502,17 +599,17 @@ class CampaignFold:
                 CorpusEntry(
                     target=result.target,
                     trace_fingerprint=result.fingerprint,
-                    atoms=_case_atoms(item),
+                    atoms=atoms,
                     seed=result.seed,
                     verdict=result.verdict,
                 )
             ):
                 self.corpus_added += 1
         if result.verdict == VIOLATION and self.shrink:
-            self._fold_violation(target, item, result)
+            self._fold_violation(target, atoms, result)
 
     def _fold_violation(
-        self, target: ChaosTarget, item: PlanItem, result: CaseResult
+        self, target: ChaosTarget, atoms: Tuple, result: CaseResult
     ) -> None:
         signature = (
             result.target, result.verdict, result.violations, result.error,
@@ -523,19 +620,23 @@ class CampaignFold:
             return
         cx = _shrink_case(
             target,
-            _case_atoms(item),
+            atoms,
             result.seed,
             result.index,
             self.per_run_budget,
             self.shrink_checks,
+            memo=self.memo,
+            exemplars=self._by_schedule,
         )
         exemplar = self._exemplars.get((cx.target, cx.fingerprint))
         if exemplar is not None:
             # A different raw outcome that minimizes to a known bug.
             exemplar.occurrences += 1
             self._sig_cache[signature] = exemplar
+            self._by_schedule[(cx.target, cx.shrunk)] = exemplar
             return
         self._exemplars[(cx.target, cx.fingerprint)] = cx
+        self._by_schedule[(cx.target, cx.shrunk)] = cx
         self._sig_cache[signature] = cx
         self.counterexamples.append(cx)
 
@@ -572,10 +673,12 @@ def _plan_cases(
     per_run_budget: Optional[Budget],
     campaign_meter,
     state: Dict,
+    memo: _RunMemo,
 ) -> Iterator[PlanItem]:
     """Yield base cases lazily in serial order, charging the budget.
 
-    ``state`` receives ``resume_at`` per finished target and
+    Each case's schedule is generated here, once, and looked up in
+    ``memo``.  ``state`` receives ``resume_at`` per finished target and
     ``interrupted`` on overdraft — exactly the bookkeeping the batch
     runner did eagerly, now performed as the stream is pulled.
     """
@@ -589,12 +692,11 @@ def _plan_cases(
                     state["interrupted"] = True
                     state["resume_at"][target.name] = index
                     return
+            seed = derive_seed(master_seed, target.name, index)
+            atoms = tuple(target.generate(random.Random(seed)))
             yield (
-                target,
-                index,
-                derive_seed(master_seed, target.name, index),
-                None,
-                per_run_budget,
+                target, index, seed, atoms, per_run_budget,
+                memo.known_case(target, atoms),
             )
             index += 1
         state["resume_at"][target.name] = index
@@ -608,6 +710,7 @@ def _plan_mutations(
     master_seed: int,
     per_run_budget: Optional[Budget],
     campaign_meter,
+    memo: _RunMemo,
 ) -> Iterator[PlanItem]:
     """Yield mutation cases: each corpus schedule, mutated ``mutations``
     times through :func:`~repro.chaos.generators.mutate_schedule`.
@@ -638,7 +741,10 @@ def _plan_mutations(
                 mutate_schedule(random.Random(seed), entry.atoms,
                                 target.generate)
             )
-            yield (target, index, seed, atoms, per_run_budget)
+            yield (
+                target, index, seed, atoms, per_run_budget,
+                memo.known_case(target, atoms),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -723,10 +829,10 @@ def run_campaign(
         with WorkerPool(nworkers) as pool:
             plan = _plan_cases(
                 roster, runs, master_seed, start_at, per_run_budget,
-                campaign_meter, state,
+                campaign_meter, state, fold.memo,
             )
             for item, result in pool.map_stream(
-                _execute_case, plan, chunk=chunk
+                _execute_case, plan, chunk=chunk, inline=_is_known
             ):
                 fold.fold(item, result)
             if corpus_obj is not None:
@@ -740,10 +846,11 @@ def run_campaign(
             ):
                 mutation_plan = _plan_mutations(
                     roster, corpus_obj, runs, mutations, master_seed,
-                    per_run_budget, campaign_meter,
+                    per_run_budget, campaign_meter, fold.memo,
                 )
                 for item, result in pool.map_stream(
-                    _execute_case, mutation_plan, chunk=chunk
+                    _execute_case, mutation_plan, chunk=chunk,
+                    inline=_is_known,
                 ):
                     fold.fold(item, result)
         if state["interrupted"]:
@@ -999,7 +1106,7 @@ def reproduce(
         raise ReplayError(
             "artifact metadata fingerprint does not match the stored trace"
         )
-    fresh = target.run(shrunk, meta["seed"])
+    fresh = target.run(shrunk)
     if fresh.fingerprint() != meta["fingerprint"]:
         raise ReplayError(
             f"re-run of shrunk schedule produced fingerprint "

@@ -23,9 +23,12 @@ campaigns exercise both sides of every circumvention:
   (``rotating-consensus-adversarial``, ``expect_stall`` — the
   impossible side, made operational).
 
-Simulator seeds are pinned (trace fingerprints incorporate the seed, so
-a fixed sim seed makes behavioural coverage a function of the schedule
-alone — the LCR-control idiom); campaign seeds still drive generation.
+Every run pins its simulator seed at 0, and :meth:`ChaosTarget.run`
+takes no seed at all: a trace fingerprint incorporates the simulator
+seed, so a pinned one makes each run — and behavioural coverage — a
+function of the schedule alone (the LCR-control idiom).  Campaign seeds
+only drive schedule generation, which is what lets a campaign simulate
+each distinct schedule once.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ class QuorumLeaseTarget(ChaosTarget):
             rng, n=self.N, horizon=self.HORIZON
         )
 
-    def run(self, atoms, seed, meter=None) -> Trace:
+    def run(self, atoms, meter=None) -> Trace:
         return run_quorum_lease(
             atoms,
             seed=0,
@@ -150,7 +153,7 @@ class HeartbeatDetectorTarget(ChaosTarget):
             rng, n=self.N, horizon=self.STABLE_AFTER, max_down=1
         )
 
-    def run(self, atoms, seed, meter=None) -> Trace:
+    def run(self, atoms, meter=None) -> Trace:
         return run_heartbeat_detector(
             atoms,
             seed=0,
@@ -216,7 +219,7 @@ class OmegaConsensusTarget(ChaosTarget):
             rng, n=self.N, accurate_after=self.ACCURATE_AFTER
         )
 
-    def run(self, atoms, seed, meter=None) -> Trace:
+    def run(self, atoms, meter=None) -> Trace:
         return run_rotating_consensus(
             atoms,
             seed=0,
@@ -258,7 +261,7 @@ class AdversarialSuspicionTarget(OmegaConsensusTarget):
     def generate(self, rng: random.Random) -> Schedule:
         return generators.random_relentless_atoms(rng, n=self.N)
 
-    def run(self, atoms, seed, meter=None) -> Trace:
+    def run(self, atoms, meter=None) -> Trace:
         own = self.STALL_BUDGET.meter(self.name)
         return run_rotating_consensus(
             atoms,
@@ -298,7 +301,7 @@ class BenOrTarget(ChaosTarget):
     def generate(self, rng: random.Random) -> Schedule:
         return generators.random_benor_atoms(rng, n=self.N, t=self.T)
 
-    def run(self, atoms, seed, meter=None) -> Trace:
+    def run(self, atoms, meter=None) -> Trace:
         return run_ben_or_traced(
             atoms,
             seed=0,
@@ -380,7 +383,7 @@ class GSTConsensusTarget(ChaosTarget):
     def generate(self, rng: random.Random) -> Schedule:
         return generators.random_gst_atoms(rng, n=self.N)
 
-    def run(self, atoms, seed, meter=None) -> Trace:
+    def run(self, atoms, meter=None) -> Trace:
         own = self.STALL_BUDGET.meter(self.name)
         return run_gst_consensus(
             atoms,

@@ -267,7 +267,7 @@ def replay_corpus(
         )
         stats["entries"] += 1
         try:
-            trace = target.run(entry.atoms, entry.seed)
+            trace = target.run(entry.atoms)
         except BudgetExceeded:
             if (
                 entry.verdict == STALL_VERDICT

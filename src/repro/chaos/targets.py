@@ -75,10 +75,15 @@ class ChaosTarget(ABC):
     def run(
         self,
         atoms: Schedule,
-        seed: int,
         meter: Optional[BudgetMeter] = None,
     ) -> Trace:
-        """Compile ``atoms`` into an adversary and execute one run."""
+        """Compile ``atoms`` into an adversary and execute one run.
+
+        The run is a pure function of the target and ``atoms``: it takes
+        no seed (a case's seed only *generates* its schedule), and
+        ``meter`` can only raise, never change the trace.  A campaign
+        relies on this to simulate each distinct schedule once.
+        """
 
     @abstractmethod
     def monitors(self, atoms: Schedule) -> List[TraceMonitor]:
@@ -120,7 +125,7 @@ class FloodSetCrashTarget(ChaosTarget):
             rng, n=self.N, rounds=self.ROUNDS, max_crashes=self.T
         )
 
-    def run(self, atoms, seed, meter=None) -> Trace:
+    def run(self, atoms, meter=None) -> Trace:
         return run_synchronous(
             FloodSet(rounds_override=self.ROUNDS),
             self.INPUTS,
@@ -178,7 +183,7 @@ class MobileFloodSetTarget(ChaosTarget):
             rng, n=self.N, rounds=self.ROUNDS, max_per_round=1
         )
 
-    def run(self, atoms, seed, meter=None) -> Trace:
+    def run(self, atoms, meter=None) -> Trace:
         return run_synchronous(
             FloodSet(),
             self.INPUTS,
@@ -230,7 +235,7 @@ class EIGByzantineTarget(ChaosTarget):
             rng, faulty=self.FAULTY, n=self.N, rounds=self.T + 1, max_lies=4
         )
 
-    def run(self, atoms, seed, meter=None) -> Trace:
+    def run(self, atoms, meter=None) -> Trace:
         return run_synchronous(
             EIGByzantine(),
             self.INPUTS,
@@ -273,7 +278,7 @@ class AlternatingBitTarget(ChaosTarget):
     def generate(self, rng: random.Random) -> Schedule:
         return generators.random_channel_atoms(rng)
 
-    def run(self, atoms, seed, meter=None) -> Trace:
+    def run(self, atoms, meter=None) -> Trace:
         return run_datalink(
             AlternatingBitSender(),
             AlternatingBitReceiver(),
@@ -367,7 +372,7 @@ class RacyLockTarget(ChaosTarget):
             rng, min_length=3, max_length=10, width=2
         )
 
-    def run(self, atoms, seed, meter=None) -> Trace:
+    def run(self, atoms, meter=None) -> Trace:
         system = SharedMemorySystem(
             [RacyLockProcess("p0"), RacyLockProcess("p1")],
             {"lock": 0},
@@ -445,7 +450,7 @@ class EagerMajorityTarget(ChaosTarget):
             rng, min_length=4, max_length=12, width=self.N
         )
 
-    def run(self, atoms, seed, meter=None) -> Trace:
+    def run(self, atoms, meter=None) -> Trace:
         system = AsyncConsensusSystem(EagerMajorityProtocol(self.N), self.N)
         return system.run_fair_traced(
             self.INPUTS,
@@ -486,7 +491,7 @@ class LCRRingTarget(ChaosTarget):
             rng, min_length=4, max_length=12, width=2 * len(self.IDENTS)
         )
 
-    def run(self, atoms, seed, meter=None) -> Trace:
+    def run(self, atoms, meter=None) -> Trace:
         idents = self.IDENTS
         return run_async_ring(
             seed=0,

@@ -92,11 +92,8 @@ class _DetectorSim:
         self.leader: List[Optional[int]] = [None] * n
         self.leader_changes = 0
         self.last_change = 0
-        #: in-flight heartbeats: (arrival step, src, dst), kept sorted
-        self.inflight: List[Tuple[int, int, int]] = []
-
-    def _emit(self, actor, kind, payload):
-        self.runtime.emit(kind, actor, payload, time=self.t)
+        #: in-flight heartbeats: arrival step -> [(src, dst), ...]
+        self.arrivals: Dict[int, List[Tuple[int, int]]] = {}
 
     @property
     def done(self) -> bool:
@@ -104,54 +101,63 @@ class _DetectorSim:
 
     def step(self) -> None:
         t = self.t
+        n = self.n
         part = self.partition
-        # 1. deliveries due this step, in (arrival, src, dst) order
-        due = [m for m in self.inflight if m[0] == t]
+        alive = part.alive_mask(t)
+        emit = self.runtime.emit
+        suspects = self.suspects
+        # 1. deliveries due this step, in (src, dst) order
+        due = self.arrivals.pop(t, None)
         if due:
-            self.inflight = [m for m in self.inflight if m[0] != t]
-        for _, src, dst in sorted(due):
-            if part.crashed(t, dst):
-                continue
-            self.last_heard[dst][src] = t
-            if src in self.suspects[dst]:
-                self.suspects[dst].discard(src)
-                if self.adaptive:
-                    self.timeout[dst][src] *= 2
-                self._emit(dst, DECLARE, (TRUST, src))
-                self.last_change = t
+            for src, dst in sorted(due):
+                if not alive >> dst & 1:
+                    continue
+                self.last_heard[dst][src] = t
+                if src in suspects[dst]:
+                    suspects[dst].discard(src)
+                    if self.adaptive:
+                        self.timeout[dst][src] *= 2
+                    emit(DECLARE, dst, (TRUST, src), time=t)
+                    self.last_change = t
         # 2. heartbeat broadcast
         if t % self.heartbeat_every == 0:
-            for p in range(self.n):
-                if part.crashed(t, p):
+            rows = part.reach(t)
+            jitter = self.jitter
+            rng = self.runtime.rng
+            arrivals = self.arrivals
+            for p in range(n):
+                if not alive >> p & 1:
                     continue
-                self._emit(p, SEND, ("hb", t))
-                for q in range(self.n):
-                    if q == p or part.blocked(t, p, q):
+                emit(SEND, p, ("hb", t), time=t)
+                row = rows[p]
+                for q in range(n):
+                    if q == p or not row >> q & 1:
                         continue
-                    delay = 1 + (
-                        self.runtime.rng.randrange(self.jitter + 1)
-                        if self.jitter > 0
-                        else 0
-                    )
-                    self.inflight.append((t + delay, p, q))
+                    delay = 1 + (rng.randrange(jitter + 1) if jitter > 0 else 0)
+                    arrivals.setdefault(t + delay, []).append((p, q))
         # 3. timeout-driven suspicion, then leader recomputation
-        for p in range(self.n):
-            if part.crashed(t, p):
+        leader = self.leader
+        for p in range(n):
+            if not alive >> p & 1:
                 continue
-            for q in range(self.n):
-                if q == p or q in self.suspects[p]:
-                    continue
-                if t - self.last_heard[p][q] > self.timeout[p][q]:
-                    self.suspects[p].add(q)
-                    self._emit(p, DECLARE, (SUSPECT, q))
+            suspected = suspects[p]
+            heard = self.last_heard[p]
+            timeout = self.timeout[p]
+            for q in range(n):
+                if q != p and q not in suspected and (
+                    t - heard[q] > timeout[q]
+                ):
+                    suspected.add(q)
+                    emit(DECLARE, p, (SUSPECT, q), time=t)
                     self.last_change = t
-            trusted = [
-                q for q in range(self.n) if q not in self.suspects[p]
-            ]
-            new_leader = min(trusted) if trusted else p
-            if new_leader != self.leader[p]:
-                self.leader[p] = new_leader
-                self._emit(p, DECLARE, (LEADER, new_leader))
+            for new_leader in range(n):
+                if new_leader not in suspected:
+                    break
+            else:
+                new_leader = p
+            if new_leader != leader[p]:
+                leader[p] = new_leader
+                emit(DECLARE, p, (LEADER, new_leader), time=t)
                 if t > 0:
                     self.leader_changes += 1
                 self.last_change = t

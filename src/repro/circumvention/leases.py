@@ -139,7 +139,10 @@ class _LeaseSim:
     def step(self) -> None:
         t = self.t
         part = self.partition
-        live = [p for p in range(self.n) if not part.crashed(t, p)]
+        # Bit q of rows[p]: a message p->q sent this step arrives.  A
+        # live process always reaches itself, a crashed one nothing.
+        rows = part.reach(t)
+        live = [p for p in range(self.n) if rows[p] >> p & 1]
 
         # 1. Lease requests and quorum promises (same-step RPC, masked
         #    by the partition in both directions).
@@ -148,7 +151,7 @@ class _LeaseSim:
             self._emit(p, SEND, ("lease-request",))
         acks: Dict[int, int] = {p: 0 for p in requesters}
         for q in live:
-            heard = [p for p in requesters if not part.blocked(t, p, q)]
+            heard = [p for p in requesters if rows[p] >> q & 1]
             if not heard:
                 continue
             grantee = min(heard)
@@ -160,7 +163,7 @@ class _LeaseSim:
             ):
                 continue  # a live promise bars conflicting acks
             self.promise[q] = (grantee, t + self.lease_len)
-            if not part.blocked(t, q, grantee):
+            if rows[q] >> grantee & 1:
                 acks[grantee] += 1
         needed = 1 if self.buggy_no_quorum else self.quorum
         for p in requesters:
@@ -171,7 +174,7 @@ class _LeaseSim:
             self.known[p] = lease
             self._emit(p, DECLARE, (LEASE,) + lease)
             for q in live:
-                if q != p and not part.blocked(t, p, q):
+                if q != p and rows[p] >> q & 1:
                     current = self.known[q]
                     if current is None or lease[2] > current[2]:
                         self.known[q] = lease
@@ -197,7 +200,7 @@ class _LeaseSim:
                 value = self.version[p] + 1
                 self.commits += 1
                 for q in live:
-                    if not part.blocked(t, p, q):
+                    if rows[p] >> q & 1:
                         self.version[q] = max(self.version[q], value)
                         self.last_commit[q] = t
                 self._emit(p, OUTPUT, (WRITE_ACK, value))

@@ -47,10 +47,11 @@ DOWN = "down"
 class PartitionAdversary:
     """Compiled form of a partition schedule: O(1) per-step link queries.
 
-    Immutable and stateless across queries, so one instance serves both
-    the simulator (deciding deliveries as it runs) and the post-hoc
-    monitors (re-deciding majority membership from the trace) — the two
-    can never disagree about what the network did.
+    Stateless across queries (its row caches only memoize), so one
+    instance serves both the simulator (deciding deliveries as it runs)
+    and the post-hoc monitors (re-deciding majority membership from the
+    trace) — the two can never disagree about what the network did.
+    Every link query reads one step's :meth:`reach` rows.
     """
 
     def __init__(self, atoms: Iterable[Atom], n: int):
@@ -62,6 +63,11 @@ class PartitionAdversary:
         self._cuts: Dict[int, Set[Tuple[int, int]]] = {}
         # pid -> earliest crash step
         self.crashed_at: Dict[int, int] = {}
+        self._full = (1 << n) - 1
+        # alive mask -> reach rows of a step with no split or cut
+        self._quiet_rows: Dict[int, Tuple[int, ...]] = {}
+        # step -> reach rows of a step with a split or cut
+        self._link_rows: Dict[int, Tuple[int, ...]] = {}
         for atom in self.atoms:
             tag = atom[0]
             if tag == SPLIT:
@@ -77,6 +83,8 @@ class PartitionAdversary:
                     self.crashed_at[pid] = t
             else:
                 raise ValueError(f"unknown partition atom {atom!r}")
+        # steps whose links a split or cut atom touches
+        self._links = set(self._splits) | set(self._cuts)
 
     # -- process liveness --------------------------------------------------
 
@@ -91,27 +99,54 @@ class PartitionAdversary:
     def ever_crashed(self) -> FrozenSet[int]:
         return frozenset(self.crashed_at)
 
+    def alive_mask(self, t: int) -> int:
+        """Bit ``p`` set iff ``pid`` p has not crashed by step ``t``."""
+        mask = self._full
+        for pid, at in self.crashed_at.items():
+            if t >= at:
+                mask &= ~(1 << pid)
+        return mask
+
     # -- link state --------------------------------------------------------
 
-    def blocked(self, t: int, src: int, dst: int) -> bool:
-        """Is a message sent src->dst during step ``t`` destroyed?
+    def reach(self, t: int) -> Tuple[int, ...]:
+        """Per source, the mask of destinations a message sent during
+        step ``t`` reaches: bit ``dst`` of row ``src`` is set iff the
+        network delivers src->dst.
 
         Self-delivery is never blocked by the network (a node always
         hears itself); crashes block everything at either endpoint.
+        Rows are built once per step that carries a split or cut atom;
+        every other step shares one cached row set per alive mask.
         """
-        if self.crashed(t, src) or self.crashed(t, dst):
-            return True
-        if src == dst:
-            return False
-        for mask in self._splits.get(t, ()):
-            if bool(mask >> src & 1) != bool(mask >> dst & 1):
-                return True
-        cuts = self._cuts.get(t)
-        return cuts is not None and (src, dst) in cuts
+        alive = self.alive_mask(t)
+        if t not in self._links:
+            rows = self._quiet_rows.get(alive)
+            if rows is None:
+                rows = self._quiet_rows[alive] = tuple(
+                    alive if alive >> src & 1 else 0 for src in range(self.n)
+                )
+            return rows
+        rows = self._link_rows.get(t)
+        if rows is None:
+            splits = self._splits.get(t, ())
+            cuts = self._cuts.get(t, ())
+            full = self._full
+            built = []
+            for src in range(self.n):
+                row = alive if alive >> src & 1 else 0
+                for mask in splits:
+                    row &= mask if mask >> src & 1 else full & ~mask
+                for a, b in cuts:
+                    if a == src and b != src:
+                        row &= ~(1 << b)
+                built.append(row)
+            rows = self._link_rows[t] = tuple(built)
+        return rows
 
-    def connected(self, t: int, a: int, b: int) -> bool:
-        """Bidirectionally reachable during step ``t`` (both alive)."""
-        return not self.blocked(t, a, b) and not self.blocked(t, b, a)
+    def blocked(self, t: int, src: int, dst: int) -> bool:
+        """Is a message sent src->dst during step ``t`` destroyed?"""
+        return not self.reach(t)[src] >> dst & 1
 
     def majority_connected(self, t: int, pid: int) -> bool:
         """Can ``pid`` currently exchange messages with a strict majority
@@ -120,10 +155,10 @@ class PartitionAdversary:
         The quorum test degraded modes key on: a leader that fails it
         must stop acking writes, whatever lease it still holds.
         """
-        if self.crashed(t, pid):
-            return False
+        rows = self.reach(t)
+        row = rows[pid]
         reach = sum(
-            1 for q in range(self.n) if self.connected(t, pid, q)
+            1 for q in range(self.n) if row >> q & 1 and rows[q] >> pid & 1
         )
         return reach > self.n // 2
 

@@ -71,6 +71,8 @@ SUBSTRATE = "benor-consensus"
 CRASH_ATOM = "crash"
 QUESTION = "?"
 
+_NEVER = float("inf")
+
 
 class BenOrAdversary:
     """Compiled form of a Ben-Or schedule: script indices + crash plan.
@@ -224,6 +226,10 @@ class _BenOrSim:
             for pid in range(n)
         ]
         self.crashed: set = set()
+        #: live processes that have not decided; the run is over at 0
+        self.undecided = n
+        #: the earliest step at which a planned crash is still to happen
+        self.next_crash = min(self.adversary.crash_at.values(), default=_NEVER)
         #: in-flight messages (src, dst, msg), delivery order adversarial.
         #: Crashes are permanent, so a message to a crashed process never
         #: enters (or stays in) the list: every message in it is
@@ -240,12 +246,21 @@ class _BenOrSim:
             if proc.pid in self.crashed:
                 proc.outbox.clear()
                 continue
-            for msg in proc.outbox:
-                self._emit(proc.pid, SEND, msg, phase=msg[1])
-                for dst in range(self.n):
-                    if dst != proc.pid and dst not in self.crashed:
-                        self.flight.append((proc.pid, dst, msg))
-            proc.outbox.clear()
+            self._drain_one(proc)
+
+    def _drain_one(self, proc: BenOrProcess) -> None:
+        """Send a live process's queued messages to every live peer."""
+        outbox = proc.outbox
+        pid = proc.pid
+        crashed = self.crashed
+        peers = [d for d in range(self.n) if d != pid and d not in crashed]
+        emit = self.runtime.emit
+        flight = self.flight
+        k = self.k
+        for msg in outbox:
+            emit(SEND, pid, msg, round=msg[1], time=k)
+            flight.extend([(pid, dst, msg) for dst in peers])
+        outbox.clear()
 
     def _phase_of(self, pid: int) -> int:
         """The phase a process decided in, or its current phase if undecided.
@@ -260,42 +275,53 @@ class _BenOrSim:
         return proc.phase
 
     def _crash_due(self) -> None:
+        if self.k < self.next_crash:
+            return
+        pending = _NEVER
         for pid, when in self.adversary.crash_at.items():
-            if self.k >= when and pid not in self.crashed:
-                self.crashed.add(pid)
-                self._emit(pid, CRASH, ("at", self.k))
-                self.flight = [
-                    (s, d, m) for (s, d, m) in self.flight
-                    if s != pid and d != pid
-                ]
+            if pid in self.crashed:
+                continue
+            if self.k < when:
+                pending = min(pending, when)
+                continue
+            self.crashed.add(pid)
+            if self.processes[pid].decided is None:
+                self.undecided -= 1
+            self._emit(pid, CRASH, ("at", self.k))
+            self.flight = [
+                (s, d, m) for (s, d, m) in self.flight
+                if s != pid and d != pid
+            ]
+        self.next_crash = pending
 
     @property
     def done(self) -> bool:
-        live_undecided = [
-            p
-            for p in range(self.n)
-            if p not in self.crashed and self.processes[p].decided is None
-        ]
-        if not live_undecided:
+        if not self.undecided:
             return True
         return not self.flight or self.k >= self.max_events
 
     def step(self) -> None:
         """One delivery: crashes due now, then one adversarial delivery."""
         self._crash_due()
-        if not self.flight:
+        flight = self.flight
+        if not flight:
             return
-        src, dst, msg = self.flight.pop(
-            self.adversary.schedule(self.k, len(self.flight), self.rng)
+        k = self.k
+        src, dst, msg = flight.pop(
+            self.adversary.schedule(k, len(flight), self.rng)
         )
-        self._emit(dst, DELIVER, (src, msg), phase=msg[1])
-        before = self.processes[dst].decided
-        self.processes[dst].handle(src, msg)
-        after = self.processes[dst].decided
-        if before is None and after is not None:
-            self._emit(dst, DECIDE, after, phase=self._phase_of(dst))
-        self.k += 1
-        self._drain()
+        emit = self.runtime.emit
+        emit(DELIVER, dst, (src, msg), round=msg[1], time=k)
+        proc = self.processes[dst]
+        before = proc.decided
+        proc.handle(src, msg)
+        if before is None and proc.decided is not None:
+            self.undecided -= 1
+            emit(DECIDE, dst, proc.decided, round=self._phase_of(dst), time=k)
+        self.k = k + 1
+        # Only the receiver acted, so only its outbox can be non-empty.
+        if proc.outbox:
+            self._drain_one(proc)
 
     def outcome(self) -> Dict:
         return {

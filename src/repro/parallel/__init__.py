@@ -1,8 +1,8 @@
 """The parallel execution fabric: multiprocess campaigns and sweeps.
 
 Every CPU-bound search in this repository that splits into independent
-cases — chaos campaigns, exhaustive register-protocol enumeration, the
-Ben-Or termination sweep, batches of service queries — is a
+cases — chaos campaigns, the Ben-Or termination sweep, batches of
+service queries — is a
 deterministic function of ``(protocol, inputs, adversary, seed)``
 thanks to the unified runtime's seed plumbing
 (:func:`repro.core.runtime.derive_seed`).  That makes the workloads
@@ -13,9 +13,8 @@ The fabric has two layers:
 
 * :mod:`repro.parallel.pool` — process-pool plumbing on the stdlib only
   (:class:`WorkerPool` over :class:`concurrent.futures.ProcessPoolExecutor`,
-  :func:`resolve_workers`, :func:`split_chunks`);
+  :func:`resolve_workers`);
 * consumers — :func:`repro.chaos.campaign.run_campaign`,
-  :func:`repro.registers.exhaustive.search_register_consensus`,
   :func:`repro.circumvention.randomized.expected_rounds` and
   :class:`repro.service.service.QueryService` all take
   ``workers=N``.
@@ -29,11 +28,10 @@ optimization; it never changes an answer.
 from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    ".pool": ("WorkerPool", "resolve_workers", "split_chunks"),
+    ".pool": ("WorkerPool", "resolve_workers"),
 })
 
 __all__ = [
     "WorkerPool",
     "resolve_workers",
-    "split_chunks",
 ]

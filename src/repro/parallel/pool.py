@@ -30,7 +30,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
     TypeVar,
 )
@@ -61,29 +60,6 @@ def pool_context():
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
     )
-
-
-def split_chunks(items: Sequence[T], chunks: int) -> List[List[T]]:
-    """Split ``items`` into at most ``chunks`` contiguous, ordered chunks.
-
-    Contiguity is what keeps merges deterministic: concatenating the
-    per-chunk results in chunk order reproduces the serial iteration
-    order exactly.  Sizes differ by at most one; empty chunks are
-    dropped.
-    """
-    if chunks < 1:
-        raise ValueError(f"need at least one chunk, got {chunks}")
-    n = len(items)
-    size, remainder = divmod(n, chunks)
-    out: List[List[T]] = []
-    cursor = 0
-    for i in range(chunks):
-        width = size + (1 if i < remainder else 0)
-        if width == 0:
-            continue
-        out.append(list(items[cursor:cursor + width]))
-        cursor += width
-    return out
 
 
 def _run_chunk(fn: Callable[[T], R], batch: List[T]) -> List[R]:
@@ -137,6 +113,7 @@ class WorkerPool:
         items: Iterable[T],
         window: Optional[int] = None,
         chunk: int = 1,
+        inline: Optional[Callable[[T], bool]] = None,
     ) -> Iterator[Tuple[T, R]]:
         """Apply ``fn`` to a (possibly unbounded) stream, yielding
         ``(item, result)`` pairs in submission order.
@@ -153,7 +130,9 @@ class WorkerPool:
 
         At ``workers=1`` this degenerates to a plain generator loop with
         zero fabric overhead, so serial and parallel callers share one
-        code path.
+        code path.  Items for which ``inline`` returns True are never
+        submitted: the parent applies ``fn`` to them itself, in their
+        place in the order (for items whose result is already known).
         """
         items = iter(items)
         if self._executor is None:
@@ -171,21 +150,27 @@ class WorkerPool:
             batch = list(itertools.islice(items, chunk))
             if not batch:
                 return False
-            pending.append(
-                (batch, self._executor.submit(_run_chunk, fn, batch))
+            local = [inline is not None and inline(item) for item in batch]
+            remote = [item for item, here in zip(batch, local) if not here]
+            future = (
+                self._executor.submit(_run_chunk, fn, remote)
+                if remote
+                else None
             )
+            pending.append((batch, local, future))
             return True
 
         for _ in range(window):
             if not submit_next():
                 break
         while pending:
-            batch, future = pending.popleft()
-            results = future.result()
+            batch, local, future = pending.popleft()
+            results = iter(future.result() if future is not None else ())
             # Refill before yielding so workers stay busy while the
             # parent folds this chunk.
             submit_next()
-            yield from zip(batch, results)
+            for item, here in zip(batch, local):
+                yield item, fn(item) if here else next(results)
 
     def shutdown(self) -> None:
         if self._executor is not None:

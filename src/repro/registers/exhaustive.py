@@ -26,7 +26,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.budget import Budget, BudgetExceeded
 from ..impossibility.certificate import ImpossibilityCertificate
-from ..parallel.pool import WorkerPool, resolve_workers, split_chunks
 from ..shared_memory.variables import Access, read, write
 from .herlihy import (
     ObjectConsensusProtocol,
@@ -353,96 +352,10 @@ class RegisterSearchOutcome:
     resume_at: int = 0
 
 
-def _check_program_range(args: Tuple) -> Tuple:
-    """Worker shard: model-check candidates ``lo <= index < hi``.
-
-    Rebuilds the (cheap, deterministic) subtree table and returns an
-    order-preserving census for its contiguous index range, so the
-    parent can merge shards by simple concatenation/summing.
-    """
-    depth, lo, hi = args
-    table = SubtreeTable(depth)
-    solo_bound = depth + 2
-    solutions: List[Program] = []
-    census = {"agreement": 0, "validity": 0, "wait_freedom": 0}
-    candidates = table.candidates[lo:hi]
-    for nid in candidates:
-        kind = table.verdict(nid, solo_bound)
-        if kind == "solution":
-            solutions.append(table.program_of(nid))
-        elif kind in census:
-            census[kind] += 1
-        else:
-            census["wait_freedom"] += 1
-    return (len(candidates), solutions, census)
-
-
-def _search_register_consensus_sharded(
-    depth: int,
-    budget: Optional[Budget],
-    resume: Optional[RegisterSearchOutcome],
-    workers: int,
-) -> RegisterSearchOutcome:
-    """The ``workers > 1`` search: contiguous index ranges, ordered merge.
-
-    The executed prefix is decided up front by charging the budget meter
-    in candidate order (so ``resume_at`` matches serial for step-capped
-    budgets); the candidate range is then split into contiguous shards
-    whose censuses merge by addition and whose solutions concatenate in
-    index order — identical to the serial census.
-    """
-    start = resume.resume_at if resume is not None else 0
-    solutions: List[Program] = list(resume.solutions) if resume else []
-    agreement = resume.agreement_failures if resume else 0
-    validity = resume.validity_failures if resume else 0
-    wait_freedom = resume.wait_freedom_failures if resume else 0
-    total = resume.candidates if resume else 0
-    meter = budget.meter("register-consensus-search") if budget else None
-
-    stop = count_programs(depth)
-    interrupted = False
-    end = stop
-    if meter is not None:
-        for index in range(start, stop):
-            try:
-                meter.charge_steps()
-            except BudgetExceeded:
-                end = index
-                interrupted = True
-                break
-
-    indices = list(range(start, end))
-    if indices:
-        ranges = [
-            (depth, chunk[0], chunk[-1] + 1)
-            for chunk in split_chunks(indices, workers * 4)
-        ]
-        with WorkerPool(workers) as pool:
-            shards = pool.map(_check_program_range, ranges, chunksize=1)
-        for checked, shard_solutions, census in shards:
-            total += checked
-            solutions.extend(shard_solutions)
-            agreement += census["agreement"]
-            validity += census["validity"]
-            wait_freedom += census["wait_freedom"]
-
-    return RegisterSearchOutcome(
-        depth=depth,
-        candidates=total,
-        solutions=solutions,
-        agreement_failures=agreement,
-        validity_failures=validity,
-        wait_freedom_failures=wait_freedom,
-        complete=not interrupted,
-        resume_at=end if interrupted else 0,
-    )
-
-
 def search_register_consensus(
     depth: int = 2,
     budget: Optional[Budget] = None,
     resume: Optional[RegisterSearchOutcome] = None,
-    workers=1,
 ) -> RegisterSearchOutcome:
     """Model-check every program in the class; collect the failure census.
 
@@ -451,17 +364,7 @@ def search_register_consensus(
     it returns the census so far with ``complete=False`` and
     ``resume_at`` set to the first unchecked candidate; pass that outcome
     back as ``resume`` to continue where it stopped, accumulating counts.
-
-    ``workers=N`` shards candidate checking across N worker processes
-    (:mod:`repro.parallel`); the census, solutions list and resume
-    cursor are identical to a serial search (wall-clock budgets
-    excepted — they are timing dependent in any mode).
     """
-    nworkers = resolve_workers(workers)
-    if nworkers > 1:
-        return _search_register_consensus_sharded(
-            depth, budget, resume, nworkers
-        )
     start = resume.resume_at if resume is not None else 0
     solutions: List[Program] = list(resume.solutions) if resume else []
     agreement = resume.agreement_failures if resume else 0
@@ -508,7 +411,7 @@ def search_register_consensus(
 
 
 def register_consensus_certificate(
-    depth: int = 2, store=None, workers=1
+    depth: int = 2, store=None
 ) -> ImpossibilityCertificate:
     """Certify: no program in the class solves wait-free 2-consensus.
 
@@ -529,7 +432,7 @@ def register_consensus_certificate(
         key = register_search_key(depth)
         payload = store.get(key)
     if payload is None:
-        outcome = search_register_consensus(depth, workers=workers)
+        outcome = search_register_consensus(depth)
         payload = register_outcome_payload(outcome)
         if store is not None:
             store.put(key, payload)

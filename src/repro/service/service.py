@@ -29,8 +29,7 @@ by key fingerprint; :meth:`~QueryService.drain` (or any handle's
 first and fanning the remaining misses out across the PR-4
 :class:`~repro.parallel.pool.WorkerPool` when the service was built with
 ``workers > 1``.  A single serial miss instead threads ``workers`` into
-the engine itself, so one big register search or campaign shards
-internally.  The service's :class:`~repro.core.budget.Budget` is
+the engine itself, so one big campaign shards internally.  The service's :class:`~repro.core.budget.Budget` is
 threaded into every live fallback that accepts one.
 """
 
@@ -259,7 +258,7 @@ def _handle_register_search(
     from ..registers.exhaustive import search_register_consensus
 
     outcome = search_register_consensus(
-        depth=params.get("depth", 2), budget=budget, workers=workers
+        depth=params.get("depth", 2), budget=budget
     )
     return register_outcome_payload(outcome), outcome.complete
 

@@ -75,7 +75,7 @@ def _scripted(target, seed: int) -> Trace:
     """
     import random
 
-    return target.run(tuple(target.generate(random.Random(seed))), seed=seed)
+    return target.run(tuple(target.generate(random.Random(seed))))
 
 
 def _lcr_ring_scripted() -> Trace:
@@ -116,7 +116,7 @@ def _peterson_round_robin() -> Trace:
 
 
 def _racy_lock_interleaving() -> Trace:
-    return RacyLockTarget().run((0, 1, 0, 1, 0, 1, 0, 1), seed=0)
+    return RacyLockTarget().run((0, 1, 0, 1, 0, 1, 0, 1))
 
 
 def _eager_majority_scripted() -> Trace:

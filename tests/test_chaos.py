@@ -31,7 +31,7 @@ from repro.chaos import (
     write_counterexample,
 )
 from repro.chaos.__main__ import main as chaos_main
-from repro.chaos.campaign import DEFAULT_PER_RUN_BUDGET, _shrink_case
+from repro.chaos.campaign import DEFAULT_PER_RUN_BUDGET, _RunMemo, _shrink_case
 from repro.core.budget import Budget
 from repro.core.runtime import ReplayError, derive_seed
 
@@ -96,7 +96,7 @@ class TestShrinking:
         for cx in report.counterexamples:
             assert len(cx.shrunk) <= len(cx.atoms)
             target = registry[cx.target]
-            trace = target.run(cx.shrunk, cx.seed)
+            trace = target.run(cx.shrunk)
             assert target.violations(trace, cx.shrunk), (
                 f"shrunk schedule for {cx.target} no longer violates"
             )
@@ -111,7 +111,7 @@ class TestShrinking:
             )
             for i in range(len(cx.shrunk)):
                 candidate = cx.shrunk[:i] + cx.shrunk[i + 1:]
-                trace = target.run(candidate, cx.seed)
+                trace = target.run(candidate)
                 assert not target.violations(trace, candidate), (
                     f"{target_name}: atom {i} of the shrunk schedule is "
                     "deletable — shrinker stopped early"
@@ -140,7 +140,7 @@ class TestShrinking:
     def test_seed_and_schedule_rederive_fingerprint(self, report):
         registry = target_registry()
         for cx in report.counterexamples:
-            fresh = registry[cx.target].run(cx.shrunk, cx.seed)
+            fresh = registry[cx.target].run(cx.shrunk)
             assert fresh.fingerprint() == cx.fingerprint
 
 
@@ -149,33 +149,38 @@ class CountingRacyLock(RacyLockTarget):
 
     runs = 0
 
-    def run(self, atoms, seed, meter=None):
+    def run(self, atoms, meter=None):
         self.runs += 1
-        return super().run(atoms, seed, meter=meter)
+        return super().run(atoms, meter=meter)
 
 
 def _violating_case(target):
     for index in range(100):
         seed = derive_seed(MASTER_SEED, target.name, index)
         atoms = target.generate(random.Random(seed))
-        if target.violations(target.run(atoms, seed), atoms):
+        if target.violations(target.run(atoms), atoms):
             return atoms, seed
     raise AssertionError(f"no violating case for {target.name}")
 
 
 class TestShrinkRuns:
-    """A shrink runs the target once per check, plus once only when no
-    check was accepted: the accepted check's trace is the result's."""
+    """A shrink runs the target once per check the campaign's run memo
+    cannot answer, plus once only when no check was accepted: the
+    accepted check's trace is the result's.  A shrink that ends at a
+    known exemplar's schedule runs nothing more and returns it."""
 
     def test_shrunk_schedule_is_not_run_again(self):
         target = CountingRacyLock()
         atoms, seed = _violating_case(target)
         target.runs = 0
-        cx = _shrink_case(target, atoms, seed, 0, DEFAULT_PER_RUN_BUDGET, 256)
+        memo = _RunMemo()
+        cx = _shrink_case(target, atoms, seed, 0, DEFAULT_PER_RUN_BUDGET, 256,
+                          memo=memo, exemplars={})
         assert cx.shrunk != atoms
         assert target.runs == cx.shrink_checks
+        assert len(memo) == cx.shrink_checks
         assert cx.replay_verified
-        fresh = target.run(cx.shrunk, seed)
+        fresh = target.run(cx.shrunk)
         assert fresh.fingerprint() == cx.fingerprint
         assert target.violations(fresh, cx.shrunk)[0] == cx.violation
 
@@ -183,13 +188,32 @@ class TestShrinkRuns:
         target = CountingRacyLock()
         atoms, seed = _violating_case(target)
         shrunk = _shrink_case(
-            target, atoms, seed, 0, DEFAULT_PER_RUN_BUDGET, 256
+            target, atoms, seed, 0, DEFAULT_PER_RUN_BUDGET, 256,
+            memo=_RunMemo(), exemplars={},
         ).shrunk
         target.runs = 0
-        cx = _shrink_case(target, shrunk, seed, 0, DEFAULT_PER_RUN_BUDGET, 256)
+        cx = _shrink_case(target, shrunk, seed, 0, DEFAULT_PER_RUN_BUDGET, 256,
+                          memo=_RunMemo(), exemplars={})
         assert cx.shrunk == shrunk
         assert target.runs == cx.shrink_checks + 1
         assert cx.replay_verified
+
+    def test_shrink_to_a_known_exemplar_runs_nothing(self):
+        target = CountingRacyLock()
+        atoms, seed = _violating_case(target)
+        memo = _RunMemo()
+        exemplars = {}
+        first = _shrink_case(target, atoms, seed, 0, DEFAULT_PER_RUN_BUDGET,
+                             256, memo=memo, exemplars=exemplars)
+        exemplars[(target.name, first.shrunk)] = first
+        target.runs = 0
+        again = _shrink_case(target, first.shrunk, seed, 1,
+                             DEFAULT_PER_RUN_BUDGET, 256, memo=memo,
+                             exemplars=exemplars)
+        # Every check of the minimal schedule's neighbours was already
+        # made by the first shrink, and its result is the exemplar.
+        assert again is first
+        assert target.runs == 0
 
 
 class TestShrinkSchedule:
@@ -271,7 +295,7 @@ class _ExplodingTarget(ChaosTarget):
     def generate(self, rng):
         return (rng.randrange(4),)
 
-    def run(self, atoms, seed, meter=None):
+    def run(self, atoms, meter=None):
         raise RuntimeError("simulator bug")
 
     def monitors(self, atoms):

@@ -108,14 +108,14 @@ class TestDetectorProperties:
 
     def test_monitor_clean_on_golden_schedule(self):
         target = HeartbeatDetectorTarget()
-        trace = target.run(DETECTOR_ATOMS, seed=0)
+        trace = target.run(DETECTOR_ATOMS)
         assert target.violations(trace, DETECTOR_ATOMS) == []
 
     def test_planted_detector_flaps_on_empty_schedule(self):
         # Adaptation off, timeout below the heartbeat interval: the
         # leader flaps forever — the counterexample needs *zero* atoms.
         target = UnstableDetectorTarget()
-        trace = target.run((), seed=0)
+        trace = target.run(())
         monitors = [v.monitor for v in target.violations(trace, ())]
         assert "leader-stability" in monitors
 
@@ -199,7 +199,7 @@ class TestQuorumLeases:
         rng = random.Random(seed)
         target = QuorumLeaseTarget()
         atoms = target.generate(rng)
-        trace = target.run(atoms, seed)
+        trace = target.run(atoms)
         assert target.violations(trace, atoms) == []
 
     def test_buggy_lease_split_election_double_grants(self):
@@ -207,7 +207,7 @@ class TestQuorumLeases:
         atoms = (("split", 0, 0b0011),)
         target = BuggyLeaseTarget()
         monitors = [
-            v.monitor for v in target.violations(target.run(atoms, 0), atoms)
+            v.monitor for v in target.violations(target.run(atoms), atoms)
         ]
         assert "lease-safety" in monitors
 

@@ -180,7 +180,7 @@ ALLOWLIST = {
     "registers.exhaustive:ProgramConsensus": INTERNAL,
     "registers.exhaustive:RegisterSearchOutcome": INTERNAL,
     "registers.exhaustive:SubtreeTable": INTERNAL,
-    "registers.exhaustive:count_programs": INTERNAL,
+    "registers.exhaustive:count_programs": CONSTRUCTION,
     "registers.exhaustive:enumerate_programs": CONSTRUCTION,
     "registers.herlihy:CasConsensus": INTERNAL,
     "registers.herlihy:QueueConsensus2": INTERNAL,

@@ -1,8 +1,7 @@
 """The parallel fabric's headline guarantee: workers never change answers.
 
-Every consumer of :mod:`repro.parallel` — sharded chaos campaigns and
-the sharded register search — must produce results *bit-identical* to
-its serial twin, including under budget overdrafts and across resume
+Every consumer of :mod:`repro.parallel` — sharded chaos campaigns —
+must produce results *bit-identical* to its serial twin, including under budget overdrafts and across resume
 boundaries.  Hypothesis drives the equivalence over seeds, shard widths
 and roster subsets; fixed-seed tests pin the budget and resume paths; a
 subprocess test proves the whole pipeline is independent of
@@ -25,7 +24,7 @@ from repro.chaos.targets import (
     default_targets,
 )
 from repro.core.budget import Budget
-from repro.parallel import WorkerPool, resolve_workers, split_chunks
+from repro.parallel import WorkerPool, resolve_workers
 from repro.registers.exhaustive import search_register_consensus
 
 
@@ -51,14 +50,6 @@ def test_resolve_workers():
     assert resolve_workers("auto") >= 1
     with pytest.raises(ValueError):
         resolve_workers(-2)
-
-
-@given(st.lists(st.integers(), max_size=40), st.integers(1, 8))
-def test_split_chunks_partitions_in_order(items, chunks):
-    parts = split_chunks(items, chunks)
-    assert [x for part in parts for x in part] == items
-    assert all(part for part in parts)
-    assert len(parts) <= chunks
 
 
 def test_worker_pool_serial_fallback_runs_in_process():
@@ -128,25 +119,18 @@ def test_campaign_budget_fanin_and_resume_match_serial():
 
 
 # ---------------------------------------------------------------------------
-# Sharded register search == serial register search
+# Budgeted and resumed register search == full register search
 
 
 def test_register_search_equivalence_full_and_budgeted():
     serial = search_register_consensus(depth=1)
-    assert search_register_consensus(depth=1, workers=3) == serial
 
     budget = Budget(max_steps=20)
     part_serial = search_register_consensus(depth=1, budget=budget)
-    part_sharded = search_register_consensus(depth=1, budget=budget, workers=4)
     assert not part_serial.complete and part_serial.resume_at == 20
-    assert part_sharded == part_serial
 
     rest_serial = search_register_consensus(depth=1, resume=part_serial)
-    rest_sharded = search_register_consensus(
-        depth=1, resume=part_sharded, workers=2
-    )
     assert rest_serial == serial
-    assert rest_sharded == serial
 
 
 # ---------------------------------------------------------------------------

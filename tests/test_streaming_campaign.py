@@ -359,7 +359,7 @@ class TestMobileFaults:
         atoms = tuple(
             ("mute", rnd, 0) for rnd in range(1, target.ROUNDS + 1)
         )
-        trace = target.run(atoms, seed=0)
+        trace = target.run(atoms)
         violations = target.violations(trace, atoms)
         assert any(v.monitor == "agreement" for v in violations)
         assert all(v.monitor != "bounded-staleness" for v in violations)
@@ -378,7 +378,7 @@ class TestMobileFaults:
             if monitor.fully_muted():
                 continue  # the impossible side; agreement may break there
             checked += 1
-            trace = target.run(atoms, seed=0)
+            trace = target.run(atoms)
             assert target.violations(trace, atoms) == []
         assert checked > 50
 
