@@ -18,8 +18,8 @@ from repro.asynchronous import (
     QuorumVote,
     WaitForAll,
     flp_analysis,
-    termination_statistics,
 )
+from repro.circumvention import expected_rounds
 from repro.impossibility import StallingAdversary, ValencyAnalyzer
 from repro.asynchronous import AsyncConsensusSystem
 
@@ -56,6 +56,8 @@ def test_e6_stalling_adversary(benchmark):
 
 
 def test_e6_ben_or_circumvents(benchmark):
-    stats = benchmark(lambda: termination_statistics(4, 1, trials=40))
-    record(benchmark, **stats)
-    assert stats["decided_fraction"] >= 0.9
+    sweep = benchmark(lambda: expected_rounds(40, master_seed=0))
+    record(benchmark, trials=sweep.trials,
+           termination_rate=sweep.termination_rate,
+           mean_rounds=sweep.mean_rounds, worst_rounds=sweep.worst_rounds)
+    assert sweep.ok(min_termination=0.9)

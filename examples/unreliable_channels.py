@@ -9,11 +9,8 @@ quantifies exactly how far each delivered message gets you.
     python examples/unreliable_channels.py
 """
 
-from repro.asynchronous import (
-    HandshakeProtocol,
-    run_dls,
-    two_generals_certificate,
-)
+from repro.asynchronous import HandshakeProtocol, two_generals_certificate
+from repro.circumvention import blackout_atoms, run_gst_consensus
 from repro.datalink import (
     AlternatingBitReceiver,
     AlternatingBitSender,
@@ -57,9 +54,12 @@ def main() -> None:
           f"believes done: {attack.details['bounded_sender_done']}")
 
     print("\n-- And the constructive coda: partial synchrony (DLS) --")
-    outcome = run_dls(4, 1, [0, 1, 1, 0], gst_phase=3, seed=7)
+    # Every link dark until round 2, then synchrony.
+    outcome = run_gst_consensus(
+        blackout_atoms(2, 4), 7, inputs=(0, 1, 1, 0), t=1
+    )
     print(f"  consensus decided {set(outcome.decisions.values())} in "
-          f"{outcome.phases_run} phases once the network stabilized — "
+          f"{outcome.rounds} rounds once the network stabilized — "
           "weakening the problem, not the proof, is the way out.")
 
 

@@ -1,16 +1,13 @@
 """Asynchronous message-passing systems (survey §2.2.4, §2.2.6).
 
 The FLP model and its valency analysis, the Two Generals chain argument,
-Ben-Or's randomized escape, the sessions time bound, and network
-synchronizers.
+the sessions time bound, and network synchronizers.  The escapes from FLP
+(Ben-Or's coins, partial synchrony) live in :mod:`repro.circumvention`.
 """
 
 from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    ".benor": (
-        "BenOrProcess", "BenOrResult", "run_ben_or", "termination_statistics",
-    ),
     ".flp": (
         "ALL_CANDIDATES", "FirstMessageWins", "FLPReport", "QuorumVote",
         "WaitForAll", "flp_analysis", "flp_certificate",
@@ -24,7 +21,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "SynchronizerOutcome", "run_alpha_synchronizer",
         "run_beta_synchronizer", "tradeoff_comparison",
     ),
-    ".partial_synchrony": ("DLSResult", "run_dls", "safety_sweep"),
     ".global_snapshot": (
         "SnapshotOutcome", "conservation_series", "run_token_snapshot",
     ),
@@ -57,10 +53,6 @@ __all__ = [
     "FLPReport",
     "flp_analysis",
     "flp_certificate",
-    "BenOrProcess",
-    "BenOrResult",
-    "run_ben_or",
-    "termination_statistics",
     "TwoGeneralsProtocol",
     "TwoGeneralsRun",
     "HandshakeProtocol",
@@ -97,7 +89,4 @@ __all__ = [
     "SnapshotOutcome",
     "run_token_snapshot",
     "conservation_series",
-    "DLSResult",
-    "run_dls",
-    "safety_sweep",
 ]

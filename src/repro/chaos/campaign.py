@@ -64,14 +64,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..core.artifacts import AtomicLineWriter
 from ..core.budget import Budget, BudgetExceeded
-from ..core.runtime import (
-    ReplayError,
-    Trace,
-    _decode_value,
-    _encode_value,
-    derive_seed,
-    replay,
-)
+from ..core.canonical import decode, encode
+from ..core.runtime import ReplayError, Trace, derive_seed, replay
 from ..parallel.pool import WorkerPool, resolve_workers
 from .corpus import (
     CorpusEntry,
@@ -112,7 +106,9 @@ class CaseResult:
 
     ``fingerprint`` is the executed trace's fingerprint — the
     behavioural-coverage signal — empty when no trace was produced
-    (CRASH, BUDGET_EXCEEDED).
+    (CRASH, BUDGET_EXCEEDED).  ``own_budget`` marks a BUDGET_EXCEEDED
+    raised by the target's own step budget rather than the per-case
+    meter: such an overdraft is a function of the schedule alone.
     """
 
     target: str
@@ -122,6 +118,7 @@ class CaseResult:
     violations: Tuple[Violation, ...] = ()
     error: str = ""
     fingerprint: str = ""
+    own_budget: bool = field(default=False, compare=False, repr=False)
 
 
 @dataclass
@@ -307,9 +304,10 @@ class CampaignReport:
 # Case execution (worker side)
 # ---------------------------------------------------------------------------
 
-#: A run's monitored outcome: its violations and its trace fingerprint
-#: (empty when only the violations are known).
-KnownRun = Tuple[Tuple[Violation, ...], str]
+#: A run's monitored outcome: its violations, its trace fingerprint
+#: (empty when only the violations are known) and, for a run that
+#: overdrew the target's own budget, the overdraft's error text.
+KnownRun = Tuple[Tuple[Violation, ...], str, str]
 
 #: One planned case: everything a worker needs to execute it from
 #: scratch — ``(target, index, seed, atoms, per_run_budget, known)``.
@@ -323,9 +321,11 @@ PlanItem = Tuple[
 class _RunMemo:
     """The outcomes of the ``(target, schedule)`` runs a campaign made.
 
-    Only completed runs (PASS or VIOLATION) are kept: a CRASH or
-    BUDGET_EXCEEDED error names the per-case meter, so those cases
-    always run.  Shrink checks record violations alone (no
+    Completed runs (PASS or VIOLATION) are kept, and so are overdrafts
+    of the target's own step budget (an expect-stall target's
+    ``STALL_BUDGET``), whose error text names only the target.  A CRASH
+    or an overdraft of the per-case meter, whose error names the case,
+    always runs.  Shrink checks record violations alone (no
     fingerprint), which answers a later check but not a case.  At most
     :data:`RUN_MEMO_CAP` entries are kept, oldest evicted first.
     """
@@ -352,12 +352,13 @@ class _RunMemo:
         atoms: Tuple,
         violations: Tuple[Violation, ...],
         fingerprint: str = "",
+        stall: str = "",
     ) -> None:
         key = (target, atoms)
         known = self._runs.get(key)
         if known is not None and (known[1] or not fingerprint):
             return
-        self._runs[key] = (violations, fingerprint)
+        self._runs[key] = (violations, fingerprint, stall)
         if len(self._runs) > RUN_MEMO_CAP:
             del self._runs[next(iter(self._runs))]
 
@@ -371,7 +372,12 @@ def _execute_case(item: PlanItem) -> CaseResult:
     """
     target, index, seed, atoms, per_run_budget, known = item
     if known is not None:
-        violations, fingerprint = known
+        violations, fingerprint, stall = known
+        if stall:
+            return CaseResult(
+                target.name, index, seed, BUDGET_EXCEEDED,
+                error=stall, fingerprint=fingerprint,
+            )
         return CaseResult(
             target.name,
             index,
@@ -400,6 +406,7 @@ def _execute_case(item: PlanItem) -> CaseResult:
         return CaseResult(
             target.name, index, seed, BUDGET_EXCEEDED,
             error=str(exc), fingerprint=fingerprint,
+            own_budget=exc.context == target.name,
         )
     except Exception as exc:
         # Fault isolation: one broken run is a verdict, not a campaign abort.
@@ -512,7 +519,8 @@ class CampaignFold:
     * a behavioural **coverage** map of trace fingerprints, sized by
       distinct behaviours, not cases;
     * optional **corpus** persistence of every novel-coverage schedule;
-    * a capped **run memo** of completed ``(target, schedule)`` runs,
+    * a capped **run memo** of completed ``(target, schedule)`` runs
+      and of overdrafts of a target's own step budget,
       which the planner reads to fold repeat cases without running them
       and the shrinker reads before each check;
     * shrunk counterexample **exemplars**, deduplicated three ways: a
@@ -590,6 +598,10 @@ class CampaignFold:
         if known is None and result.verdict in (PASS, VIOLATION):
             self.memo.remember(
                 target, atoms, result.violations, result.fingerprint
+            )
+        elif known is None and result.own_budget:
+            self.memo.remember(
+                target, atoms, (), result.fingerprint, result.error
             )
         novel = bool(result.fingerprint) and self.coverage.observe(
             result.target, result.fingerprint
@@ -952,8 +964,8 @@ def report_to_payload(report: CampaignReport) -> Dict:
                 "target": cx.target,
                 "index": cx.index,
                 "seed": cx.seed,
-                "atoms": _encode_value(tuple(cx.atoms)),
-                "shrunk": _encode_value(tuple(cx.shrunk)),
+                "atoms": encode(tuple(cx.atoms)),
+                "shrunk": encode(tuple(cx.shrunk)),
                 "violation": _violation_to_payload(cx.violation),
                 "fingerprint": cx.fingerprint,
                 "shrink_checks": cx.shrink_checks,
@@ -1006,8 +1018,8 @@ def report_from_payload(payload: Dict) -> CampaignReport:
                 target=c["target"],
                 index=c["index"],
                 seed=c["seed"],
-                atoms=tuple(_decode_value(c["atoms"])),
-                shrunk=tuple(_decode_value(c["shrunk"])),
+                atoms=tuple(decode(c["atoms"])),
+                shrunk=tuple(decode(c["shrunk"])),
                 violation=_violation_from_payload(c["violation"]),
                 trace=trace,
                 fingerprint=c["fingerprint"],
@@ -1053,8 +1065,8 @@ def write_counterexample(cx: Counterexample, directory: str) -> str:
         "target": cx.target,
         "index": cx.index,
         "seed": cx.seed,
-        "atoms": _encode_value(tuple(cx.atoms)),
-        "shrunk": _encode_value(tuple(cx.shrunk)),
+        "atoms": encode(tuple(cx.atoms)),
+        "shrunk": encode(tuple(cx.shrunk)),
         "violation": {
             "monitor": cx.violation.monitor,
             "description": cx.violation.description,
@@ -1100,7 +1112,7 @@ def reproduce(
     if meta["target"] not in registry:
         raise ReplayError(f"unknown chaos target {meta['target']!r}")
     target = registry[meta["target"]]
-    shrunk = tuple(_decode_value(meta["shrunk"]))
+    shrunk = tuple(decode(meta["shrunk"]))
     saved = Trace.from_jsonl("\n".join(lines[1:]) + "\n")
     if saved.fingerprint() != meta["fingerprint"]:
         raise ReplayError(

@@ -45,13 +45,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.budget import BudgetExceeded
+from ..core.canonical import canonical_json, decode, encode
 from ..core.errors import ReproError
-from ..service.keys import (
-    QueryKey,
-    canonical_json,
-    decode_canonical,
-    encode_canonical,
-)
+from ..service.keys import QueryKey
 from ..service.store import SegmentLog
 from .targets import ChaosTarget, Schedule, target_registry
 
@@ -72,7 +68,7 @@ def stall_fingerprint(atoms: Schedule) -> str:
     across processes and machines — which is what lets expect-stall
     corpus entries replay as first-class regression cases.
     """
-    canonical = canonical_json(encode_canonical(tuple(atoms)))
+    canonical = canonical_json(encode(tuple(atoms)))
     return "stall:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -98,7 +94,7 @@ class CorpusEntry:
             "schema": CORPUS_SCHEMA,
             "target": self.target,
             "trace_fingerprint": self.trace_fingerprint,
-            "atoms": encode_canonical(tuple(self.atoms)),
+            "atoms": encode(tuple(self.atoms)),
             "seed": self.seed,
             "verdict": self.verdict,
         }
@@ -112,7 +108,7 @@ class CorpusEntry:
         return cls(
             target=payload["target"],
             trace_fingerprint=payload["trace_fingerprint"],
-            atoms=tuple(decode_canonical(payload["atoms"])),
+            atoms=tuple(decode(payload["atoms"])),
             seed=int(payload["seed"]),
             verdict=payload["verdict"],
         )

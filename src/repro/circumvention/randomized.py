@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.budget import Budget, BudgetMeter
+from ..core.errors import ModelError
 from ..core.runtime import (
     CRASH,
     DECIDE,
@@ -215,6 +216,10 @@ class _BenOrSim:
             inputs = tuple(i % 2 for i in range(n))
         self.inputs = tuple(1 if v else 0 for v in inputs)
         self.n = n = len(self.inputs)
+        if 2 * t >= n:
+            raise ModelError(
+                f"Ben-Or consensus needs n > 2t, got n={n}, t={t}"
+            )
         self.runtime = SimulationRuntime(
             SUBSTRATE, "ben-or" + ("-biased-coin" if biased_coin else ""), seed
         )
@@ -371,7 +376,12 @@ def run_ben_or_traced(
     resume: Optional[BenOrRun] = None,
 ) -> BenOrRun:
     """Run (or resume) one Ben-Or consensus simulation; ``meter``,
-    ``budget`` and ``resume`` follow :func:`~repro.core.runtime.drive`."""
+    ``budget`` and ``resume`` follow :func:`~repro.core.runtime.drive`.
+
+    ``inputs`` gives one input per process (``n`` counts the processes
+    only when it is None); a system without ``n > 2t`` raises
+    :class:`~repro.core.errors.ModelError`.
+    """
     atoms = tuple(atoms)
     inputs = None if inputs is None else tuple(inputs)
     return drive(

@@ -83,9 +83,11 @@ class frozendict(Mapping):
         return NotImplemented
 
     def __repr__(self):
-        items = ", ".join(f"{k!r}: {v!r}" for k, v in sorted(
-            self._data.items(), key=lambda kv: repr(kv[0])))
-        return "frozendict({" + items + "})"
+        # Entries in canonical order (repro.core.canonical imports this
+        # module, hence the late import).
+        from .canonical import frozendict_text
+
+        return frozendict_text(self._data)
 
     def set(self, key, value) -> "frozendict":
         """Return a copy of this mapping with ``key`` bound to ``value``."""

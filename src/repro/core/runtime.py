@@ -13,7 +13,8 @@ trace.  This module is the shared kernel they now all route through:
   ``(step, actor, kind, payload, round, time)`` every substrate emits.
   A :class:`Trace` carries the substrate name, protocol name, seed and
   outcome summary, and has a stable :meth:`~Trace.fingerprint` so
-  "byte-identical run" is a checkable proposition.
+  "byte-identical run" is a checkable proposition.  Values are written
+  down by the canonical codec (:mod:`repro.core.canonical`).
 
 * :class:`FaultAdversary` — one adversary protocol subsuming the
   crash/omission/Byzantine adversaries of the synchronous model, the
@@ -38,7 +39,8 @@ trace.  This module is the shared kernel they now all route through:
   replayable through it.
 
 * :func:`derive_seed` / :func:`spawn_rng` — stable seed derivation
-  (independent of ``PYTHONHASHSEED``) for sub-processes and child RNGs.
+  (independent of ``PYTHONHASHSEED``, through the canonical codec) for
+  sub-processes and child RNGs.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from typing import (
 )
 
 from .budget import Budget, BudgetExceeded
+from . import canonical
 from .errors import ReproError
 
 # ---------------------------------------------------------------------------
@@ -168,37 +171,6 @@ class ReplayDivergence(ReplayError):
         )
 
 
-# -- JSON-safe payload encoding ---------------------------------------------
-#
-# Trace payloads are arbitrary hashables built from tuples, frozensets and
-# scalars.  JSON has neither tuples nor frozensets, so both are encoded as
-# single-key tagged objects and decoded back to the exact original type —
-# which is what makes a saved counterexample's fingerprint verifiable.
-
-def _encode_value(value):
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, tuple):
-        return {"t": [_encode_value(v) for v in value]}
-    if isinstance(value, frozenset):
-        return {"fs": [_encode_value(v) for v in sorted(value, key=repr)]}
-    raise TypeError(
-        f"cannot serialize trace payload of type {type(value).__name__}: {value!r}"
-    )
-
-
-def _decode_value(value):
-    if isinstance(value, dict):
-        if set(value) == {"t"}:
-            return tuple(_decode_value(v) for v in value["t"])
-        if set(value) == {"fs"}:
-            return frozenset(_decode_value(v) for v in value["fs"])
-        raise ValueError(f"unknown tagged value {value!r}")
-    if isinstance(value, list):
-        raise ValueError(f"bare JSON array in trace payload: {value!r}")
-    return value
-
-
 class TraceEvent(NamedTuple):
     """One event of a simulation run, in the shared schema.
 
@@ -279,16 +251,21 @@ class Trace:
     # -- identity ---------------------------------------------------------
 
     def canonical_bytes(self) -> bytes:
-        """A canonical byte encoding of the identity fields."""
-        parts = [
-            repr((self.substrate, self.protocol, self.seed)),
-            repr(self.outcome),
-        ]
-        parts.extend(repr(e.key()) for e in self.events)
-        return "\n".join(parts).encode("utf-8")
+        """The identity fields as canonical text: one
+        :func:`~repro.core.canonical.text` line for the header, one for
+        the outcome and one per event."""
+        return canonical.lines(
+            [(self.substrate, self.protocol, self.seed), self.outcome,
+             *map(tuple, self.events)]
+        ).encode("utf-8")
 
     def fingerprint(self) -> str:
-        """A stable digest: equal fingerprints <=> byte-identical runs."""
+        """A stable digest: equal fingerprints <=> byte-identical runs.
+
+        Holds because :meth:`canonical_bytes` is a function of the
+        values alone (:mod:`repro.core.canonical`): equal traces get
+        equal bytes whatever order their sets were built in.
+        """
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
     @property
@@ -302,9 +279,11 @@ class Trace:
     def to_jsonl(self) -> str:
         """Serialize to JSON Lines: one header line, then one line per event.
 
-        Payloads built from tuples, frozensets and scalars round-trip
-        exactly; the header records the fingerprint so
-        :meth:`from_jsonl` can verify the reload is byte-identical.
+        Payloads in the canonical value domain (scalars, tuples,
+        frozensets, frozendicts) round-trip exactly through
+        :func:`~repro.core.canonical.encode`; the header records the
+        fingerprint so :meth:`from_jsonl` can verify the reload is
+        byte-identical.
         This is how shrunk chaos counterexamples are saved as CI
         artifacts and re-verified later.
         """
@@ -313,7 +292,7 @@ class Trace:
             "substrate": self.substrate,
             "protocol": self.protocol,
             "seed": self.seed,
-            "outcome": _encode_value(self.outcome),
+            "outcome": canonical.encode(self.outcome),
             "fingerprint": self.fingerprint(),
         }
         lines = [json.dumps(header, sort_keys=True)]
@@ -322,9 +301,9 @@ class Trace:
                 json.dumps(
                     {
                         "step": e.step,
-                        "actor": _encode_value(e.actor),
+                        "actor": canonical.encode(e.actor),
                         "kind": e.kind,
-                        "payload": _encode_value(e.payload),
+                        "payload": canonical.encode(e.payload),
                         "round": e.round,
                         "time": e.time,
                     },
@@ -358,9 +337,9 @@ class Trace:
             events.append(
                 TraceEvent(
                     step=raw["step"],
-                    actor=_decode_value(raw["actor"]),
+                    actor=canonical.decode(raw["actor"]),
                     kind=raw["kind"],
-                    payload=_decode_value(raw["payload"]),
+                    payload=canonical.decode(raw["payload"]),
                     round=raw["round"],
                     time=raw["time"],
                 )
@@ -370,7 +349,7 @@ class Trace:
             protocol=header["protocol"],
             seed=header["seed"],
             events=tuple(events),
-            outcome=_decode_value(header["outcome"]),
+            outcome=canonical.decode(header["outcome"]),
         )
         recorded = header.get("fingerprint")
         if verify and recorded != trace.fingerprint():
@@ -395,9 +374,11 @@ def derive_seed(*components: Hashable) -> int:
 
     Unlike ``hash()``, this is independent of ``PYTHONHASHSEED`` and of
     the process, so per-process sub-seeds derived from a master seed are
-    reproducible across runs and machines.
+    reproducible across runs and machines: the digest is taken over the
+    components' canonical :func:`~repro.core.canonical.text`, which
+    writes sets in a fixed member order.
     """
-    digest = hashlib.sha256(repr(components).encode("utf-8")).digest()
+    digest = hashlib.sha256(canonical.text(components).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
 
 

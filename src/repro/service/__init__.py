@@ -20,8 +20,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".keys": (
-        "KEY_SCHEMA", "QueryKey", "canonical_json", "decode_canonical",
-        "encode_canonical", "payload_fingerprint",
+        "KEY_SCHEMA", "QueryKey", "canonical_json", "payload_fingerprint",
     ),
     ".service": (
         "QUERY_KINDS", "Answer", "PendingQuery", "QueryService",
@@ -48,9 +47,7 @@ __all__ = [
     "canonical_json",
     "certificate_from_flp_payload",
     "certificate_from_register_payload",
-    "decode_canonical",
     "detector_run_key",
-    "encode_canonical",
     "flp_key",
     "flp_report_payload",
     "gst_run_key",

@@ -4,15 +4,9 @@ Everything the engines produce is a deterministic function of
 ``(protocol, inputs, adversary, seed)`` — so a *request* for a result is
 fully described by a query kind plus its canonicalized parameters, and
 the sha256 of that canonical form is a content address for the answer.
-This module owns both halves:
-
-* :func:`encode_canonical` / :func:`decode_canonical` — a JSON-safe,
-  bijective encoding of the frozen-value vocabulary the engines speak
-  (scalars, tuples, frozensets, :class:`~repro.core.freeze.frozendict`).
-  It extends the tagged encoding :meth:`Trace.to_jsonl` uses (``{"t":
-  ...}`` for tuples, ``{"fs": ...}`` for frozensets) with ``{"fd": ...}``
-  for frozendicts, so any interned automaton state or configuration
-  round-trips exactly.
+Values are written down by the canonical codec
+(:mod:`repro.core.canonical`: tagged JSON, set members and mapping keys
+in canonical order); this module builds the store's identities on it:
 
 * :class:`QueryKey` — ``(kind, params)`` in canonical form with a stable
   :meth:`~QueryKey.fingerprint`, the same sha256-of-canonical-bytes idiom
@@ -32,130 +26,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Tuple
 
-from ..core.freeze import frozendict, intern_frozen
+from ..core.canonical import canonical_json, decode, encode
 
 KEY_SCHEMA = "repro-query-key/v1"
-
-
-def encode_canonical(value: Any) -> Any:
-    """Encode a frozen value into JSON-native, canonically ordered form.
-
-    Scalars pass through; tuples and lists become ``{"t": [...]}``,
-    frozensets and sets ``{"fs": [...]}`` (sorted by repr — the same
-    canonical order :mod:`repro.core.runtime` uses), frozendicts and
-    dicts ``{"fd": [[k, v], ...]}`` sorted by key repr.  Anything else
-    is a :class:`TypeError` — an unencodable request parameter should
-    fail loudly at key construction, never produce an unstable key.
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (tuple, list)):
-        return {"t": [encode_canonical(v) for v in value]}
-    if isinstance(value, (frozenset, set)):
-        return {"fs": [encode_canonical(v) for v in sorted(value, key=repr)]}
-    if isinstance(value, (frozendict, dict)):
-        return {
-            "fd": [
-                [encode_canonical(k), encode_canonical(value[k])]
-                for k in sorted(value, key=repr)
-            ]
-        }
-    raise TypeError(
-        f"cannot canonicalize value of type {type(value).__name__}: {value!r}"
-    )
-
-
-#: JSON scalar types, which :func:`decode_canonical` returns unchanged
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-#: Scalar types whose equal values of one type encode alike
-_FLAT = frozenset({str, int, bool, type(None)})
-
-
-def _encodes_alike(canonical: Any, value: Any) -> bool:
-    """Whether two equal frozen values also encode alike.  Equality
-    conflates ``1``, ``True`` and ``1.0`` (and ``0.0`` with ``-0.0``), so
-    the interned instance equal to a decoded value may not be it."""
-    if canonical is value:
-        return True
-    kind = type(value)
-    if type(canonical) is not kind:
-        return False
-    if kind is tuple:
-        for x, y in zip(canonical, value):
-            if x is not y and (
-                type(x) is not type(y)
-                or type(y) not in _FLAT and not _encodes_alike(x, y)
-            ):
-                return False
-        return True
-    if kind is frozenset:
-        types = set(map(type, value))
-        if _FLAT.issuperset(types):
-            # Of two equal flat scalars only a bool and an int differ.
-            return types == set(map(type, canonical)) and (
-                bool not in types
-                or {x for x in value if type(x) is bool}
-                == {x for x in canonical if type(x) is bool}
-            )
-        match = {item: item for item in canonical}
-        return all(_encodes_alike(match[item], item) for item in value)
-    if kind is frozendict:
-        match = {k: k for k in canonical}
-        return all(
-            _encodes_alike(match[k], k) and _encodes_alike(canonical[k], v)
-            for k, v in value.items()
-        )
-    if kind is float:
-        return repr(canonical) == repr(value)
-    return kind in _FLAT
-
-
-def decode_canonical(value: Any) -> Any:
-    """Invert :func:`encode_canonical`, producing interned frozen values.
-
-    Tuples, frozensets and frozendicts come back as the canonical
-    (hash-consed) instances via :func:`~repro.core.freeze.intern_frozen`,
-    so a decoded state table shares identity with live exploration — a
-    reloaded graph probes sets exactly as a freshly built one does.  The
-    decoding is type-exact: where the canonical instance is equal but
-    not alike (``(0, True)`` for ``(0, 1)``), the decoded value comes
-    back un-interned, so it always re-encodes to the same bytes.
-    """
-    if type(value) in _SCALARS:
-        return value
-    if isinstance(value, dict):
-        if len(value) == 1:
-            ((tag, items),) = value.items()
-            if tag == "t" or tag == "fs":
-                # Scalar items (most of them) skip the recursive call.
-                decoded = [
-                    v if type(v) in _SCALARS else decode_canonical(v)
-                    for v in items
-                ]
-                value = tuple(decoded) if tag == "t" else frozenset(decoded)
-            elif tag == "fd":
-                value = frozendict(
-                    (decode_canonical(k), decode_canonical(v))
-                    for k, v in items
-                )
-            else:
-                raise ValueError(f"unknown tagged value {value!r}")
-            canonical = intern_frozen(value)
-            return canonical if _encodes_alike(canonical, value) else value
-        raise ValueError(f"unknown tagged value {value!r}")
-    if isinstance(value, list):
-        raise ValueError(f"bare JSON array in canonical encoding: {value!r}")
-    return value
-
-
-def canonical_json(payload: Any) -> str:
-    """Canonical JSON text of a JSON-native payload (sorted keys, tight
-    separators) — byte-stable across processes and dict orders."""
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    )
 
 
 def payload_fingerprint(payload: Any) -> str:
@@ -183,7 +56,7 @@ class QueryKey:
     def make(cls, kind: str, **params: Any) -> "QueryKey":
         encoded = tuple(
             sorted(
-                (name, canonical_json(encode_canonical(value)))
+                (name, canonical_json(encode(value)))
                 for name, value in params.items()
             )
         )
@@ -193,12 +66,12 @@ class QueryKey:
         """Decode one parameter back to its frozen value."""
         for key, text in self.params:
             if key == name:
-                return decode_canonical(json.loads(text))
+                return decode(json.loads(text))
         return default
 
     def params_dict(self) -> Dict[str, Any]:
         """Every parameter, decoded (frozen values)."""
-        return {name: decode_canonical(json.loads(text))
+        return {name: decode(json.loads(text))
                 for name, text in self.params}
 
     def describe(self) -> Mapping[str, Any]:

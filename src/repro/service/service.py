@@ -45,8 +45,9 @@ from ..circumvention.gst import run_gst_consensus
 from ..circumvention.leases import run_quorum_lease
 from ..circumvention.randomized import run_ben_or_traced
 from ..core.budget import Budget
+from ..core.canonical import decode, encode, text
 from ..parallel.pool import WorkerPool, resolve_workers
-from .keys import QueryKey, decode_canonical, encode_canonical
+from .keys import QueryKey
 from .store import CertificateStore
 
 
@@ -91,7 +92,7 @@ def campaign_key(
 
 
 def _items(mapping: Dict) -> Any:
-    return encode_canonical(tuple(sorted(mapping.items())))
+    return encode(tuple(sorted(mapping.items())))
 
 
 #: One row per circumvention run kind: the engine, and the store payload
@@ -104,13 +105,13 @@ _RUNS: Dict[str, Tuple[Callable, Callable[[Any], Dict[str, Any]]]] = {
         "last_change": run.last_change,
     }),
     "lease-run": (run_quorum_lease, lambda run: {
-        "leases": encode_canonical(run.leases),
+        "leases": encode(run.leases),
         "commits": run.commits,
     }),
     "benor-run": (run_ben_or_traced, lambda run: {
         "decisions": _items(run.decisions),
         "phases": _items(run.phases),
-        "crashed": encode_canonical(run.crashed),
+        "crashed": encode(run.crashed),
         "events": run.events,
         "agreement": run.agreement,
         "validity": run.validity,
@@ -119,7 +120,7 @@ _RUNS: Dict[str, Tuple[Callable, Callable[[Any], Dict[str, Any]]]] = {
         "decisions": _items(run.decisions),
         "rounds": run.rounds,
         "gst": run.gst,
-        "crashed": encode_canonical(run.crashed),
+        "crashed": encode(run.crashed),
     }),
 }
 
@@ -185,14 +186,14 @@ def flp_report_payload(report) -> Dict[str, Any]:
         "protocol": report.protocol_name,
         "n": report.n,
         "failure_mode": report.failure_mode,
-        "bivalent_initial_inputs": encode_canonical(
+        "bivalent_initial_inputs": encode(
             report.bivalent_initial_inputs
         ),
         "blocking_crash": report.blocking_crash,
         "initial_valencies": [
             [
-                encode_canonical(inputs),
-                [encode_canonical(v) for v in sorted(valency, key=repr)],
+                encode(inputs),
+                [encode(v) for v in sorted(valency, key=text)],
             ]
             for inputs, valency in report.initial_valencies
         ],
@@ -233,8 +234,8 @@ def _handle_valency(
     payload = {
         "protocol": protocol.name,
         "n": n,
-        "inputs": encode_canonical(inputs),
-        "valency": [encode_canonical(v) for v in sorted(valency, key=repr)],
+        "inputs": encode(inputs),
+        "valency": [encode(v) for v in sorted(valency, key=text)],
         "bivalent": len(valency) >= 2,
     }
     return payload, True
@@ -245,7 +246,7 @@ def register_outcome_payload(outcome) -> Dict[str, Any]:
     return {
         "depth": outcome.depth,
         "candidates": outcome.candidates,
-        "solutions": [encode_canonical(p) for p in outcome.solutions],
+        "solutions": [encode(p) for p in outcome.solutions],
         "agreement_failures": outcome.agreement_failures,
         "validity_failures": outcome.validity_failures,
         "wait_freedom_failures": outcome.wait_freedom_failures,
@@ -497,13 +498,13 @@ def certificate_from_flp_payload(payload: Dict[str, Any]):
         technique="bivalence",
         details={
             "failure_mode": payload["failure_mode"],
-            "bivalent_initial_inputs": decode_canonical(
+            "bivalent_initial_inputs": decode(
                 payload["bivalent_initial_inputs"]
             ),
             "initial_valencies": [
                 (
-                    list(decode_canonical(inputs)),
-                    [decode_canonical(v) for v in valency],
+                    list(decode(inputs)),
+                    [decode(v) for v in valency],
                 )
                 for inputs, valency in payload["initial_valencies"]
             ],

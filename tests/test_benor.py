@@ -1,74 +1,102 @@
 """Ben-Or randomized consensus: safety on every seed, liveness w.p. 1.
 
-The legacy ``run_ben_or`` surface is now an adapter over the runtime
-engine (:mod:`repro.circumvention.randomized`), so the first half keeps
-the seed-era assertions verbatim; the second half exercises the engine
-directly through ``(atoms, seed)`` coordinates — hypothesis properties
-for agreement/validity on every seed, byte-identical replay, and
-bit-identical expected-round sweeps at any worker count.
+Everything runs on the runtime engine (:mod:`repro.circumvention.
+randomized`).  The first half checks seeded schedules, crash plans as
+``("crash", event, pid)`` atoms, the decision rate over mixed inputs
+with a crash, and the engine's fault contract; the second half
+exercises ``(atoms, seed)`` coordinates directly — hypothesis
+properties for agreement/validity on every seed, byte-identical replay,
+and bit-identical expected-round sweeps at any worker count.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.asynchronous import run_ben_or, termination_statistics
 from repro.circumvention import expected_rounds, run_ben_or_traced
 from repro.core import ModelError
 from repro.core.runtime import replay
+
+#: an event cap far past any terminating run's length
+MAX_EVENTS = 200_000
+
+
+def _live(run):
+    return [p for p in run.decisions if p not in run.crashed]
 
 
 class TestSafety:
     @pytest.mark.parametrize("seed", range(15))
     def test_agreement_under_random_schedules(self, seed):
-        result = run_ben_or(3, 1, [0, 1, seed % 2], seed=seed)
-        assert result.agreement
+        run = run_ben_or_traced(
+            (), seed, t=1, inputs=(0, 1, seed % 2), max_events=MAX_EVENTS
+        )
+        assert run.agreement
 
     @pytest.mark.parametrize("seed", range(10))
     def test_agreement_with_crash(self, seed):
-        result = run_ben_or(
-            5, 2, [0, 1, 0, 1, 1], seed=seed,
-            crash_plan={4: 3 * seed, 3: 7 * seed + 1},
+        atoms = (("crash", 7 * seed + 1, 3), ("crash", 3 * seed, 4))
+        run = run_ben_or_traced(
+            atoms, seed, t=2, inputs=(0, 1, 0, 1, 1), max_events=MAX_EVENTS
         )
-        assert result.agreement
+        assert run.agreement
 
     def test_validity_unanimous_inputs(self):
         for v in (0, 1):
-            result = run_ben_or(4, 1, [v] * 4, seed=9)
-            assert result.validity
-            live = [p for p in range(4) if p not in result.crashed]
-            assert all(result.decisions[p] == v for p in live)
+            run = run_ben_or_traced(
+                (), 9, t=1, inputs=(v,) * 4, max_events=MAX_EVENTS
+            )
+            assert run.validity
+            assert all(run.decisions[p] == v for p in _live(run))
 
     def test_unanimous_decides_in_first_phase(self):
-        result = run_ben_or(4, 1, [1, 1, 1, 1], seed=3)
-        live = [p for p in range(4) if p not in result.crashed]
-        assert all(result.phases[p] == 1 for p in live)
+        run = run_ben_or_traced(
+            (), 3, t=1, inputs=(1, 1, 1, 1), max_events=MAX_EVENTS
+        )
+        assert all(run.phases[p] == 1 for p in _live(run))
 
 
 class TestLiveness:
     def test_high_decision_rate(self):
-        stats = termination_statistics(4, 1, trials=30)
-        assert stats["decided_fraction"] >= 0.9
+        """Mixed inputs, the last process crashing at a varying event:
+        nearly every seeded run still decides."""
+        trials = 30
+        decided = 0
+        for trial in range(trials):
+            inputs = tuple((trial + i) % 2 for i in range(4))
+            run = run_ben_or_traced(
+                (("crash", 10 * (trial % 5), 3),), trial, t=1,
+                inputs=inputs, max_events=MAX_EVENTS,
+            )
+            decided += all(run.decisions[p] is not None for p in _live(run))
+        assert decided / trials >= 0.9
 
     def test_reproducible(self):
-        a = run_ben_or(3, 1, [0, 1, 1], seed=42)
-        b = run_ben_or(3, 1, [0, 1, 1], seed=42)
+        a = run_ben_or_traced((), 42, t=1, inputs=(0, 1, 1))
+        b = run_ben_or_traced((), 42, t=1, inputs=(0, 1, 1))
         assert a.decisions == b.decisions
         assert a.events == b.events
 
     def test_different_seeds_vary_schedule(self):
-        events = {run_ben_or(3, 1, [0, 1, 1], seed=s).events for s in range(6)}
+        events = {
+            run_ben_or_traced((), s, t=1, inputs=(0, 1, 1)).events
+            for s in range(6)
+        }
         assert len(events) > 1
 
 
 class TestContract:
     def test_rejects_overpowered_adversary(self):
-        with pytest.raises(ModelError):
-            run_ben_or(3, 1, [0, 1, 1], crash_plan={0: 1, 1: 2})
+        """Crash atoms past the fault bound ``t`` are not honoured."""
+        atoms = (("crash", 1, 0), ("crash", 2, 1))
+        run = run_ben_or_traced(atoms, 0, t=1, inputs=(0, 1, 1))
+        assert run.crashed == (0,)
+        assert run.agreement
 
     def test_rejects_wrong_input_count(self):
+        """The inputs fix ``n``: two of them cannot tolerate ``t = 1``."""
         with pytest.raises(ModelError):
-            run_ben_or(3, 1, [0, 1])
+            run_ben_or_traced((), 0, n=3, t=1, inputs=(0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ artifacts must equal the reference's at ``workers=1`` and ``2``.
 
 import json
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.chaos import campaign as campaign_module
 from repro.chaos.campaign import (
+    BUDGET_EXCEEDED,
     DEFAULT_PER_RUN_BUDGET,
     CampaignFold,
     report_to_payload,
@@ -53,6 +55,17 @@ class CountingRacyLock(RacyLockTarget):
         return super().run(atoms, meter=meter)
 
 
+class CountingSuspicion(AdversarialSuspicionTarget):
+    """The expect-stall suspicion target, counting the runs made in this
+    process."""
+
+    runs = 0
+
+    def run(self, atoms, meter=None):
+        type(self).runs += 1
+        return super().run(atoms, meter=meter)
+
+
 class ExplodingTarget(ChaosTarget):
     name = "exploding"
     substrate = "test"
@@ -79,7 +92,8 @@ POOL = (
 )
 
 #: ``None``, the default, and budgets that overdraw some detector,
-#: lease and ring runs (BUDGET_EXCEEDED cases, never memoized).
+#: lease and ring runs (BUDGET_EXCEEDED cases, never memoized) and,
+#: below the stall target's own budget, its runs too.
 BUDGETS = (None, DEFAULT_PER_RUN_BUDGET, Budget(max_steps=120),
            Budget(max_steps=40))
 
@@ -204,3 +218,41 @@ def test_memo_hits_fold_with_their_own_coordinates(workers):
     )
     expected = reference_campaign([UnstableDetectorTarget()], 12, 5)
     assert report.results == expected.results
+
+
+@pytest.mark.parametrize(
+    "budget, memoized",
+    # The target's own STALL_BUDGET (120 steps) overdraws first: its
+    # overdraft names only the target, so a repeat is folded unrun.  A
+    # 40-step per-case meter overdraws first: its error names the case,
+    # so every repeat runs.
+    [(None, True), (Budget(max_steps=40), False)],
+)
+def test_only_own_budget_stalls_are_memoized(budget, memoized):
+    CountingSuspicion.runs = 0
+    expected = reference_campaign(
+        [CountingSuspicion()], 30, 1, per_run_budget=budget, shrink=False
+    )
+    CountingSuspicion.runs = 0
+    report = run_campaign(
+        targets=[CountingSuspicion()], runs=30, master_seed=1,
+        per_run_budget=budget, shrink=False,
+    )
+    assert report.results == expected.results
+    assert [r.error for r in report.results] == [
+        r.error for r in expected.results
+    ]
+    schedules = [
+        tuple(CountingSuspicion().generate(random.Random(r.seed)))
+        for r in report.results
+    ]
+    stalls = [
+        atoms for atoms, r in zip(schedules, report.results)
+        if r.verdict == BUDGET_EXCEEDED
+    ]
+    assert len(set(stalls)) < len(stalls)  # some stall schedules repeat
+    if memoized:
+        assert CountingSuspicion.runs == len(set(schedules))
+    else:
+        completed = set(schedules) - set(stalls)
+        assert CountingSuspicion.runs == len(completed) + len(stalls)

@@ -47,14 +47,11 @@ PACKAGE_INIT = (
 
 ALLOWLIST = {
     "_lazy:lazy_exports": PACKAGE_INIT,
-    "asynchronous.benor:BenOrResult": INTERNAL,
-    "asynchronous.benor:run_ben_or": INTERNAL,
     "asynchronous.flp:FLPReport": INTERNAL,
     "asynchronous.global_snapshot:SnapshotOutcome": INTERNAL,
     "asynchronous.global_snapshot:run_token_snapshot": INTERNAL,
     "asynchronous.network:ConfigurationCodec": INTERNAL,
     "asynchronous.network:FairRun": INTERNAL,
-    "asynchronous.partial_synchrony:DLSResult": INTERNAL,
     "asynchronous.sessions:SessionsOutcome": INTERNAL,
     "asynchronous.sessions:ring_diameter": INTERNAL,
     "asynchronous.synchronizer:SynchronizerOutcome": INTERNAL,
@@ -88,6 +85,7 @@ ALLOWLIST = {
     "circumvention.gst:GSTRun": INTERNAL,
     "circumvention.gst:SuspicionOracle": INTERNAL,
     "circumvention.leases:LeaseRun": INTERNAL,
+    "circumvention.randomized:BenOrProcess": INTERNAL,
     "circumvention.randomized:BenOrRun": INTERNAL,
     "circumvention.randomized:RoundSweep": INTERNAL,
     "clocks.logical:Computation": INTERNAL,

@@ -106,10 +106,12 @@ class TestPartialSynchronyProperty:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.integers(0, 1))
     def test_dls_unanimous_validity(self, seed, v):
-        from repro.asynchronous import run_dls
+        from repro.chaos.generators import random_gst_atoms
+        from repro.circumvention import run_gst_consensus
 
-        result = run_dls(4, 1, [v] * 4, gst_phase=3, seed=seed)
-        decided = {d for d in result.decisions.values() if d is not None}
+        atoms = random_gst_atoms(random.Random(seed), n=4)
+        run = run_gst_consensus(atoms, seed, inputs=(v,) * 4, t=1)
+        decided = {d for d in run.decisions.values() if d is not None}
         assert decided <= {v}
 
 

@@ -140,28 +140,43 @@ _HASHSEED_PROBE = """\
 import json
 from repro.chaos.campaign import run_campaign
 from repro.chaos.targets import FloodSetCrashTarget, LCRRingTarget
+from repro.core.runtime import Trace, TraceEvent, derive_seed
+from repro.service.keys import QueryKey
 
 report = run_campaign(
     targets=[FloodSetCrashTarget(), LCRRingTarget()],
     runs=6, master_seed=0, shrink_checks=16, workers=2,
 )
+letters = frozenset("abcdefgh")
+nested = frozenset({frozenset({"x", "y"}), frozenset("z"), ("w", letters)})
+trace = Trace("probe", "string-set", 0, (TraceEvent(0, "p", "send", letters),))
 print(json.dumps({
     "verdicts": [r.verdict for r in report.results],
     "seeds": [r.seed for r in report.results],
     "counterexamples": [cx.trace.fingerprint() for cx in report.counterexamples],
+    "string_set_trace": trace.fingerprint(),
+    "string_set_seed": derive_seed(letters, "probe"),
+    "nested_set_key": QueryKey.make("probe", value=nested).fingerprint(),
 }, sort_keys=True))
+print("".join(letters))
 """
 
 
 def test_campaign_independent_of_pythonhashseed(tmp_path):
-    """The same sharded campaign under three hash seeds, three processes.
+    """The same sharded campaign under four hash seeds, four processes.
 
     ``derive_seed`` is sha256-based and every ordering the fabric relies
     on is explicit, so set-iteration scrambling from a different
     ``PYTHONHASHSEED`` must not leak into verdicts, seeds or artifacts.
+    The canonical codec writes sets in a fixed member order, so a trace
+    carrying a set of strings, a seed derived from one and a store key
+    holding nested sets do not move either — while the probe's last
+    line, the raw iteration order of that string set, shows the hash
+    seeds did scramble it.
     """
     outputs = set()
-    for hashseed in ("0", "1", "31337"):
+    orders = set()
+    for hashseed in ("0", "1", "2", "31337"):
         env = dict(os.environ)
         env["PYTHONHASHSEED"] = hashseed
         proc = subprocess.run(
@@ -172,5 +187,8 @@ def test_campaign_independent_of_pythonhashseed(tmp_path):
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        outputs.add(proc.stdout)
+        result, order = proc.stdout.splitlines()
+        outputs.add(result)
+        orders.add(order)
     assert len(outputs) == 1, "campaign output varies with PYTHONHASHSEED"
+    assert len(orders) > 1, "the hash seeds never reordered the string set"

@@ -1,84 +1,121 @@
 """Partial-synchrony consensus (§2.2.4, DLS [46]).
 
-The legacy ``run_dls`` surface is now an adapter over the GST engine
-(:mod:`repro.circumvention.gst`), so the first half keeps the seed-era
-assertions verbatim; the second half drives the engine directly through
-``("gst", g)`` / ``("delay", r, link, d)`` adversary atoms — hypothesis
-safety on every seed, byte-identical replay, and the provable pre-GST
-stall exiting via a structured :class:`~repro.core.budget.BudgetExceeded`
-receipt.
+Everything runs on the GST engine (:mod:`repro.circumvention.gst`).
+The first half checks runs under seeded pre-GST message loss, GST at a
+fixed round and crashes as ``("down", 0, pid)`` atoms, and the engine's
+fault contract; the second half drives ``("gst", g)`` / ``("delay", r,
+link, d)`` adversary atoms directly —
+hypothesis safety on every seed, byte-identical replay, and the provable
+pre-GST stall exiting via a structured
+:class:`~repro.core.budget.BudgetExceeded` receipt.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.asynchronous import run_dls, safety_sweep
 from repro.circumvention import blackout_atoms, run_gst_consensus
 from repro.core import ModelError
 from repro.core.budget import Budget, BudgetExceeded
 from repro.core.runtime import replay
 
+#: rounds a run may take
+MAX_ROUNDS = 40
+
+
+def lossy_run(inputs, t, seed, gst=None, crashed=()):
+    """DLS consensus under seeded loss: before round ``gst`` (never, for
+    ``None``) each directed link's message is delayed past its round with
+    probability 1/2; ``crashed`` processes are down from round 0."""
+    n = len(inputs)
+    rng = random.Random(seed)
+    atoms = [] if gst is None else [("gst", gst)]
+    atoms += [
+        ("delay", r, (src, dst), 1)
+        for r in range(MAX_ROUNDS if gst is None else gst)
+        for src in range(n)
+        for dst in range(n)
+        if src != dst and rng.random() < 0.5
+    ]
+    atoms += [("down", 0, pid) for pid in sorted(crashed)]
+    return run_gst_consensus(
+        atoms, seed, inputs=inputs, t=t, max_rounds=MAX_ROUNDS
+    )
+
+
+def live_decisions(run):
+    return [v for p, v in run.decisions.items() if p not in run.crashed]
+
+
+def agreement(run):
+    return len({v for v in live_decisions(run) if v is not None}) <= 1
+
+
+def all_live_decided(run):
+    return None not in live_decisions(run)
+
 
 class TestSafety:
     def test_sweep_finds_no_violations(self):
-        stats = safety_sweep(n=4, t=1, seeds=range(30))
-        assert stats["agreement_violations"] == 0
+        for seed in range(30):
+            inputs = tuple((seed + i) % 2 for i in range(4))
+            assert agreement(lossy_run(inputs, 1, seed))
+            assert agreement(lossy_run(inputs, 1, seed, gst=3))
 
     @pytest.mark.parametrize("seed", range(15))
     def test_safety_without_stabilization(self, seed):
         """Never-GST runs may not decide, but never disagree."""
-        result = run_dls(4, 1, [0, 1, 1, 0], gst_phase=None, seed=seed)
-        assert result.agreement
+        assert agreement(lossy_run((0, 1, 1, 0), 1, seed))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.tuples(*[st.integers(0, 1)] * 5))
     def test_safety_property(self, seed, inputs):
-        result = run_dls(5, 2, list(inputs), gst_phase=None, seed=seed)
-        assert result.agreement
+        assert agreement(lossy_run(inputs, 2, seed))
 
 
 class TestLiveness:
     @pytest.mark.parametrize("seed", range(10))
     def test_decides_after_gst(self, seed):
-        result = run_dls(4, 1, [0, 1, 1, 0], gst_phase=3, seed=seed)
-        assert result.all_live_decided
-        assert result.agreement
+        run = lossy_run((0, 1, 1, 0), 1, seed, gst=2)
+        assert all_live_decided(run)
+        assert agreement(run)
 
     def test_decides_despite_crashes(self):
-        result = run_dls(5, 2, [1, 1, 0, 0, 1], gst_phase=4, seed=2,
-                         crashed=[4, 3])
-        assert result.all_live_decided
-        assert result.agreement
+        run = lossy_run((1, 1, 0, 0, 1), 2, 2, gst=3, crashed=(4, 3))
+        assert all_live_decided(run)
+        assert agreement(run)
 
     def test_crashed_coordinator_is_rotated_past(self):
         """Crashing process 0 (the first coordinator) only delays things."""
-        result = run_dls(5, 2, [1, 0, 1, 0, 1], gst_phase=2, seed=9,
-                         crashed=[0])
-        assert result.all_live_decided
+        run = lossy_run((1, 0, 1, 0, 1), 2, 9, gst=1, crashed=(0,))
+        assert all_live_decided(run)
 
     def test_decision_is_prompt_after_gst(self):
-        result = run_dls(4, 1, [1, 1, 0, 0], gst_phase=3, seed=1)
+        gst, n = 2, 4
+        run = lossy_run((1, 1, 0, 0), 1, 1, gst=gst)
         # Within a coordinator rotation of GST.
-        assert result.phases_run <= 3 + 4
+        assert run.rounds <= gst + 1 + n
 
 
 class TestValidity:
     @pytest.mark.parametrize("v", [0, 1])
     def test_unanimous_inputs_decide_that_value(self, v):
-        result = run_dls(4, 1, [v] * 4, gst_phase=2, seed=3)
-        decided = {d for d in result.decisions.values() if d is not None}
-        assert decided == {v}
+        run = lossy_run((v,) * 4, 1, 3, gst=1)
+        assert {d for d in run.decisions.values() if d is not None} == {v}
 
 
 class TestContract:
     def test_requires_majority_correct(self):
         with pytest.raises(ModelError):
-            run_dls(4, 2, [0, 1, 0, 1])
+            run_gst_consensus((), 0, inputs=(0, 1, 0, 1), t=2)
 
     def test_rejects_too_many_crashes(self):
-        with pytest.raises(ModelError):
-            run_dls(4, 1, [0, 1, 0, 1], crashed=[0, 1])
+        """Down atoms past the fault bound ``t`` are not honoured."""
+        run = lossy_run((0, 1, 0, 1), 1, 0, gst=1, crashed=(0, 1))
+        assert run.crashed == (0,)
+        assert all_live_decided(run)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Three layers under test.  :mod:`repro.service.keys`: canonical request
 fingerprints are stable across construction order and container flavor,
-and the tagged value encoding round-trips the frozen vocabulary exactly.
+and the tagged value encoding (:mod:`repro.core.canonical`) round-trips
+the frozen vocabulary exactly.
 :mod:`repro.service.store`: every flavor of damage — truncation, garbage,
 a bit-flipped result, an entry filed under the wrong key — degrades to a
 counted miss, never a wrong answer, and concurrent/interrupted writers
@@ -14,15 +15,10 @@ import os
 
 import pytest
 
+from repro.core.canonical import canonical_json, decode, encode
 from repro.core.freeze import frozendict, intern_frozen
 from repro.core.runtime import FingerprintMismatch
-from repro.service.keys import (
-    QueryKey,
-    canonical_json,
-    decode_canonical,
-    encode_canonical,
-    payload_fingerprint,
-)
+from repro.service.keys import QueryKey, payload_fingerprint
 from repro.service.store import CertificateStore, _read_entry
 
 
@@ -77,9 +73,7 @@ class TestQueryKeys:
         value = intern_frozen(
             (frozendict({"a": (1, 2), "b": frozenset({3})}), "tail")
         )
-        decoded = decode_canonical(
-            json.loads(canonical_json(encode_canonical(value)))
-        )
+        decoded = decode(json.loads(canonical_json(encode(value))))
         assert decoded == value
         assert decoded is intern_frozen(value)
 

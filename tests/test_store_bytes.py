@@ -15,16 +15,13 @@ import json
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.canonical import canonical_json, decode, encode, text
 from repro.core.freeze import frozendict, intern_frozen
-from repro.service.keys import (
-    QueryKey,
-    canonical_json,
-    decode_canonical,
-    encode_canonical,
-)
+from repro.core.runtime import Trace, TraceEvent
+from repro.service.keys import QueryKey
 from repro.service.store import CertificateStore, SegmentLog, _encode_entry
 
 from .store_reference import reference_encode_entry, reference_verify_entry
@@ -228,14 +225,24 @@ def _containers(value):
 
 
 def _text(value):
-    return canonical_json(encode_canonical(value))
+    return canonical_json(encode(value))
+
+
+#: A nested-set value whose decoded copy once re-encoded with its two
+#: members swapped, when members were ordered by their (layout-dependent)
+#: ``repr``.
+NESTED_SETS = frozenset({
+    frozenset({frozenset({-2.0639558169820896e+16}), 4}),
+    frozenset({None}),
+})
 
 
 @settings(max_examples=300, deadline=None)
 @given(INTERNED_VALUES)
+@example(NESTED_SETS)
 def test_canonical_round_trip_returns_interned_instances(value):
     text = _text(value)
-    decoded = decode_canonical(json.loads(text))
+    decoded = decode(json.loads(text))
     assert decoded == value
     assert _text(decoded) == text
     # Interned wherever the interned instance is alike, not just equal.
@@ -265,11 +272,11 @@ TYPE_COLLISIONS = [
 def test_decoding_is_type_exact_after_an_equal_value_was_interned(first, second):
     assert first == second and _text(first) != _text(second)
     interned = intern_frozen(first)
-    decoded = decode_canonical(json.loads(_text(second)))
+    decoded = decode(json.loads(_text(second)))
     assert _text(decoded) == _text(second)
     assert decoded is not interned
     # The interned instance still decodes to itself.
-    assert decode_canonical(json.loads(_text(first))) is interned
+    assert decode(json.loads(_text(first))) is interned
 
 
 @pytest.mark.parametrize(
@@ -277,4 +284,79 @@ def test_decoding_is_type_exact_after_an_equal_value_was_interned(first, second)
 )
 def test_malformed_canonical_values_raise(bad):
     with pytest.raises(ValueError):
-        decode_canonical(bad)
+        decode(bad)
+
+
+# -- one value, one encoding -------------------------------------------------
+
+# Members never equal across types (no bools beside ints, no floats), so
+# rebuilding a set from its members keeps every one of them:
+# ``frozenset([1, True])`` would keep whichever came first.
+DISTINCT_MEMBERS = _frozen(
+    st.none() | st.integers(min_value=-64, max_value=64) | _TEXT
+)
+
+# Sets of at most one member: their repr has only one order to show.
+FIXED_ORDER_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats()
+    | _TEXT,
+    lambda children: st.lists(children, max_size=4).map(tuple)
+    | st.frozensets(children, max_size=1)
+    | st.dictionaries(children, children, max_size=3).map(frozendict),
+    max_leaves=12,
+)
+
+
+def _rebuilt_reversed(value):
+    """An equal copy of ``value`` whose sets and mappings were filled in
+    the reverse of the original's iteration order."""
+    if isinstance(value, tuple):
+        return tuple(_rebuilt_reversed(v) for v in value)
+    if isinstance(value, frozenset):
+        return frozenset(_rebuilt_reversed(v) for v in reversed(list(value)))
+    if isinstance(value, frozendict):
+        return frozendict(
+            (_rebuilt_reversed(k), _rebuilt_reversed(v))
+            for k, v in reversed(list(value.items()))
+        )
+    return value
+
+
+def _fingerprint(value):
+    event = TraceEvent(0, "p", "send", value)
+    return Trace("probe", "codec", 0, (event,)).fingerprint()
+
+
+@settings(max_examples=300, deadline=None)
+@given(DISTINCT_MEMBERS)
+@example(frozenset([0, 8]))
+@example((frozenset(), frozenset([frozenset()])))
+@example(frozenset([frozenset([0, 8]), frozenset([16, 24])]))
+@example(frozendict({frozenset([0, 8]): (frozenset([8, 16]),)}))
+@example(NESTED_SETS)
+def test_equal_values_built_in_either_order_encode_alike(value):
+    twin = _rebuilt_reversed(value)
+    assert twin == value
+    assert text(twin) == text(value)
+    assert eval(text(value), {"frozendict": frozendict}) == value
+    assert _text(twin) == _text(value)
+    assert _fingerprint(twin) == _fingerprint(value)
+
+
+def test_reversed_build_can_reorder_a_repr():
+    # The property above has teeth: the two builds of this set iterate,
+    # and so ``repr``, in different orders.
+    first, second = frozenset([0, 8]), frozenset([8, 0])
+    assert repr(first) != repr(second)
+    assert text(first) == text(second) == "frozenset({0, 8})"
+
+
+@settings(max_examples=300, deadline=None)
+@given(FIXED_ORDER_VALUES)
+@example((frozenset(), frozenset([frozenset()])))
+def test_text_is_repr_where_the_repr_has_one_order(value):
+    # Set-free values, and sets too small to have two orders.
+    assert text(value) == repr(value)
