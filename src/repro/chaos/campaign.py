@@ -59,7 +59,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..core.artifacts import AtomicLineWriter
@@ -394,19 +394,10 @@ def _execute_case(item: PlanItem) -> CaseResult:
     try:
         trace = target.run(atoms, meter=meter)
     except BudgetExceeded as exc:
-        # An expect-stall target's budget receipt is a first-class
-        # behaviour: give it the synthetic schedule-digest fingerprint so
-        # the fold can persist it to the corpus and replay can demand the
-        # stall reproduce.  Unexpected overdrafts stay fingerprint-less.
-        fingerprint = (
-            stall_fingerprint(atoms)
-            if getattr(target, "expect_stall", False)
-            else ""
-        )
+        # The fold gives an expect-stall target's receipt its fingerprint.
         return CaseResult(
             target.name, index, seed, BUDGET_EXCEEDED,
-            error=str(exc), fingerprint=fingerprint,
-            own_budget=exc.context == target.name,
+            error=str(exc), own_budget=exc.context == target.name,
         )
     except Exception as exc:
         # Fault isolation: one broken run is a verdict, not a campaign abort.
@@ -587,6 +578,22 @@ class CampaignFold:
 
     def fold(self, item: PlanItem, result: CaseResult) -> None:
         target, _index, _seed, atoms, _budget, known = item
+        encoded = None
+        if (
+            known is None
+            and result.verdict == BUDGET_EXCEEDED
+            and getattr(target, "expect_stall", False)
+        ):
+            # An expect-stall target's budget receipt is a first-class
+            # behaviour: give it the synthetic schedule-digest fingerprint
+            # so the corpus can persist it and replay can demand the stall
+            # reproduce.  The schedule is encoded once, for the digest and
+            # for a corpus entry.  Unexpected overdrafts stay
+            # fingerprint-less.
+            encoded = encode(tuple(atoms))
+            result = replace(
+                result, fingerprint=stall_fingerprint(atoms, encoded)
+            )
         self.cases += 1
         self._meter.charge_steps()
         per_target = self.tallies.setdefault(result.target, {})
@@ -614,6 +621,7 @@ class CampaignFold:
                     atoms=atoms,
                     seed=result.seed,
                     verdict=result.verdict,
+                    encoded_atoms=encoded,
                 )
             ):
                 self.corpus_added += 1

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.budget import BudgetExceeded
@@ -58,7 +58,7 @@ CORPUS_SCHEMA = "repro-chaos-corpus-entry/v1"
 STALL_VERDICT = "BUDGET_EXCEEDED"
 
 
-def stall_fingerprint(atoms: Schedule) -> str:
+def stall_fingerprint(atoms: Schedule, encoded: Any = None) -> str:
     """The synthetic coverage fingerprint of a stalled (budget-exceeded)
     case: a stall has no completed trace to hash, so its behavioural
     identity is the canonical digest of the schedule that provoked it.
@@ -66,21 +66,29 @@ def stall_fingerprint(atoms: Schedule) -> str:
     The ``stall:`` prefix keeps the namespace disjoint from real trace
     fingerprints, and the canonical-JSON digest makes the value stable
     across processes and machines — which is what lets expect-stall
-    corpus entries replay as first-class regression cases.
+    corpus entries replay as first-class regression cases.  ``encoded``
+    may carry ``encode(tuple(atoms))`` when the caller has it already.
     """
-    canonical = canonical_json(encode(tuple(atoms)))
+    if encoded is None:
+        encoded = encode(tuple(atoms))
+    canonical = canonical_json(encoded)
     return "stall:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """One novel-coverage schedule: the input, its seed, what it showed."""
+    """One novel-coverage schedule: the input, its seed, what it showed.
+
+    ``encoded_atoms`` may carry ``encode(tuple(atoms))`` when the caller
+    has it already; it is not part of the entry's identity.
+    """
 
     target: str
     trace_fingerprint: str
     atoms: Schedule
     seed: int
     verdict: str
+    encoded_atoms: Any = field(default=None, compare=False, repr=False)
 
     def key(self) -> QueryKey:
         return QueryKey.make(
@@ -94,7 +102,11 @@ class CorpusEntry:
             "schema": CORPUS_SCHEMA,
             "target": self.target,
             "trace_fingerprint": self.trace_fingerprint,
-            "atoms": encode(tuple(self.atoms)),
+            "atoms": (
+                encode(tuple(self.atoms))
+                if self.encoded_atoms is None
+                else self.encoded_atoms
+            ),
             "seed": self.seed,
             "verdict": self.verdict,
         }

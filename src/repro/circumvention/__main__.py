@@ -30,8 +30,9 @@ lease runtimes on their own:
     python -m repro.circumvention gst --gst 30 --stall
 
 Exit codes: 0 = completed (decided / stabilized), 2 = stalled on budget
-(the impossibility receipt), 1 = anything unsafe, which should never
-happen.
+(the impossibility receipt), 3 = refused: the engines reject the
+configuration before any run (e.g. ``gst --n 2 --t 1``, which needs
+n > 2t), 1 = anything unsafe, which should never happen.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import sys
 from typing import List, Optional
 
 from ..core.budget import Budget, BudgetExceeded
+from ..core.errors import ModelError
 from .detectors import run_heartbeat_detector
 from .gst import blackout_atoms, run_gst_consensus, run_rotating_consensus
 from .leases import run_quorum_lease
@@ -162,7 +164,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     gst.add_argument("--max-steps", type=int, default=None)
 
     args = parser.parse_args(argv)
+    try:
+        return _run(parser, args)
+    except ModelError as exc:
+        print(f"REFUSED: {exc}", file=sys.stderr)
+        return 3
 
+
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "flp-stall":
         atoms = tuple(("relentless", pid) for pid in range(args.n))
         meter = Budget(max_steps=args.max_steps).meter("flp-stall")

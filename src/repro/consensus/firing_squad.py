@@ -23,16 +23,15 @@ machinery already enumerates:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Mapping, Optional
+from typing import Dict, Hashable, List, Mapping, Optional
 
-from .lower_bounds import enumerate_crash_adversaries
+from .lower_bounds import crash_search
 from .synchronous import (
     SyncAdversary,
     Pid,
     Round,
     SyncProcess,
     SyncProtocol,
-    run_synchronous,
 )
 
 GO = "go"
@@ -77,6 +76,9 @@ class _FiringProcess(SyncProcess):
     def decision(self) -> Optional[Round]:
         return self.fired_at
 
+    def state_key(self) -> Hashable:
+        return self.heard_age, self.fired_at
+
 
 class FloodingFiringSquad(SyncProtocol):
     """Fire at signal-age t + 2: simultaneous under <= t crashes."""
@@ -106,10 +108,20 @@ class HastyFiringSquad(SyncProtocol):
 
 @dataclass
 class SimultaneityResult:
+    """``runs_checked`` counts crash patterns up to and including the
+    violation; ``rounds_simulated`` the rounds the crash tree simulated."""
+
     protocol_name: str
     runs_checked: int
     violation_adversary: Optional[SyncAdversary]
     firing_rounds: Optional[Dict[Pid, Optional[Round]]]
+    rounds_simulated: int = 0
+
+
+def _split_firing(_inputs, fired: List[Optional[Round]]) -> Optional[str]:
+    """Two correct processes fire in different rounds, or one fires and
+    another never does."""
+    return "simultaneity" if len(set(fired)) > 1 else None
 
 
 def find_simultaneity_violation(
@@ -118,17 +130,19 @@ def find_simultaneity_violation(
     """Exhaust the crash-pattern space looking for split firing rounds.
 
     A violation: two correct processes fire in different rounds, or one
-    fires and another never does.
+    fires and another never does.  The patterns are walked as one crash
+    tree (:func:`~repro.consensus.lower_bounds.crash_search`); the first
+    violating pattern in :func:`enumerate_crash_adversaries` order is
+    rebuilt by :func:`run_synchronous`.
     """
-    inputs = [1 if pid == initiator else 0 for pid in range(n)]
-    rounds = protocol.rounds(n, t)
-    runs = 0
-    for adversary in enumerate_crash_adversaries(n, t, rounds):
-        run = run_synchronous(protocol, inputs, adversary=adversary, t=t,
-                              record_trace=False)
-        runs += 1
+    inputs = tuple(1 if pid == initiator else 0 for pid in range(n))
+    result = crash_search(protocol, n, t, None, [inputs], _split_firing)
+    run = result.violation
+    adversary = fired = None
+    if run is not None:
+        adversary = run.adversary
         fired = {pid: run.decisions[pid] for pid in run.honest_pids}
-        distinct = {r for r in fired.values()}
-        if len(distinct) > 1:
-            return SimultaneityResult(protocol.name, runs, adversary, fired)
-    return SimultaneityResult(protocol.name, runs, None, None)
+    return SimultaneityResult(
+        protocol.name, result.runs_checked, adversary, fired,
+        result.rounds_simulated,
+    )

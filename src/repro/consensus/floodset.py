@@ -39,6 +39,9 @@ class FloodSetProcess(SyncProcess):
             return None
         return min(self.seen)
 
+    def state_key(self) -> Hashable:
+        return self.seen
+
 
 class FloodSet(SyncProtocol):
     """The full t+1-round FloodSet protocol.

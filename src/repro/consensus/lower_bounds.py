@@ -14,10 +14,13 @@ adversary enumeration on bounded instances*:
   and every binary input vector, looking for a run that breaks agreement,
   validity or termination, walking the patterns as a round-by-round
   prefix tree (one input vector per permutation orbit when the protocol
-  is symmetric).  For a t-round truncation of FloodSet it finds the
-  violating pattern (the lower bound's content); for the full t+1-round
-  FloodSet it exhausts the space without a violation (the matching upper
-  bound);
+  is symmetric, one view per process state when its processes declare a
+  :meth:`~repro.consensus.synchronous.SyncProcess.state_key`).  For a
+  t-round truncation of FloodSet it finds the violating pattern (the
+  lower bound's content); for the full t+1-round FloodSet it exhausts
+  the space without a violation (the matching upper bound).  The tree
+  itself, :func:`crash_search`, takes the per-run check as a parameter;
+  the firing squad (E24) runs on it too;
 
 * :func:`find_fooling_pair` exhibits the chain argument's engine: two runs
   indistinguishable to some common nonfaulty process whose *other*
@@ -27,9 +30,20 @@ adversary enumeration on bounded instances*:
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.errors import ModelError
 from ..impossibility.certificate import (
@@ -72,6 +86,12 @@ def _crash_patterns(n: int, t: int, rounds: int) -> Iterator[CrashPattern]:
             yield from itertools.product(*per_victim_options)
 
 
+def _pattern_count(n: int, t: int, rounds: int) -> int:
+    """How many patterns :func:`_crash_patterns` yields."""
+    per_victim = rounds * 2 ** (n - 1)
+    return sum(math.comb(n, k) * per_victim ** k for k in range(t + 1))
+
+
 def _adversary(pattern: CrashPattern) -> SyncAdversary:
     if not pattern:
         return NoFaults()
@@ -112,12 +132,21 @@ class RoundBoundResult:
     rounds_simulated: int = 0
 
 
-def _check_run(run: SyncRun) -> Optional[str]:
-    if not run.all_honest_decided():
+#: A leaf check: a run's input vector and its correct processes'
+#: decisions (by ascending pid) -> the violated property, or None.
+LeafCheck = Callable[[Sequence[Hashable], List[Optional[Hashable]]], Optional[str]]
+
+
+def _check_leaf(inputs: Sequence[Hashable],
+                decisions: List[Optional[Hashable]]) -> Optional[str]:
+    """Consensus: termination, agreement and (weak) validity, the inputs
+    of crashed processes counting."""
+    if any(d is None for d in decisions):
         return "termination"
-    if not run.agreement_holds():
+    if len(set(decisions)) > 1:
         return "agreement"
-    if not run.validity_holds():
+    values = set(inputs)
+    if len(values) == 1 and any(d not in values for d in decisions):
         return "validity"
     return None
 
@@ -136,23 +165,29 @@ class _CrashTree:
     input, messages received so far)`` and is interned once: its process
     is built by spawning it and replaying ``receive``, which is sound
     because a :class:`SyncProcess`'s messages and decision are a function
-    of its view.  Views are shared by every input vector of the search;
-    subtrees are memoized per input vector.
+    of its view.  A process with a :meth:`~SyncProcess.state_key` gets
+    one view id per ``(pid, round, state key)``, so nodes whose
+    processes are in equal states share one memoized subtree.  Views are
+    shared by every input vector of the search; subtrees are memoized
+    per input vector.  ``check`` judges each complete run.
     """
 
-    def __init__(self, protocol: SyncProtocol, n: int, t: int, rounds: int):
+    def __init__(self, protocol: SyncProtocol, n: int, t: int, rounds: int,
+                 check: LeafCheck):
         self.protocol = protocol
         self.n = n
         self.t = t
         self.rounds = rounds
+        self.check = check
         self.simulated = 0
         self._ids: Dict[Tuple, int] = {}
+        self._states: Dict[Tuple, int] = {}  # (pid, round, state key) -> id
         self._views: List[Tuple[Pid, Hashable, Tuple[Dict[Pid, Message], ...]]] = []
         self._outbox: List[Tuple[Message, ...]] = []
         self._decision: List[Optional[Hashable]] = []
         self._reaches: Dict[Tuple[Pid, int], List[Tuple[int, List]]] = {}
         self._memo: Dict[Tuple, Tuple] = {}  # per input vector
-        self._unanimous: Optional[set] = None  # the input, if all equal
+        self._inputs: Sequence[Hashable] = ()
 
     # -- views -------------------------------------------------------------
 
@@ -178,6 +213,19 @@ class _CrashTree:
         else:
             outbox = ()
             decision = process.decision()
+        state = process.state_key()
+        if state is not None:
+            vid = self._states.setdefault((pid, depth, state), len(self._views))
+            if vid < len(self._views):
+                if outbox != self._outbox[vid] or decision != self._decision[vid]:
+                    raise ModelError(
+                        f"{self.protocol.name}: process {pid} has state key "
+                        f"{state!r} after round {depth} in two views that "
+                        "send or decide differently; its state_key does not "
+                        "fix its behaviour"
+                    )
+                self._ids[key] = vid
+                return vid
         vid = len(self._views)
         self._ids[key] = vid
         self._views.append((pid, value, history))
@@ -204,11 +252,10 @@ class _CrashTree:
 
     def violations(self, inputs: Sequence[Hashable]
                    ) -> List[Tuple[CrashPattern, str]]:
-        """Every crash pattern under which ``inputs`` violates a property,
-        with the property."""
+        """Every crash pattern under which the run of ``inputs`` fails
+        the check, with the violated property."""
         self._memo = {}
-        values = set(inputs)
-        self._unanimous = values if len(values) == 1 else None
+        self._inputs = inputs
         roots = tuple(
             self._intern(("root", pid, value), pid, value, ())
             for pid, value in enumerate(inputs)
@@ -231,7 +278,11 @@ class _CrashTree:
         found = self._memo.get(key)
         if found is None:
             if r == self.rounds:
-                violated = self._check_leaf(views, crashed)
+                violated = self.check(self._inputs, [
+                    self._decision[views[p]]
+                    for p in range(self.n)
+                    if not crashed >> p & 1
+                ])
                 found = (((), violated),) if violated else ()
             else:
                 found = self._expand(r, views, crashed)
@@ -293,22 +344,6 @@ class _CrashTree:
                         )
         return tuple(found)
 
-    def _check_leaf(self, views: Tuple[int, ...], crashed: int) -> Optional[str]:
-        """The :func:`_check_run` verdict of a complete run."""
-        decisions = [
-            self._decision[views[p]]
-            for p in range(self.n)
-            if not crashed >> p & 1
-        ]
-        if any(d is None for d in decisions):
-            return "termination"
-        if len(set(decisions)) > 1:
-            return "agreement"
-        unanimous = self._unanimous
-        if unanimous is not None and any(d not in unanimous for d in decisions):
-            return "validity"
-        return None
-
 
 def find_round_bound_violation(
     protocol: SyncProtocol,
@@ -317,27 +352,41 @@ def find_round_bound_violation(
     rounds: Optional[int] = None,
     input_vectors: Optional[Iterable[Sequence[Hashable]]] = None,
 ) -> RoundBoundResult:
-    """Search every (input vector, crash pattern) pair for a violation.
+    """Search every (input vector, crash pattern) pair for a run that
+    breaks termination, agreement or validity; see :func:`crash_search`."""
+    if input_vectors is None:
+        input_vectors = list(itertools.product((0, 1), repeat=n))
+    return crash_search(protocol, n, t, rounds, input_vectors, _check_leaf)
+
+
+def crash_search(
+    protocol: SyncProtocol,
+    n: int,
+    t: int,
+    rounds: Optional[int],
+    input_vectors: Iterable[Sequence[Hashable]],
+    check: LeafCheck,
+) -> RoundBoundResult:
+    """The first (input vector, crash pattern) pair whose run ``check``
+    rejects.
 
     The first violation in search order (input vectors in order, crash
     patterns in :func:`enumerate_crash_adversaries` order) is returned;
     each input vector's patterns are walked as a prefix tree of rounds
     (:class:`_CrashTree`), and the witness run is rebuilt by
-    :func:`run_synchronous`.
+    :func:`run_synchronous` and checked again.
 
     For a :attr:`~SyncProtocol.symmetric` protocol the tree is walked
     once per orbit of input vectors under pid permutations, keyed by the
     vector's multiset: a later vector of the orbit has the violations of
     the first one relabeled by a permutation, and the first one had none
     (else the search would have stopped there), so it has none either.
-    ``runs_checked`` still counts every logical run.
+    ``check`` must not depend on pids for this.  ``runs_checked`` still
+    counts every logical run.
     """
     rounds = rounds if rounds is not None else protocol.rounds(n, t)
-    if input_vectors is None:
-        input_vectors = list(itertools.product((0, 1), repeat=n))
-    patterns = list(_crash_patterns(n, t, rounds))
-    rank = {pattern: i for i, pattern in enumerate(patterns)}
-    tree = _CrashTree(protocol, n, t, rounds)
+    patterns = _pattern_count(n, t, rounds)
+    tree = _CrashTree(protocol, n, t, rounds, check)
     walked = set()  # input multisets of a symmetric protocol
     runs_checked = 0
     for inputs in input_vectors:
@@ -349,20 +398,25 @@ def find_round_bound_violation(
         if protocol.symmetric:
             orbit = frozenset(Counter(inputs).items())
             if orbit in walked:
-                runs_checked += len(patterns)
+                runs_checked += patterns
                 continue
             walked.add(orbit)
-        found = tree.violations(inputs)
+        found = dict(tree.violations(inputs))
         if not found:
-            runs_checked += len(patterns)
+            runs_checked += patterns
             continue
-        first, expected = min(found, key=lambda item: rank[item[0]])
-        runs_checked += rank[first] + 1
+        for rank, first in enumerate(_crash_patterns(n, t, rounds)):
+            if first in found:
+                break
+        expected = found[first]
+        runs_checked += rank + 1
         run = run_synchronous(
             protocol, list(inputs), adversary=_adversary(first), t=t,
             rounds=rounds, record_trace=False,
         )
-        violated = _check_run(run)
+        violated = check(
+            run.inputs, [run.decisions[p] for p in run.honest_pids]
+        )
         if violated != expected:
             raise ModelError(
                 f"{protocol.name}: rebuilt run violates {violated!r}, the "

@@ -83,6 +83,17 @@ class SyncProcess(ABC):
     def decision(self) -> Optional[Hashable]:
         """The decided value, or None if undecided."""
 
+    def state_key(self) -> Optional[Hashable]:
+        """A hashable summary of this process's state, or None.
+
+        Together with the pid and the number of rounds received, a key
+        must fix every later message and the decision: the crash-pattern
+        searches then merge processes with equal keys into one view and
+        walk their futures once.  A false key can hide violations.  None
+        (the default) keys a process by its whole received history.
+        """
+        return None
+
 
 class SyncProtocol(ABC):
     """A factory for :class:`SyncProcess` instances plus the round count."""

@@ -256,7 +256,8 @@ def _admissible_cycle(order: List[int], succ: Dict[int, Tuple[Tuple[int, int], .
 
 
 def check_candidate(tables: Tuple[ProtocolTable, ...],
-                    max_states: int = 20_000) -> CandidateVerdict:
+                    max_states: int = 20_000,
+                    moves: Optional[Tuple[List, List]] = None) -> CandidateVerdict:
     """Model-check one candidate protocol pair for all three properties.
 
     One breadth-first pass over the integer-encoded state graph decides
@@ -264,12 +265,15 @@ def check_candidate(tables: Tuple[ProtocolTable, ...],
     from SCCs of that graph.  The verdict equals the generic
     :class:`MutexSystem` checkers' on :func:`build_synthetic_system`.
     Raises :class:`SearchBudgetExceeded` past ``max_states`` states.
+    ``moves`` may carry ``(_moves(tables[0], 0), _moves(tables[1], 1))``
+    when the caller has built them already.
     """
     values = tables[0].values
     locals_ = _TRYING + max(table.modes for table in tables)
     row = locals_ * values
-    moves0 = _moves(tables[0], 0)
-    moves1 = _moves(tables[1], 1)
+    if moves is None:
+        moves = _moves(tables[0], 0), _moves(tables[1], 1)
+    moves0, moves1 = moves
     order = [0]  # the initial state: both in rem, v = 0
     local_of: Dict[int, Tuple[int, int]] = {}
     succ: Dict[int, Tuple[Tuple[int, int], ...]] = {}
@@ -327,6 +331,8 @@ def search_two_process_protocols(
     tables = list(enumerate_protocol_tables(values, modes))
     if symmetric:
         return [check_candidate((t, t)) for t in tables]
+    # Each table's moves, built once per pid for the whole search.
+    moves1 = [_moves(table, 1) for table in tables]
     verdicts: List[CandidateVerdict] = []
     checked: List[List[CandidateVerdict]] = []  # checked[i][j - i] for j >= i
     for i, a in enumerate(tables):
@@ -336,7 +342,11 @@ def search_two_process_protocols(
                 (a, b), mirror.mutual_exclusion, mirror.deadlock_free,
                 mirror.lockout_free,
             ))
-        row = [check_candidate((a, b)) for b in tables[i:]]
+        moves0 = _moves(a, 0)
+        row = [
+            check_candidate((a, b), moves=(moves0, moves1[j]))
+            for j, b in enumerate(tables[i:], i)
+        ]
         checked.append(row)
         verdicts.extend(row)
     return verdicts

@@ -1,6 +1,7 @@
-"""The E4 crash-pattern search as it was before the prefix tree — kept
-only as the differential reference for
-``tests/test_e4_kernel_differential.py``.
+"""The E4 and E24 crash-pattern searches as they were before the crash
+tree — kept only as the differential references for
+``tests/test_e4_kernel_differential.py`` and
+``tests/test_e24_kernel_differential.py``.
 
 Every (input vector, crash adversary) pair is a fresh
 :func:`run_synchronous` from round 1, in the order of the original
@@ -12,14 +13,27 @@ from __future__ import annotations
 import itertools
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
-from repro.consensus.lower_bounds import RoundBoundResult, _check_run
+from repro.consensus.firing_squad import SimultaneityResult
+from repro.consensus.lower_bounds import RoundBoundResult
 from repro.consensus.synchronous import (
     CrashAdversary,
     NoFaults,
+    Pid,
     SyncAdversary,
     SyncProtocol,
+    SyncRun,
     run_synchronous,
 )
+
+
+def _check_run(run: SyncRun) -> Optional[str]:
+    if not run.all_honest_decided():
+        return "termination"
+    if not run.agreement_holds():
+        return "agreement"
+    if not run.validity_holds():
+        return "validity"
+    return None
 
 
 def reference_crash_adversaries(n: int, t: int, rounds: int
@@ -72,3 +86,20 @@ def reference_round_bound_violation(
         protocol.name, n, t, rounds, runs_checked, None, None,
         runs_checked * rounds,
     )
+
+
+def reference_simultaneity_violation(
+    protocol: SyncProtocol, n: int, t: int, initiator: Pid = 0
+) -> SimultaneityResult:
+    inputs = [1 if pid == initiator else 0 for pid in range(n)]
+    rounds = protocol.rounds(n, t)
+    runs = 0
+    for adversary in reference_crash_adversaries(n, t, rounds):
+        run = run_synchronous(protocol, inputs, adversary=adversary, t=t,
+                              record_trace=False)
+        runs += 1
+        fired = {pid: run.decisions[pid] for pid in run.honest_pids}
+        distinct = {r for r in fired.values()}
+        if len(distinct) > 1:
+            return SimultaneityResult(protocol.name, runs, adversary, fired)
+    return SimultaneityResult(protocol.name, runs, None, None)

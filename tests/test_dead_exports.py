@@ -125,6 +125,7 @@ ALLOWLIST = {
     "consensus.floodset:FloodSetProcess": INTERNAL,
     "consensus.lower_bounds:FoolingPair": INTERNAL,
     "consensus.lower_bounds:RoundBoundResult": INTERNAL,
+    "consensus.lower_bounds:enumerate_crash_adversaries": CONSTRUCTION,
     "consensus.phase_king:PhaseKingProcess": INTERNAL,
     "consensus.probabilistic:CoinFlipAgreement": INTERNAL,
     "consensus.probabilistic:CoinFlipProcess": INTERNAL,

@@ -8,6 +8,8 @@ classes the survey's claim rests on keep their census.
 """
 
 import functools
+import importlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,30 @@ def test_quotiented_search_keeps_class_order_and_mirrors_verdicts():
             assert verdict(verdicts[i * size + j]) == verdict(
                 verdicts[j * size + i]
             )
+
+
+def test_asymmetric_search_builds_each_move_list_once(monkeypatch):
+    module = importlib.import_module("repro.shared_memory.lower_bounds")
+    built, checked = Counter(), []
+    real_moves, real_check = module._moves, module.check_candidate
+
+    def counting_moves(table, pid):
+        built[table, pid] += 1
+        return real_moves(table, pid)
+
+    def counting_check(tables, *args, **kwargs):
+        checked.append(tables)
+        return real_check(tables, *args, **kwargs)
+
+    monkeypatch.setattr(module, "_moves", counting_moves)
+    monkeypatch.setattr(module, "check_candidate", counting_check)
+    search_two_process_protocols(2, modes=1, symmetric=False)
+    assert len(checked) == 2080
+    assert len(built) == 2 * len(tables_of(2, 1))
+    assert set(built.values()) == {1}
+    # Nothing outlives a search: the next one builds every list again.
+    search_two_process_protocols(2, modes=1, symmetric=False)
+    assert set(built.values()) == {2}
 
 
 @pytest.mark.parametrize(

@@ -7,11 +7,13 @@ same property, inputs, crash pattern and decisions — as a fresh
 ``run_synchronous`` per (input vector, crash pattern) pair.  The shared
 pattern generator must keep the adversary order the firing-squad search
 and the reference rely on.  Every protocol under ``src/`` that declares
-itself symmetric (and so is walked one input orbit at a time) is checked
-on every vector.
+itself symmetric (and so is walked one input orbit at a time), and every
+process class that declares a state key (and so is merged with equal
+states), is checked on every vector.
 """
 
 import importlib
+import itertools
 import pkgutil
 
 import pytest
@@ -22,12 +24,17 @@ import repro
 from repro.consensus import (
     DolevStrong,
     EIGByzantine,
+    FloodingFiringSquad,
     FloodSet,
+    HastyFiringSquad,
     PhaseKing,
     TwoPhaseCommit,
     enumerate_crash_adversaries,
     find_round_bound_violation,
 )
+from repro.consensus.firing_squad import _FiringProcess
+from repro.consensus.floodset import FloodSetProcess
+from repro.consensus.lower_bounds import _crash_patterns, _pattern_count
 from repro.consensus.synchronous import SyncProcess, SyncProtocol, run_synchronous
 from repro.core.errors import ModelError
 
@@ -186,6 +193,30 @@ def test_adversary_order_unchanged(n, t, rounds):
     assert ours == old
 
 
+@pytest.mark.parametrize("n, t, rounds", [
+    (1, 1, 2), (2, 1, 0), (3, 1, 1), (3, 2, 2), (3, 4, 1), (4, 2, 3), (4, 2, 5),
+])
+def test_pattern_count_matches_the_generator(n, t, rounds):
+    assert _pattern_count(n, t, rounds) == len(list(_crash_patterns(n, t, rounds)))
+
+
+def _import_every_module():
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith("__main__"):
+            importlib.import_module(info.name)
+
+
+def _subclasses_under_src(base, declares):
+    _import_every_module()
+    found, stack = set(), [base]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if declares(cls) and cls.__module__.startswith("repro."):
+                found.add(cls)
+    return found
+
+
 # -- the orbit walk of symmetric protocols ------------------------------
 
 #: How to build each symmetric protocol truncated to r rounds.
@@ -194,21 +225,9 @@ SYMMETRIC_FACTORIES = {
 }
 
 
-def _symmetric_protocol_classes():
-    for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        if not info.name.endswith("__main__"):
-            importlib.import_module(info.name)
-    found, stack = set(), [SyncProtocol]
-    while stack:
-        for cls in stack.pop().__subclasses__():
-            stack.append(cls)
-            if cls.symmetric and cls.__module__.startswith("repro."):
-                found.add(cls)
-    return found
-
-
 def test_every_symmetric_protocol_has_a_factory():
-    assert _symmetric_protocol_classes() == set(SYMMETRIC_FACTORIES)
+    found = _subclasses_under_src(SyncProtocol, lambda cls: cls.symmetric)
+    assert found == set(SYMMETRIC_FACTORIES)
 
 
 SYMMETRIC_CASES = [(3, 1, r) for r in range(4)] + [(4, 2, r) for r in (1, 2, 3)]
@@ -236,14 +255,29 @@ def test_symmetric_protocols_on_custom_vectors(cls, n, t, vectors, rounds):
     assert_same(SYMMETRIC_FACTORIES[cls](rounds), n, t, rounds, vectors)
 
 
-class _UndeclaredFloodSet(FloodSet):
-    """FloodSet without the symmetry declaration: every vector is walked."""
+class _HistoryKeyedProcess(FloodSetProcess):
+    """A FloodSet process keyed by its whole received history."""
+
+    def state_key(self):
+        return None
+
+
+class _HistoryKeyedFloodSet(FloodSet):
+    """FloodSet without state keys: one view per received history."""
+
+    def spawn(self, pid, n, t, input_value):
+        return _HistoryKeyedProcess(pid, n, t, input_value, self.rounds(n, t))
+
+
+class _UndeclaredFloodSet(_HistoryKeyedFloodSet):
+    """FloodSet without the symmetry declaration or state keys: every
+    vector is walked, every history is its own view."""
 
     symmetric = False
 
 
 def test_orbit_walk_simulates_only_representatives():
-    full = find_round_bound_violation(FloodSet(), 4, 2)
+    full = find_round_bound_violation(_HistoryKeyedFloodSet(), 4, 2)
     assert (full.runs_checked, full.rounds_simulated) == (56848, 9937)
 
 
@@ -267,3 +301,88 @@ def test_asymmetric_protocols_simulate_as_before(protocol, n, t, runs, simulated
     assert not protocol.symmetric
     result = find_round_bound_violation(protocol, n, t)
     assert (result.runs_checked, result.rounds_simulated) == (runs, simulated)
+
+
+# -- state keys: equal process states share one subtree -----------------
+
+#: The protocols whose processes are of a class that declares a state
+#: key, each with the (n, t) shapes it is checked at on every vector.
+STATE_KEYED = {
+    FloodSetProcess: [
+        (FloodSet(rounds_override=rounds), n, t)
+        for rounds in (1, 2)
+        for n, t in [(3, 1), (3, 2), (4, 1), (4, 2)]
+    ],
+    _FiringProcess: [
+        (squad, n, t)
+        for squad in (FloodingFiringSquad(), HastyFiringSquad())
+        for n, t in [(3, 1), (3, 2), (4, 1)]
+    ],
+}
+
+
+def _declares_state_key(cls):
+    return cls.state_key is not SyncProcess.state_key
+
+
+def test_every_state_keyed_process_has_cases():
+    found = _subclasses_under_src(SyncProcess, _declares_state_key)
+    assert found == set(STATE_KEYED)
+
+
+@pytest.mark.parametrize("protocol, n, t", [
+    case for cases in STATE_KEYED.values() for case in cases
+], ids=lambda v: getattr(v, "name", str(v)))
+def test_state_keyed_protocols_match_reference_on_every_vector(protocol, n, t):
+    for vector in itertools.product((0, 1), repeat=n):
+        assert_same(protocol, n, t, input_vectors=[vector])
+
+
+# A one-round tree has no node below the root to merge.
+@pytest.mark.parametrize("rounds, keyed_simulated, history_simulated", [
+    (1, 388, 388), (2, 1472, 3082), (3, 2767, 9937),
+])
+def test_state_keys_merge_views_without_changing_the_outcome(
+    rounds, keyed_simulated, history_simulated
+):
+    keyed = find_round_bound_violation(FloodSet(rounds), 4, 2, rounds)
+    history = find_round_bound_violation(_HistoryKeyedFloodSet(rounds), 4, 2, rounds)
+    assert outcome(keyed) == outcome(history)
+    assert keyed.rounds_simulated == keyed_simulated
+    assert history.rounds_simulated == history_simulated
+
+
+class _MinOnlyProcess(FloodSetProcess):
+    """Keyed by ``min(seen)``: {0} and {0, 1} merge, yet they send
+    different sets next round."""
+
+    def state_key(self):
+        return min(self.seen)
+
+
+class _SizeOnlyProcess(FloodSetProcess):
+    """Keyed by ``len(seen)``: {0} and {1} merge, yet they decide
+    differently."""
+
+    def state_key(self):
+        return len(self.seen)
+
+
+class _FalselyKeyedFloodSet(FloodSet):
+    def __init__(self, process_class, rounds):
+        super().__init__(rounds_override=rounds)
+        self.process_class = process_class
+
+    def spawn(self, pid, n, t, input_value):
+        return self.process_class(pid, n, t, input_value, self.rounds(n, t))
+
+
+@pytest.mark.parametrize("process_class, rounds", [
+    (_MinOnlyProcess, 2),  # the outboxes differ
+    (_SizeOnlyProcess, 1),  # the decisions differ at the last round
+])
+def test_false_state_key_is_caught(process_class, rounds):
+    with pytest.raises(ModelError, match="state_key"):
+        find_round_bound_violation(
+            _FalselyKeyedFloodSet(process_class, rounds), 3, 1, rounds
+        )

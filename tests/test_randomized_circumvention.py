@@ -9,6 +9,7 @@ driven exactly as CI drives them.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,6 +25,8 @@ from repro.chaos import (
     run_campaign,
     stall_fingerprint,
 )
+from repro.chaos import campaign as campaign_module
+from repro.chaos import corpus as corpus_module
 from repro.chaos.generators import (
     benor_adversary,
     gst_adversary,
@@ -32,6 +35,7 @@ from repro.chaos.generators import (
     simplify_gst_atom,
 )
 from repro.circumvention.__main__ import main as circumvention_main
+from repro.core import canonical
 from repro.service import (
     CertificateStore,
     QueryService,
@@ -138,6 +142,29 @@ class TestStallFingerprint:
             (("gst", 6),)
         )
 
+    def test_campaign_encodes_each_stalled_schedule_once(
+        self, tmp_path, monkeypatch
+    ):
+        # The stall digest and the corpus entry share one encoding.
+        counts = Counter()
+
+        def counting_encode(value):
+            counts[value] += 1
+            return canonical.encode(value)
+
+        monkeypatch.setattr(campaign_module, "encode", counting_encode)
+        monkeypatch.setattr(corpus_module, "encode", counting_encode)
+        report = run_campaign(
+            targets=[GSTConsensusTarget()], runs=CAMPAIGN_RUNS,
+            master_seed=MASTER_SEED, corpus=str(tmp_path / "corpus"),
+        )
+        stalled = {
+            r.fingerprint for r in report.results
+            if r.verdict == BUDGET_EXCEEDED
+        }
+        assert stalled and report.corpus_added >= len(stalled)
+        assert max(counts.values()) == 1
+
 
 class TestGenerators:
     def test_benor_atoms_deterministic_and_bounded(self):
@@ -197,6 +224,19 @@ class TestCLI:
         assert rc == 2
         assert "STALLED" in out
         assert "steps" in out
+
+    @pytest.mark.parametrize("command", [
+        ["gst", "--n", "2", "--t", "1"],
+        ["benor", "--n", "2", "--t", "1", "--trials", "5"],
+    ])
+    def test_refused_configuration_exits_3(self, command, capsys):
+        rc = circumvention_main(command)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("REFUSED: ")
+        assert "n > 2t" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestServiceKinds:
