@@ -18,14 +18,11 @@ import math
 import sys
 from typing import List, Optional
 
-from ..core.budget import Budget
-from .campaign import reproduce, run_campaign, write_artifacts
-from .corpus import LegacyCorpusLayout, ScheduleCorpus, replay_corpus
-from .targets import target_registry
 
-
-def _replay(corpus: ScheduleCorpus, roster) -> int:
+def _replay(corpus, roster) -> int:
     """Replay every corpus schedule; the corpus-as-regression-suite gate."""
+    from .corpus import replay_corpus
+
     outcome = replay_corpus(corpus, roster)
     print(
         f"corpus replay: {outcome['entries']} entries from {corpus.root}"
@@ -167,6 +164,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "then exit",
     )
     args = parser.parse_args(argv)
+    # Imported after parsing, so ``--help`` loads no campaign, corpus
+    # or store module.
+    from ..core.budget import Budget
+    from .campaign import reproduce, run_campaign, write_artifacts
+    from .corpus import LegacyCorpusLayout, ScheduleCorpus
+    from .targets import select_targets
 
     if args.reproduce is not None:
         trace = reproduce(args.reproduce)
@@ -178,16 +181,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 0
 
-    registry = target_registry()
-    if args.targets:
-        unknown = [name for name in args.targets if name not in registry]
-        if unknown:
-            parser.error(
-                f"unknown targets {unknown}; known: {sorted(registry)}"
-            )
-        roster = [registry[name] for name in args.targets]
-    else:
-        roster = list(registry.values())
+    try:
+        roster = select_targets(args.targets or None)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     def open_corpus(directory: str) -> ScheduleCorpus:
         try:

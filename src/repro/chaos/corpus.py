@@ -42,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..core.budget import BudgetExceeded
 from ..core.canonical import canonical_json, decode, encode
@@ -203,17 +203,28 @@ class ScheduleCorpus:
         """Sync and release this writer's segment."""
         self.store.close()
 
+    def _payloads(self) -> Iterator[Dict[str, Any]]:
+        """Every verified corpus-entry payload, in segment order.
+
+        Unverifiable lines (counted by the store) and foreign-kind or
+        foreign-schema entries are skipped; nothing here decodes a
+        schedule, so counting and coverage never pay for the atoms.
+        """
+        for key, payload in self.store.items():
+            if (
+                key.kind == CORPUS_KIND
+                and payload.get("schema") == CORPUS_SCHEMA
+            ):
+                yield payload
+
     def entries(self) -> List[CorpusEntry]:
         """Every verified entry, sorted by (target, trace fingerprint).
 
-        Unverifiable lines (counted by the store) and foreign-kind
-        entries are skipped; the sort makes replay order — and hence
-        replay reports — independent of segment names and write order.
+        The sort makes replay order — and hence replay reports —
+        independent of segment names and write order.
         """
         loaded: List[CorpusEntry] = []
-        for key, payload in self.store.items():
-            if key.kind != CORPUS_KIND:
-                continue
+        for payload in self._payloads():
             try:
                 loaded.append(CorpusEntry.from_payload(dict(payload)))
             except (KeyError, TypeError, ValueError):
@@ -224,20 +235,22 @@ class ScheduleCorpus:
     def fingerprints(self) -> Dict[str, Set[str]]:
         """target -> trace fingerprints on disk."""
         out: Dict[str, Set[str]] = {}
-        for entry in self.entries():
-            out.setdefault(entry.target, set()).add(entry.trace_fingerprint)
+        for payload in self._payloads():
+            out.setdefault(payload["target"], set()).add(
+                payload["trace_fingerprint"]
+            )
         return out
 
     def seed_coverage(self, coverage: CoverageMap) -> int:
         """Mark everything on disk as already-seen; return entry count."""
         count = 0
-        for entry in self.entries():
-            coverage.observe(entry.target, entry.trace_fingerprint)
+        for payload in self._payloads():
+            coverage.observe(payload["target"], payload["trace_fingerprint"])
             count += 1
         return count
 
     def __len__(self) -> int:
-        return len(self.entries())
+        return sum(1 for _ in self._payloads())
 
 
 def replay_corpus(

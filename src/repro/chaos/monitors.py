@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence
 
 from ..circumvention.partitions import PartitionAdversary
+from ..core.canonical import text
 from ..core.runtime import DECIDE, DECLARE, OUTPUT, Trace
 
 
@@ -86,7 +87,7 @@ class AgreementMonitor(TraceMonitor):
         if len(values) > 1:
             detail = ", ".join(
                 f"{actor}->{value}" for actor, value in sorted(
-                    decided.items(), key=repr
+                    decided.items(), key=text
                 )
             )
             return Violation(self.name, f"honest decisions disagree: {detail}")
@@ -113,7 +114,7 @@ class ValidityMonitor(TraceMonitor):
         if len(relevant) != 1:
             return None
         (value,) = relevant
-        for actor, decision in sorted(_decisions(trace).items(), key=repr):
+        for actor, decision in sorted(_decisions(trace).items(), key=text):
             if actor in self.honest and decision != value:
                 return Violation(
                     self.name,
@@ -136,7 +137,7 @@ class TerminationMonitor(TraceMonitor):
         if missing:
             return Violation(
                 self.name,
-                f"processes never decided: {sorted(missing, key=repr)}",
+                f"processes never decided: {sorted(missing, key=text)}",
             )
         return None
 
@@ -162,7 +163,7 @@ class MutualExclusionMonitor(TraceMonitor):
                 if len(inside) > 1:
                     return Violation(
                         self.name,
-                        f"{sorted(inside, key=repr)} simultaneously in the "
+                        f"{sorted(inside, key=text)} simultaneously in the "
                         "critical region",
                         step=event.step,
                     )
@@ -205,7 +206,7 @@ class BoundedStalenessMonitor(TraceMonitor):
         every = frozenset(range(1, self.rounds + 1))
         return sorted(
             (pid for pid, rnds in self.muted_rounds.items() if rnds >= every),
-            key=repr,
+            key=text,
         )
 
     def check(self, trace: Trace) -> Optional[Violation]:
@@ -222,7 +223,7 @@ class BoundedStalenessMonitor(TraceMonitor):
         if len(set(decided.values())) > 1:
             detail = ", ".join(
                 f"{actor}->{value}"
-                for actor, value in sorted(decided.items(), key=repr)
+                for actor, value in sorted(decided.items(), key=text)
             )
             return Violation(
                 self.name,
@@ -346,13 +347,13 @@ class LeaderStabilityMonitor(TraceMonitor):
         if missing:
             return Violation(
                 self.name,
-                f"processes never elected a leader: {sorted(missing, key=repr)}",
+                f"processes never elected a leader: {sorted(missing, key=text)}",
             )
         leaders = set(final.values())
         if len(leaders) > 1:
             detail = ", ".join(
                 f"{actor}->{leader}"
-                for actor, leader in sorted(final.items(), key=repr)
+                for actor, leader in sorted(final.items(), key=text)
             )
             return Violation(
                 self.name, f"live processes disagree on the leader: {detail}"

@@ -536,3 +536,19 @@ def target_registry(
     """name -> target, for CLI selection and artifact reproduction."""
     roster = list(targets) if targets is not None else default_targets()
     return {target.name: target for target in roster}
+
+
+def select_targets(names: Optional[Iterable[str]]) -> List[ChaosTarget]:
+    """The roster named by ``names`` (``None``: the full roster).
+
+    Raises :class:`ValueError` listing the known names if one is unknown.
+    """
+    registry = target_registry()
+    if names is None:
+        return list(registry.values())
+    unknown = [name for name in names if name not in registry]
+    if unknown:
+        raise ValueError(
+            f"unknown targets {unknown}; known: {sorted(registry)}"
+        )
+    return [registry[name] for name in names]

@@ -42,9 +42,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".runtime": (
         "CRASH", "DECIDE", "DECLARE", "DELIVER", "DROP", "DUPLICATE",
         "EVENT_KINDS", "HALT", "OUTPUT", "SEND", "STEP", "FaultAdversary",
-        "FingerprintMismatch", "ReplayError", "SchedulingAdversary",
-        "SimulationRuntime", "Trace", "TraceEvent", "derive_seed", "replay",
-        "spawn_rng",
+        "FingerprintMismatch", "ReplayError", "SimulationRuntime", "Trace",
+        "TraceEvent", "derive_seed", "replay", "spawn_rng",
     ),
     ".scheduler": (
         "FixedScheduler", "GreedyScheduler", "RandomScheduler",
@@ -69,7 +68,6 @@ __all__ = [
     "GreedyScheduler",
     "TracedExecution",
     "FaultAdversary",
-    "SchedulingAdversary",
     "SimulationRuntime",
     "Trace",
     "TraceEvent",

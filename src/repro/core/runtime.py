@@ -466,21 +466,6 @@ class FaultAdversary:
         """Return to the initial state (cursors, RNGs) for replay."""
 
 
-class SchedulingAdversary(FaultAdversary):
-    """Wrap a bare ``options -> index`` function as a scheduling adversary.
-
-    The adapter for the legacy ``schedule=`` callables the ring simulator
-    used to take.
-    """
-
-    def __init__(self, choose: Callable[[Sequence[Hashable]], int]):
-        super().__init__()
-        self._choose = choose
-
-    def schedule(self, options, rng=None):
-        return self._choose(list(options))
-
-
 # ---------------------------------------------------------------------------
 # The per-run kernel
 # ---------------------------------------------------------------------------

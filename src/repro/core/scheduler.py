@@ -32,6 +32,7 @@ from typing import Callable, Hashable, Iterable, List, Optional, Sequence
 
 from .automaton import Action, IOAutomaton, State
 from .budget import BudgetMeter
+from .canonical import text
 from .errors import ExecutionError
 from .execution import Execution
 from .runtime import STEP, FaultAdversary, SimulationRuntime, Trace
@@ -179,13 +180,13 @@ class RoundRobinScheduler(Scheduler):
         enabled_set = set(enabled)
         for offset in range(len(self._tasks)):
             task = self._tasks[(self._cursor + offset) % len(self._tasks)]
-            candidates = sorted(task & enabled_set, key=repr)
+            candidates = sorted(task & enabled_set, key=text)
             if candidates:
                 self._cursor = (self._cursor + offset + 1) % len(self._tasks)
                 return candidates[0]
         # Enabled actions outside any task (shouldn't happen for well-formed
         # automata); fall back to a deterministic choice.
-        return sorted(enabled, key=repr)[0]
+        return sorted(enabled, key=text)[0]
 
     def reset(self) -> None:
         self._cursor = 0
@@ -200,13 +201,13 @@ class RandomScheduler(Scheduler):
         self._rng = random.Random(seed)
 
     def choose(self, execution: Execution, enabled: Sequence[Action]) -> Action:
-        ordered = sorted(enabled, key=repr)
+        ordered = sorted(enabled, key=text)
         return ordered[self._rng.randrange(len(ordered))]
 
     def resolve_state(
         self, execution: Execution, action: Action, successors: Sequence[State]
     ) -> State:
-        ordered = sorted(successors, key=repr)
+        ordered = sorted(successors, key=text)
         return ordered[self._rng.randrange(len(ordered))]
 
     def schedule(self, options, rng=None):
@@ -220,7 +221,7 @@ class RandomScheduler(Scheduler):
 class GreedyScheduler(Scheduler):
     """Choose the enabled action maximizing ``score(execution, action)``.
 
-    Ties are broken deterministically by repr ordering.  Used to construct
+    Ties are broken deterministically by canonical text order.  Used to construct
     bad executions: e.g. score = "does this step keep the configuration
     bivalent?" yields FLP-style stalling adversaries.
     """
@@ -230,7 +231,7 @@ class GreedyScheduler(Scheduler):
         self._score = score
 
     def choose(self, execution: Execution, enabled: Sequence[Action]) -> Action:
-        ordered = sorted(enabled, key=repr)
+        ordered = sorted(enabled, key=text)
         return max(ordered, key=lambda a: self._score(execution, a))
 
 
@@ -258,7 +259,7 @@ class FixedScheduler(Scheduler):
 
 
 class ScriptedIndexScheduler(Scheduler):
-    """Replay a script of *indices* into the repr-sorted enabled set.
+    """Replay a script of *indices* into the canonically sorted enabled set.
 
     The chaos fuzzer's interleaving adversary: a schedule is a plain
     tuple of ints, so delta-debugging can delete and simplify atoms
@@ -290,13 +291,13 @@ class ScriptedIndexScheduler(Scheduler):
         return index % width
 
     def choose(self, execution: Execution, enabled: Sequence[Action]) -> Action:
-        ordered = sorted(enabled, key=repr)
+        ordered = sorted(enabled, key=text)
         return ordered[self._next(len(ordered))]
 
     def resolve_state(
         self, execution: Execution, action: Action, successors: Sequence[State]
     ) -> State:
-        ordered = sorted(successors, key=repr)
+        ordered = sorted(successors, key=text)
         return ordered[self._next(len(ordered))] if len(ordered) > 1 else ordered[0]
 
     def schedule(self, options, rng=None):

@@ -1,8 +1,7 @@
 """The parallel execution fabric: multiprocess campaigns and sweeps.
 
 Every CPU-bound search in this repository that splits into independent
-cases — chaos campaigns, the Ben-Or termination sweep, batches of
-service queries — is a
+cases — chaos campaigns and the Ben-Or termination sweep — is a
 deterministic function of ``(protocol, inputs, adversary, seed)``
 thanks to the unified runtime's seed plumbing
 (:func:`repro.core.runtime.derive_seed`).  That makes the workloads
@@ -14,10 +13,10 @@ The fabric has two layers:
 * :mod:`repro.parallel.pool` — process-pool plumbing on the stdlib only
   (:class:`WorkerPool` over :class:`concurrent.futures.ProcessPoolExecutor`,
   :func:`resolve_workers`);
-* consumers — :func:`repro.chaos.campaign.run_campaign`,
-  :func:`repro.circumvention.randomized.expected_rounds` and
-  :class:`repro.service.service.QueryService` all take
-  ``workers=N``.
+* consumers — :func:`repro.chaos.campaign.run_campaign` and
+  :func:`repro.circumvention.randomized.expected_rounds` take
+  ``workers=N`` (and :class:`repro.service.service.QueryService` passes
+  it on to a campaign).
 
 The headline guarantee, enforced by ``tests/test_parallel_fabric.py``
 and the golden-trace suite: **every result is bit-identical for

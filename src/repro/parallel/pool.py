@@ -70,8 +70,8 @@ def _run_chunk(fn: Callable[[T], R], batch: List[T]) -> List[R]:
 class WorkerPool:
     """A process pool with a serial in-process fallback at ``workers=1``.
 
-    At ``workers=1`` no subprocess is created and :meth:`map` is a plain
-    loop, so consumers write one code path and serial callers pay zero
+    At ``workers=1`` no subprocess is created and :meth:`map_stream` is a
+    plain loop, so consumers write one code path and serial callers pay zero
     fabric overhead.  Use as a context manager; exit shuts the pool down
     and waits for the workers.
     """
@@ -84,29 +84,6 @@ class WorkerPool:
                 max_workers=self.workers, mp_context=pool_context()
             )
 
-    @property
-    def parallel(self) -> bool:
-        return self._executor is not None
-
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        chunksize: Optional[int] = None,
-    ) -> List[R]:
-        """Apply ``fn`` to every item, preserving submission order.
-
-        Ordered results are the merge-determinism primitive: consumers
-        feed shards in serial order and fold the returned list left to
-        right.
-        """
-        items = list(items)
-        if self._executor is None:
-            return [fn(item) for item in items]
-        if chunksize is None:
-            chunksize = max(1, len(items) // (self.workers * 4))
-        return list(self._executor.map(fn, items, chunksize=chunksize))
-
     def map_stream(
         self,
         fn: Callable[[T], R],
@@ -118,12 +95,10 @@ class WorkerPool:
         """Apply ``fn`` to a (possibly unbounded) stream, yielding
         ``(item, result)`` pairs in submission order.
 
-        The constant-memory sibling of :meth:`map`: instead of
-        materializing every input and every result, at most ``window``
-        chunks of ``chunk`` items are in flight at once — the input
-        iterator is pulled lazily as results drain, so a million-case
-        campaign holds a few hundred cases in memory, never the campaign.
-        Order is preserved by construction (a FIFO of futures), which is
+        Constant memory: at most ``window`` chunks of ``chunk`` items are
+        in flight at once — the input iterator is pulled lazily as
+        results drain, so a million-case campaign holds a few hundred
+        cases in memory, never the campaign.  Order is preserved by construction (a FIFO of futures), which is
         what lets the parent fold worker outcomes exactly as a serial
         loop would — the streaming form of the parent-is-authoritative
         merge.

@@ -15,6 +15,7 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 import networkx as nx
 
+from ..core.canonical import text
 from ..core.errors import ModelError
 
 
@@ -68,7 +69,7 @@ def flooding_election(graph: nx.Graph, seed: int = 0) -> GraphElectionResult:
         nonlocal messages
         channels.setdefault((src, dst), []).append(value)
         messages += 1
-        edges_used.add(tuple(sorted((src, dst), key=repr)))
+        edges_used.add(tuple(sorted((src, dst), key=text)))
 
     for v in graph.nodes:
         for u in graph.neighbors(v):
@@ -78,7 +79,7 @@ def flooding_election(graph: nx.Graph, seed: int = 0) -> GraphElectionResult:
         nonempty = [key for key, queue in channels.items() if queue]
         if not nonempty:
             break
-        nonempty.sort(key=repr)
+        nonempty.sort(key=text)
         src, dst = nonempty[rng.randrange(len(nonempty))]
         value = channels[(src, dst)].pop(0)
         if value > best[dst]:
@@ -92,7 +93,7 @@ def flooding_election(graph: nx.Graph, seed: int = 0) -> GraphElectionResult:
     if any(b != leader for b in best.values()):
         raise ModelError("flooding terminated before the maximum spread")
     tree_edges = {
-        tuple(sorted((v, parent[v]), key=repr))
+        tuple(sorted((v, parent[v]), key=text))
         for v in graph.nodes
         if parent[v] is not None
     }

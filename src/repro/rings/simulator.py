@@ -36,7 +36,6 @@ from ..core.runtime import (
     OUTPUT,
     SEND,
     FaultAdversary,
-    SchedulingAdversary,
     SimulationRuntime,
     Trace,
 )
@@ -93,7 +92,6 @@ def run_async_ring(
     processes: Optional[Sequence[RingProcess]] = None,
     seed: int = 0,
     max_steps: int = 2_000_000,
-    schedule: Optional[Callable[[List[Tuple[int, str]]], int]] = None,
     adversary: Optional[FaultAdversary] = None,
     process_factory: Optional[Callable[[], Sequence[RingProcess]]] = None,
     record_trace: bool = True,
@@ -104,8 +102,6 @@ def run_async_ring(
     Channels are per (node, direction) FIFO queues; each step delivers the
     head of one nonempty channel, chosen by the ``adversary``'s
     ``schedule`` power (default: seeded-uniform from the runtime RNG).
-    The legacy ``schedule`` callable is still accepted and wrapped in a
-    :class:`~repro.core.runtime.SchedulingAdversary`.
 
     The run is recorded in the unified trace schema; passing
     ``process_factory`` (fresh processes per call) instead of — or in
@@ -116,8 +112,6 @@ def run_async_ring(
         if process_factory is None:
             raise ModelError("need processes or process_factory")
         processes = list(process_factory())
-    if schedule is not None and adversary is None:
-        adversary = SchedulingAdversary(schedule)
     n = len(processes)
     runtime = SimulationRuntime(
         substrate="async-ring",

@@ -23,7 +23,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "KEY_SCHEMA", "QueryKey", "canonical_json", "payload_fingerprint",
     ),
     ".service": (
-        "QUERY_KINDS", "Answer", "PendingQuery", "QueryService",
+        "QUERY_KINDS", "Answer", "QueryService",
         "benor_run_key", "campaign_key", "certificate_from_flp_payload",
         "certificate_from_register_payload", "detector_run_key", "flp_key",
         "flp_report_payload", "gst_run_key", "lease_run_key",
@@ -38,7 +38,6 @@ __all__ = [
     "CertificateStore",
     "ENTRY_SCHEMA",
     "KEY_SCHEMA",
-    "PendingQuery",
     "QUERY_KINDS",
     "QueryKey",
     "QueryService",

@@ -26,7 +26,6 @@ from typing import List, Optional
 
 from ..circumvention.partitions import parse_atoms
 from ..core.budget import Budget
-from .keys import QueryKey
 from .service import (
     QueryService,
     campaign_key,
@@ -38,41 +37,20 @@ from .service import (
 )
 from .store import CertificateStore
 
+#: Flags and options that are not parameters of the query key.
+_SERVICE_ARGS = ("store", "workers", "max_seconds", "command", "make_key")
 
-def _key_from_args(args) -> Optional[QueryKey]:
-    if args.command == "flp":
-        return flp_key(args.protocol, n=args.n, stall_stages=args.stall_stages)
-    if args.command == "valency":
-        inputs = tuple(int(v) for v in args.inputs.split(","))
-        return valency_key(args.protocol, n=args.n, inputs=inputs)
-    if args.command == "register-search":
-        return register_search_key(depth=args.depth)
-    if args.command == "campaign":
-        targets = tuple(args.targets) if args.targets else None
-        return campaign_key(
-            targets,
-            runs=args.runs,
-            master_seed=args.seed,
-            shrink=not args.no_shrink,
-        )
-    if args.command == "detector-run":
-        return detector_run_key(
-            atoms=parse_atoms(args.atoms),
-            seed=args.seed,
-            n=args.n,
-            horizon=args.horizon,
-            adaptive=not args.no_adaptive,
-            initial_timeout=args.initial_timeout,
-        )
-    if args.command == "lease-run":
-        return lease_run_key(
-            atoms=parse_atoms(args.atoms),
-            seed=args.seed,
-            n=args.n,
-            horizon=args.horizon,
-            buggy_no_quorum=args.buggy,
-        )
-    return None
+
+def _inputs(text: str) -> tuple:
+    """``--inputs 0,1,1`` as the input vector ``(0, 1, 1)``."""
+    return tuple(int(v) for v in text.split(","))
+
+
+class _Roster(argparse.Action):
+    """``--targets`` with no names means the full roster (``None``)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, tuple(values) or None)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -95,60 +73,73 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    flp = sub.add_parser("flp", help="full FLP analysis of one candidate")
-    flp.add_argument("--protocol", required=True)
-    flp.add_argument("--n", type=int, default=2)
-    flp.add_argument("--stall-stages", type=int, default=24)
+    def command(name, make_key, help):
+        # Key flags default to their constructor's (or engine's) default.
+        parser = sub.add_parser(
+            name, help=help, argument_default=argparse.SUPPRESS
+        )
+        parser.set_defaults(make_key=make_key)
+        return parser
 
-    valency = sub.add_parser(
-        "valency", help="valency of one initial configuration"
+    flp = command("flp", flp_key, "full FLP analysis of one candidate")
+    flp.add_argument("--protocol", required=True)
+    flp.add_argument("--n", type=int)
+    flp.add_argument("--stall-stages", type=int)
+
+    valency = command(
+        "valency", valency_key, "valency of one initial configuration"
     )
     valency.add_argument("--protocol", required=True)
+    # valency_key takes n positionally before inputs, with no default.
     valency.add_argument("--n", type=int, default=2)
     valency.add_argument(
-        "--inputs", required=True, metavar="V,V,...",
+        "--inputs", required=True, type=_inputs, metavar="V,V,...",
         help="comma-separated input vector, e.g. 0,1,1",
     )
 
-    register = sub.add_parser(
-        "register-search", help="exhaustive register-consensus census"
+    register = command(
+        "register-search", register_search_key,
+        "exhaustive register-consensus census",
     )
-    register.add_argument("--depth", type=int, default=2)
+    register.add_argument("--depth", type=int)
 
-    campaign = sub.add_parser("campaign", help="seeded chaos campaign")
-    campaign.add_argument("--runs", type=int, default=40)
-    campaign.add_argument("--seed", type=int, default=0)
+    campaign = command("campaign", campaign_key, "seeded chaos campaign")
+    campaign.add_argument("--runs", type=int)
+    campaign.add_argument("--seed", dest="master_seed", type=int)
     campaign.add_argument(
-        "--targets", nargs="*", default=None, metavar="NAME"
+        "--targets", nargs="*", action=_Roster, metavar="NAME"
     )
-    campaign.add_argument("--no-shrink", action="store_true")
+    campaign.add_argument("--no-shrink", dest="shrink", action="store_false")
 
-    detector = sub.add_parser(
-        "detector-run",
-        help="one heartbeat failure-detector run (circumvention layer)",
+    detector = command(
+        "detector-run", detector_run_key,
+        "one heartbeat failure-detector run (circumvention layer)",
     )
     detector.add_argument(
-        "--atoms", default="[]", metavar="JSON",
+        "--atoms", type=parse_atoms, metavar="JSON",
         help='partition schedule, e.g. \'[["split", 2, 3]]\'',
     )
-    detector.add_argument("--seed", type=int, default=0)
-    detector.add_argument("--n", type=int, default=4)
-    detector.add_argument("--horizon", type=int, default=40)
-    detector.add_argument("--initial-timeout", type=int, default=4)
-    detector.add_argument("--no-adaptive", action="store_true")
+    detector.add_argument("--seed", type=int)
+    detector.add_argument("--n", type=int)
+    detector.add_argument("--horizon", type=int)
+    detector.add_argument("--initial-timeout", type=int)
+    detector.add_argument(
+        "--no-adaptive", dest="adaptive", action="store_false"
+    )
 
-    lease = sub.add_parser(
-        "lease-run", help="one quorum-lease run under a partition schedule"
+    lease = command(
+        "lease-run", lease_run_key,
+        "one quorum-lease run under a partition schedule",
     )
     lease.add_argument(
-        "--atoms", default="[]", metavar="JSON",
+        "--atoms", type=parse_atoms, metavar="JSON",
         help='partition schedule, e.g. \'[["cut", 0, 0, 1]]\'',
     )
-    lease.add_argument("--seed", type=int, default=0)
-    lease.add_argument("--n", type=int, default=4)
-    lease.add_argument("--horizon", type=int, default=48)
+    lease.add_argument("--seed", type=int)
+    lease.add_argument("--n", type=int)
+    lease.add_argument("--horizon", type=int)
     lease.add_argument(
-        "--buggy", action="store_true",
+        "--buggy", dest="buggy_no_quorum", action="store_true",
         help="grant leases without a quorum (the planted bug)",
     )
 
@@ -172,8 +163,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     workers = args.workers if args.workers == "auto" else int(args.workers)
     service = QueryService(store, budget=budget, workers=workers)
-    key = _key_from_args(args)
-    assert key is not None
+    params = {
+        name: value for name, value in vars(args).items()
+        if name not in _SERVICE_ARGS
+    }
+    key = args.make_key(**params)
     answer = service.resolve(key)
 
     print(json.dumps(answer.result, indent=2, sort_keys=True))

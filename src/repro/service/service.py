@@ -22,15 +22,13 @@ store's job).  Incomplete results (budget overdrafts) are returned to
 the caller but never stored — the store only holds answers, not
 progress.
 
-Batching: :meth:`QueryService.submit` returns a shared
-:class:`PendingQuery` handle, deduplicating identical in-flight requests
-by key fingerprint; :meth:`~QueryService.drain` (or any handle's
-``result()``) resolves every pending request at once, checking the store
-first and fanning the remaining misses out across the PR-4
-:class:`~repro.parallel.pool.WorkerPool` when the service was built with
-``workers > 1``.  A single serial miss instead threads ``workers`` into
-the engine itself, so one big campaign shards internally.  The service's :class:`~repro.core.budget.Budget` is
-threaded into every live fallback that accepts one.
+One path answers a query: :meth:`QueryService.resolve` checks the
+store, runs the kind's handler on a miss and stores the answer if it is
+complete; :meth:`~QueryService.resolve_many` is an ordered loop over it
+that answers a repeated key once.  ``workers`` is threaded into the
+engine itself, so one big campaign shards internally, and the service's
+:class:`~repro.core.budget.Budget` into every live fallback that
+accepts one.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from ..circumvention.leases import run_quorum_lease
 from ..circumvention.randomized import run_ben_or_traced
 from ..core.budget import Budget
 from ..core.canonical import decode, encode, text
-from ..parallel.pool import WorkerPool, resolve_workers
 from .keys import QueryKey
 from .store import CertificateStore
 
@@ -74,7 +71,7 @@ def register_search_key(depth: int = 2) -> QueryKey:
 
 
 def campaign_key(
-    targets: Optional[Tuple[str, ...]],
+    targets: Optional[Tuple[str, ...]] = None,
     runs: int = 40,
     master_seed: int = 0,
     shrink: bool = True,
@@ -164,8 +161,8 @@ gst_run_key = _run_key("gst-run")
 
 
 # ---------------------------------------------------------------------------
-# Live handlers (module-level and import-lazy: picklable for the worker
-# fan-out, and free of import cycles with the engines they call)
+# Live handlers (import-lazy: free of import cycles with the engines
+# they call)
 # ---------------------------------------------------------------------------
 
 
@@ -213,8 +210,8 @@ def _handle_flp_analysis(
 
     report = flp_analysis(
         _protocol_instance(params["protocol"]),
-        n=params.get("n", 2),
-        stall_stages=params.get("stall_stages", 24),
+        n=params["n"],
+        stall_stages=params["stall_stages"],
     )
     return flp_report_payload(report), True
 
@@ -258,9 +255,7 @@ def _handle_register_search(
 ) -> Tuple[Dict[str, Any], bool]:
     from ..registers.exhaustive import search_register_consensus
 
-    outcome = search_register_consensus(
-        depth=params.get("depth", 2), budget=budget
-    )
+    outcome = search_register_consensus(depth=params["depth"], budget=budget)
     return register_outcome_payload(outcome), outcome.complete
 
 
@@ -268,24 +263,10 @@ def _handle_chaos_campaign(
     params: Dict[str, Any], budget: Optional[Budget], workers
 ) -> Tuple[Dict[str, Any], bool]:
     from ..chaos.campaign import report_to_payload, run_campaign
-    from ..chaos.targets import target_registry
+    from ..chaos.targets import select_targets
 
-    names = params.get("targets")
-    roster = None
-    if names is not None:
-        registry = target_registry()
-        unknown = [name for name in names if name not in registry]
-        if unknown:
-            raise ValueError(
-                f"unknown chaos targets {unknown}; known: {sorted(registry)}"
-            )
-        roster = [registry[name] for name in names]
     report = run_campaign(
-        targets=roster,
-        runs=params.get("runs", 40),
-        master_seed=params.get("master_seed", 0),
-        shrink=params.get("shrink", True),
-        shrink_checks=params.get("shrink_checks", 256),
+        **{**params, "targets": select_targets(params["targets"])},
         budget=budget,
         workers=workers,
     )
@@ -296,7 +277,7 @@ def _handle_run(
     kind: str, params: Dict[str, Any], budget: Optional[Budget], workers
 ) -> Tuple[Dict[str, Any], bool]:
     engine, payload = _RUNS[kind]
-    run = engine(**{**_RUN_KEY_DEFAULTS, **params}, budget=budget)
+    run = engine(**params, budget=budget)
     result = {"trace_fingerprint": run.trace.fingerprint(), **payload(run)}
     return result, run.complete
 
@@ -310,24 +291,6 @@ _HANDLERS = {
 }
 
 QUERY_KINDS = tuple(_HANDLERS)
-
-
-def _compute_live(args: Tuple) -> Tuple[Dict[str, Any], bool]:
-    """Worker-side body of one miss: recompute from the key description.
-
-    Workers receive only the JSON-native key description plus the budget
-    policy (both picklable); the key rebuilds exactly (fingerprints are
-    content addresses) and the engine runs serially inside the worker —
-    the fan-out itself is the parallelism.
-    """
-    description, budget = args
-    key = QueryKey.from_description(description)
-    handler = _HANDLERS.get(key.kind)
-    if handler is None:
-        raise ValueError(
-            f"unknown query kind {key.kind!r}; known: {sorted(_HANDLERS)}"
-        )
-    return handler(key.params_dict(), budget, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -345,38 +308,15 @@ class Answer:
     complete: bool = True
 
 
-class PendingQuery:
-    """A shared handle for one submitted (possibly deduplicated) query."""
-
-    __slots__ = ("key", "_service", "_answer")
-
-    def __init__(self, service: "QueryService", key: QueryKey):
-        self.key = key
-        self._service = service
-        self._answer: Optional[Answer] = None
-
-    @property
-    def done(self) -> bool:
-        return self._answer is not None
-
-    def result(self) -> Answer:
-        """The answer, draining the service's pending batch if needed."""
-        if self._answer is None:
-            self._service.drain()
-        assert self._answer is not None
-        return self._answer
-
-
 class QueryService:
     """Answer queries from the store; fall back to live engines on miss.
 
     One service wraps one :class:`CertificateStore` plus a resolution
     policy: an optional :class:`~repro.core.budget.Budget` threaded into
-    budget-aware engines, and a ``workers`` count used either to fan
-    batched misses out across processes or (for a single miss) passed
-    into the engine's own sharding.  Counters: ``live`` live
-    computations, ``deduped`` submissions coalesced onto an in-flight
-    handle; store hits/misses live on ``store.stats``.
+    budget-aware engines, and a ``workers`` count passed into the
+    engine's own sharding.  Counters: ``live`` live computations,
+    ``deduped`` repeated keys in one :meth:`resolve_many` batch answered
+    once; store hits/misses live on ``store.stats``.
     """
 
     def __init__(
@@ -390,73 +330,34 @@ class QueryService:
         self.workers = workers
         self.live = 0
         self.deduped = 0
-        self._pending: Dict[str, PendingQuery] = {}
 
-    # -- batch surface ---------------------------------------------------
-
-    def submit(self, key: QueryKey) -> PendingQuery:
-        """Enqueue ``key``; identical in-flight requests share one handle."""
+    def resolve(self, key: QueryKey) -> Answer:
+        """Resolve one query: a verified store entry, else the live engine."""
         if key.kind not in _HANDLERS:
             raise ValueError(
                 f"unknown query kind {key.kind!r}; known: {sorted(_HANDLERS)}"
             )
-        fingerprint = key.fingerprint()
-        pending = self._pending.get(fingerprint)
-        if pending is not None:
-            self.deduped += 1
-            return pending
-        pending = PendingQuery(self, key)
-        self._pending[fingerprint] = pending
-        return pending
-
-    def drain(self) -> None:
-        """Resolve every pending query: store pass, then live fan-out."""
-        pending = [p for p in self._pending.values() if not p.done]
-        self._pending.clear()
-        if not pending:
-            return
-        misses: List[PendingQuery] = []
-        for handle in pending:
-            cached = self.store.get(handle.key)
-            if cached is not None:
-                handle._answer = Answer(handle.key, cached, "store")
-            else:
-                misses.append(handle)
-        if not misses:
-            return
-        nworkers = resolve_workers(self.workers)
-        if nworkers > 1 and len(misses) > 1:
-            # Many misses: one engine run per worker, serial inside.
-            with WorkerPool(nworkers) as pool:
-                outcomes = pool.map(
-                    _compute_live,
-                    [(h.key.describe(), self.budget) for h in misses],
-                    chunksize=1,
-                )
-        else:
-            # Single miss (or serial service): let the engine itself
-            # shard across the configured workers.
-            outcomes = [
-                _HANDLERS[h.key.kind](
-                    h.key.params_dict(), self.budget, self.workers
-                )
-                for h in misses
-            ]
-        for handle, (payload, complete) in zip(misses, outcomes):
-            self.live += 1
-            if complete:
-                self.store.put(handle.key, payload)
-            handle._answer = Answer(handle.key, payload, "live", complete)
+        cached = self.store.get(key)
+        if cached is not None:
+            return Answer(key, cached, "store")
+        payload, complete = _HANDLERS[key.kind](
+            key.params_dict(), self.budget, self.workers
+        )
+        self.live += 1
+        if complete:
+            self.store.put(key, payload)
+        return Answer(key, payload, "live", complete)
 
     def resolve_many(self, keys: Sequence[QueryKey]) -> List[Answer]:
-        """Resolve a batch; answers come back in input order."""
-        handles = [self.submit(key) for key in keys]
-        self.drain()
-        return [handle.result() for handle in handles]
-
-    def resolve(self, key: QueryKey) -> Answer:
-        """Resolve one query (store hit or live fallback)."""
-        return self.resolve_many([key])[0]
+        """Resolve a batch in input order; a repeated key is answered once."""
+        answers: Dict[str, Answer] = {}
+        for key in keys:
+            fingerprint = key.fingerprint()
+            if fingerprint in answers:
+                self.deduped += 1
+            else:
+                answers[fingerprint] = self.resolve(key)
+        return [answers[key.fingerprint()] for key in keys]
 
     # -- accounting -------------------------------------------------------
 

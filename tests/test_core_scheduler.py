@@ -1,5 +1,9 @@
 """Tests for schedulers: fairness, reproducibility, replay."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import (
@@ -97,3 +101,32 @@ class TestFixedScheduler:
         auto = two_clocks()
         with pytest.raises(ExecutionError):
             FixedScheduler([("tick", 0)]).run(auto, max_steps=5)
+
+
+_ORDER_PROBE = """\
+from itertools import combinations
+from repro.core.scheduler import ScriptedIndexScheduler
+options = [("grant", frozenset(pair)) for pair in combinations("abcdef", 2)]
+scheduler = ScriptedIndexScheduler(range(len(options)))
+print([sorted(scheduler.choose(None, options)[1]) for _ in options])
+print(sorted(map(repr, options)))
+"""
+
+
+def test_option_order_independent_of_pythonhashseed():
+    """Options holding a string set are ordered by their canonical text,
+    so a scripted index picks the same option under every hash seed —
+    while the raw ``repr`` order of the same options does move."""
+    chosen, reprs = set(), set()
+    for hashseed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        proc = subprocess.run(
+            [sys.executable, "-c", _ORDER_PROBE],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        order, raw = proc.stdout.splitlines()
+        chosen.add(order)
+        reprs.add(raw)
+    assert len(chosen) == 1, "option order varies with PYTHONHASHSEED"
+    assert len(reprs) > 1, "the hash seeds never reordered a repr"

@@ -11,7 +11,13 @@ import os
 
 import pytest
 
-from repro.chaos import CorpusEntry, ScheduleCorpus, run_campaign
+from repro.chaos import (
+    CorpusEntry,
+    CoverageMap,
+    ScheduleCorpus,
+    run_campaign,
+)
+from repro.chaos import corpus as corpus_module
 from repro.chaos.__main__ import main as chaos_main
 from repro.chaos.campaign import CampaignFold, PASS
 from repro.chaos.corpus import LegacyCorpusLayout
@@ -96,6 +102,39 @@ def test_flipped_byte_in_a_result_misses_only_that_entry(tmp_path):
     before = corpus.store.corrupt
     assert corpus.entries() == entries[:2] + entries[3:]
     assert corpus.store.corrupt == before + 1
+
+
+def test_counts_decode_no_schedule_and_agree_with_entries(
+    tmp_path, monkeypatch
+):
+    entries = [_entry(i) for i in range(5)]
+    segment = _written(tmp_path, entries)
+    with open(segment, "rb") as handle:
+        lines = handle.read().split(b"\n")
+    seed = lines[2].index(b'"seed":1002') + len(b'"seed":100')
+    lines[2] = lines[2][:seed] + b"3" + lines[2][seed + 1:]
+    torn = b"\n".join(lines)
+    with open(segment, "wb") as handle:
+        handle.write(torn[: len(torn) - 40])  # flipped line 2, torn line 4
+    decoded = []
+    real = corpus_module.decode
+
+    def counting_decode(value):
+        decoded.append(value)
+        return real(value)
+
+    monkeypatch.setattr(corpus_module, "decode", counting_decode)
+    corpus = ScheduleCorpus(str(tmp_path))
+    coverage = CoverageMap()
+    assert corpus.seed_coverage(coverage) == len(corpus) == 3
+    assert coverage.counts() == {"t": 3}
+    assert decoded == []
+    kept = corpus.entries()
+    assert kept == [entries[0], entries[1], entries[3]]
+    assert len(decoded) == 3
+    assert corpus.fingerprints() == {
+        "t": {entry.trace_fingerprint for entry in kept}
+    }
 
 
 def test_two_writers_on_one_directory_union(tmp_path):

@@ -209,7 +209,6 @@ ALLOWLIST = {
     "rings.lower_bounds:order_equivalent_rotations": CONSTRUCTION,
     "rings.timeslice:TimeSliceProcess": INTERNAL,
     "service.service:Answer": INTERNAL,
-    "service.service:PendingQuery": INTERNAL,
     "shared_memory.choice_coordination:RabinChoiceCoordination": CONSTRUCTION,
     "shared_memory.choice_coordination:SymmetricRun": INTERNAL,
     "shared_memory.choice_coordination:symmetric_deterministic_failure": TECHNIQUE,

@@ -175,3 +175,27 @@ def test_every_module_imports_on_its_own():
         "        print(name, traceback.format_exc(limit=-1))\n"
     )
     assert failures == ""
+
+
+def test_chaos_help_loads_only_the_package_and_its_cli():
+    """``python -m repro.chaos --help`` parses its arguments before it
+    imports the campaign, corpus and target selection, so it loads the
+    ``repro.chaos`` package (whose eager ``circumvention_targets`` binding
+    brings the roster) and the CLI module, and nothing else."""
+    loaded = _fresh(
+        "import contextlib, io, sys\n"
+        "import repro.chaos\n"
+        "before = set(sys.modules)\n"
+        "from repro.chaos.__main__ import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        main(['--help'])\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "print(sorted(m for m in set(sys.modules) - before\n"
+        "             if m.split('.')[0] == 'repro'))\n"
+        "print(sorted(m for m in sys.modules if m.startswith(\n"
+        "    ('repro.chaos.campaign', 'repro.chaos.corpus',\n"
+        "     'repro.chaos.shrink', 'repro.service'))))\n"
+    )
+    assert loaded.splitlines() == ["['repro.chaos.__main__']", "[]"]

@@ -59,9 +59,11 @@ def test_worker_pool_serial_fallback_runs_in_process():
         pids.append(os.getpid())
         return len(item)
 
+    items = [(1, 2), (3,), ()]
     with WorkerPool(1) as pool:
-        assert not pool.parallel
-        assert pool.map(length, [(1, 2), (3,), ()]) == [2, 1, 0]
+        assert list(pool.map_stream(length, items)) == list(
+            zip(items, [2, 1, 0])
+        )
     assert pids == [os.getpid()] * 3  # workers=1 never leaves the parent
 
 

@@ -61,17 +61,16 @@ class TestResolution:
             "hits": 1, "misses": 0, "corrupt": 0, "puts": 0,
         }
 
-    def test_submit_dedups_in_flight_requests(self, store):
+    def test_resolve_many_dedups_repeated_keys(self, store):
         service = QueryService(store)
         key = flp_key("first-message-wins", n=2)
-        first = service.submit(key)
-        second = service.submit(flp_key("first-message-wins", n=2))
-        assert first is second
+        first, second = service.resolve_many(
+            [key, flp_key("first-message-wins", n=2)]
+        )
         assert service.deduped == 1
-        answer = second.result()
-        assert first.done and second.done
-        assert answer.source == "live"
-        assert service.live == 1  # one computation served both handles
+        assert service.live == 1  # one computation served both
+        assert first.source == "live"
+        assert first == second
 
     def test_resolve_many_preserves_input_order(self, store):
         service = QueryService(store)
@@ -85,10 +84,11 @@ class TestResolution:
         assert answers[0].result["bivalent"] is True
         assert answers[2].result["bivalent"] is False
 
-    def test_unknown_kind_rejected_at_submit(self, store):
+    def test_unknown_kind_rejected_at_resolve(self, store):
         service = QueryService(store)
-        with pytest.raises(ValueError):
-            service.submit(QueryKey.make("tarot-reading", question="why"))
+        with pytest.raises(ValueError, match="tarot-reading"):
+            service.resolve(QueryKey.make("tarot-reading", question="why"))
+        assert store.stats["misses"] == 0  # rejected before the store
 
     def test_incomplete_result_returned_but_never_stored(self, store):
         service = QueryService(store, budget=Budget(max_steps=5))
