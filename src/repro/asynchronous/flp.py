@@ -29,6 +29,7 @@ process's input out of the system.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import FrozenSet, Hashable, List, Optional, Tuple
 
@@ -54,6 +55,7 @@ class WaitForAll(AsyncProtocol):
     """
 
     name = "wait-for-all"
+    symmetric = True
 
     def initial_state(self, pid, n, input_value):
         return (pid, n, input_value, frozenset(), None)
@@ -83,6 +85,7 @@ class FirstMessageWins(AsyncProtocol):
     """
 
     name = "first-message-wins"
+    symmetric = True
 
     def initial_state(self, pid, n, input_value):
         return (pid, n, input_value, None)
@@ -113,6 +116,7 @@ class QuorumVote(AsyncProtocol):
     """
 
     name = "quorum-vote"
+    symmetric = True
 
     def initial_state(self, pid, n, input_value):
         return (pid, n, input_value, frozenset(), None)
@@ -178,20 +182,43 @@ def flp_analysis(
     stall_stages: int = 24,
     max_configurations: int = 400_000,
 ) -> FLPReport:
-    """Run the complete FLP analysis against one protocol."""
+    """Run the complete FLP analysis against one protocol.
+
+    ``max_configurations`` caps both the valency labelling, which counts
+    only the configurations it labels (for a symmetric protocol, the
+    cones of one input vector per orbit, plus whatever the stalling
+    adversary labels later), and the disagreement search, which visits
+    the whole reachable space.
+    """
     system = AsyncConsensusSystem(protocol, n)
     analyzer = ValencyAnalyzer(system, max_configurations=max_configurations)
 
     # Valency of every initial configuration (Lemma 2 territory).  One
-    # batched labelling pass covers the union of all the initial cones.
-    labelled = dict(analyzer.classify_initial())
-    initial_valencies = []
-    bivalent_inputs = None
-    for inputs in system.input_vectors:
-        valency = labelled[system.configuration_for(inputs)]
-        initial_valencies.append((inputs, valency))
-        if len(valency) >= 2 and bivalent_inputs is None:
-            bivalent_inputs = inputs
+    # batched labelling pass covers the union of the initial cones; for
+    # a symmetric protocol only the first vector of each input multiset
+    # is labelled, and the later vectors of its orbit take its valency.
+    # The first bivalent vector is then always the first of its orbit.
+    vectors = system.input_vectors
+    orbits = [
+        frozenset(Counter(inputs).items()) if protocol.symmetric else inputs
+        for inputs in vectors
+    ]
+    first = {}
+    for orbit, inputs in zip(orbits, vectors):
+        first.setdefault(orbit, inputs)
+    labelled = analyzer.classify_initial(
+        [system.configuration_for(inputs) for inputs in first.values()]
+    )
+    valency_of = {
+        orbit: valency for orbit, (_config, valency) in zip(first, labelled)
+    }
+    initial_valencies = [
+        (inputs, valency_of[orbit]) for orbit, inputs in zip(orbits, vectors)
+    ]
+    bivalent_inputs = next(
+        (inputs for inputs, valency in initial_valencies if len(valency) >= 2),
+        None,
+    )
 
     # Lemma 3 demonstration: from a bivalent configuration, bivalence can
     # be preserved while honouring fairness obligations.

@@ -52,6 +52,15 @@ class AsyncProtocol(ABC):
     name: str = "async-protocol"
     uses_null_steps: bool = False
 
+    #: Whether relabeling process ids by any permutation maps runs to
+    #: runs: a process's steps and decision depend on pids only through
+    #: the relabeling (it reads a pid to address or tag messages, never
+    #: to choose between behaviours), so the valency of an initial
+    #: configuration depends only on the multiset of its inputs.  FLP
+    #: analysis then labels one input vector per orbit, so a false
+    #: declaration can hide the valencies of the other vectors.
+    symmetric: bool = False
+
     @abstractmethod
     def initial_state(self, pid: Pid, n: int, input_value: Hashable) -> Hashable:
         """The initial local state (hashable).  Initial sends are modeled by

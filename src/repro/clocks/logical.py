@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Set
 
+from ..core.canonical import text
 from ..core.errors import ModelError
 
 
@@ -72,7 +73,7 @@ class Computation:
 
     @property
     def processes(self) -> List[Hashable]:
-        return sorted(self._by_process, key=repr)
+        return sorted(self._by_process, key=text)
 
     def process_events(self, process: Hashable) -> List[Event]:
         return self._by_process.get(process, [])

@@ -654,10 +654,15 @@ class ValencyAnalyzer:
     def is_univalent(self, config: Configuration) -> bool:
         return self._mask_of_id(self.cache.intern(config)).bit_count() == 1
 
-    def classify_initial(self) -> List[Tuple[Configuration, FrozenSet[Hashable]]]:
-        """Valency of every initial configuration (one batched labelling)."""
+    def classify_initial(
+        self, configurations: Optional[Sequence[Configuration]] = None
+    ) -> List[Tuple[Configuration, FrozenSet[Hashable]]]:
+        """Valency of every initial configuration, or of the given
+        ``configurations`` only (one batched labelling)."""
+        if configurations is None:
+            configurations = self.system.initial_configurations()
         intern = self.cache.intern
-        ids = [intern(config) for config in self.system.initial_configurations()]
+        ids = [intern(config) for config in configurations]
         self._label_ids(ids)
         config_of = self.cache.config_of
         set_of = self._value_table.set_of

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from ..core.canonical import text
 from ..core.errors import CertificateError
 
 
@@ -150,7 +151,7 @@ class BoundCertificate:
 
     def summary(self) -> str:
         lines = [f"BOUND ({self.direction}, {self.technique}): {self.claim}"]
-        for point in sorted(self.series, key=repr):
+        for point in sorted(self.series, key=text):
             measured = self.series[point]
             expected = self.bound.get(point)
             suffix = f" (bound {expected})" if expected is not None else ""

@@ -126,6 +126,9 @@ _RESOLVED = {
 _ZEROS = (0,) * 6
 _NONE = (-1,) * 6
 _NO_READ = ((-1, -1),) * 6
+_UNBOUNDED = float("inf")
+#: What a search with no violation returns: no level, no failure.
+_CLEAN = (_UNBOUNDED, "solution")
 
 
 class SubtreeTable:
@@ -156,9 +159,11 @@ class SubtreeTable:
     BFS first reaches the configurations of bisimilar candidates in the
     same order of their class vectors, and its checks read only what a
     class fixes, so a candidate's verdict is a function of the
-    signatures of its two root lids: :meth:`verdict` runs one BFS per
-    such pair.  Only the lids of subtrees need a class; a root's
-    signature is taken when its candidate is checked.
+    signatures of its two root lids: :meth:`verdict` searches once per
+    such pair, and the search from one input vector with both processes
+    at one root lid once per signature (:meth:`_search`).  Only the lids
+    of subtrees need a class; a root's signature is taken when its
+    candidate is checked.
     """
 
     def __init__(self, depth: int):
@@ -176,6 +181,9 @@ class SubtreeTable:
         #: Per lid of a subtree of some candidate: its behaviour class.
         self.behaviour: List[int] = []
         self._verdicts: Dict[Tuple[Tuple, Tuple], str] = {}
+        #: Per root-lid signature: the first violation from that lid on
+        #: both processes (the input vector 00 or 11).
+        self._diagonals: Dict[Tuple, Tuple[float, str]] = {}
         level: List[int] = []
         for d in range(depth + 1):
             if d == depth:  # every subtree of a candidate is interned
@@ -280,41 +288,85 @@ class SubtreeTable:
         behaviour = (self._signature(start), self._signature(start + 3))
         kind = self._verdicts.get(behaviour)
         if kind is None:
-            kind = self._verdicts[behaviour] = self._search(start)
+            kind = self._verdicts[behaviour] = self._search(start, behaviour)
         return kind
 
-    def _search(self, start: int) -> str:
+    def _search(self, start: int, behaviour: Tuple[Tuple, Tuple]) -> str:
         """The verdict of the candidate whose root lid is ``start``: the
-        kind of the first violating configuration of a BFS over all
-        interleavings, or ``"solution"``."""
+        kind of the first violating configuration of a FIFO BFS over all
+        interleavings from the input vectors 00, 01, 10 and 11, or
+        ``"solution"``.
+
+        Inputs are positional and immutable, so the four vectors reach
+        disjoint configuration sets, and that BFS dequeues by level, then
+        by vector, then in each vector's own BFS order.  Its first
+        violation is the one at the least ``(level, vector index)`` over
+        the vectors' own first violations, which come from one search
+        per vector.  01 and 10 can only break agreement, and 10 is the
+        pid-mirror of 01 level by level, so it never comes first.  The
+        diagonal searches are shared by every candidate whose root lid
+        has that signature, and the 01 search only looks for a violation
+        that would come first: below 00's level, at most at 11's.
+        """
+        level00, kind00 = self._diagonal(start, behaviour[0])
+        level11, kind11 = self._diagonal(start + 3, behaviour[1])
+        bound = min(level00 - 1, level11)
+        level01, kind01 = _CLEAN
+        if bound >= 0:
+            level01, kind01 = self._first_violation(start, start + 3, bound)
+        return min(
+            (level00, 0, kind00), (level01, 1, kind01), (level11, 3, kind11)
+        )[2]
+
+    def _diagonal(self, lid: int, signature: Tuple) -> Tuple[float, str]:
+        """The first violation from both processes at ``lid``, memoized
+        by the lid's signature."""
+        found = self._diagonals.get(signature)
+        if found is None:
+            found = self._diagonals[signature] = self._first_violation(
+                lid, lid, _UNBOUNDED
+            )
+        return found
+
+    def _first_violation(
+        self, lid0: int, lid1: int, bound: float
+    ) -> Tuple[float, str]:
+        """``(level, kind)`` of the first violating configuration of a BFS
+        over all interleavings from the local ids ``lid0`` and ``lid1``
+        with both registers 0, looking no deeper than level ``bound``;
+        ``(inf, "solution")`` when there is none."""
         decide = self.decide
         write_value = self.write_value
         write_next = self.write_next
         read_next = self.read_next
         L = len(decide)
-        queue = [
-            ((start + in0 * 3) * L + start + in1 * 3) * 4
-            for in0 in (0, 1) for in1 in (0, 1)
-        ]
+        queue = [(lid0 * L + lid1) * 4]
         # Marking on enqueue visits configurations in the same order as
         # a mark-on-dequeue BFS would.
         seen = set(queue)
-        for cfg in queue:
+        level = 0
+        level_end = 1
+        for index, cfg in enumerate(queue):
+            if index == level_end:
+                level += 1
+                if level > bound:
+                    break
+                level_end = len(queue)
             mem = cfg & 3
             lid0, lid1 = divmod(cfg >> 2, L)
             d0 = decide[lid0]
             d1 = decide[lid1]
             if d0 >= 0 or d1 >= 0:
                 if d0 >= 0 and d1 >= 0 and d0 != d1:
-                    return "agreement"
+                    return level, "agreement"
                 # Inputs are positional and immutable, so the originating
                 # input vector is recoverable from the lids.
                 in0 = lid0 % 6 // 3
                 in1 = lid1 % 6 // 3
                 if d0 >= 0 and d0 != in0 and d0 != in1:
-                    return "validity"
+                    return level, "validity"
                 if d1 >= 0 and d1 != in0 and d1 != in1:
-                    return "validity"
+                    return level, "validity"
             # Wait-freedom cannot fail: height(program) <= solo_bound.
             if d0 < 0:
                 nxt = write_next[lid0]
@@ -337,7 +389,7 @@ class SubtreeTable:
                 if child not in seen:
                     seen.add(child)
                     queue.append(child)
-        return "solution"
+        return _CLEAN
 
 
 @dataclass

@@ -146,6 +146,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub.add_parser("stats", help="list the store's contents and exit")
 
     args = parser.parse_args(argv)
+    if args.command == "campaign" and getattr(args, "targets", None):
+        from ..chaos.targets import select_targets
+
+        try:
+            select_targets(args.targets)
+        except ValueError as exc:
+            campaign.error(str(exc))
     store = CertificateStore(args.store)
 
     if args.command == "stats":

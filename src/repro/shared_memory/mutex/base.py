@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Hashable, Optional, Sequence
 
 from ...core.automaton import Action, State
+from ...core.canonical import text
 from ...core.errors import InvariantViolation
 from ...core.exploration import check_invariant, explore
 from ...core.execution import Execution
@@ -286,7 +287,7 @@ class MutexSystem(SharedMemorySystem):
                         state = next(iter(self.apply(state, ("try", p.name))))
                     elif local["region"] == CRITICAL and local["announce"] is None:
                         state = next(iter(self.apply(state, ("exit", p.name))))
-                enabled = sorted(self.enabled_actions(state), key=repr)
+                enabled = sorted(self.enabled_actions(state), key=text)
                 if not enabled:
                     break
                 # Fairness floor: a process starved for too long must step.

@@ -1,10 +1,11 @@
-"""The E11 candidate check as it was before the shared subtree table —
-kept only as the differential reference for
-``tests/test_e11_kernel_differential.py``.
+"""The E11 candidate checks the kernel replaced — kept only as the
+differential references for ``tests/test_e11_kernel_differential.py``.
 
-Each candidate program is flattened on its own (DFS-numbered subtrees),
-gets its own per-local-id tables, and is model-checked by a BFS over a
-bytearray visited set sized to that program.
+Before the shared subtree table, each candidate program was flattened on
+its own (DFS-numbered subtrees), got its own per-local-id tables, and
+was model-checked by a BFS over a bytearray visited set sized to that
+program.  Before the search was split by input vector, the table ran
+one BFS from all four input vectors per behaviour.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import List, Tuple
 from repro.registers.exhaustive import (
     Program,
     ProgramConsensus,
+    SubtreeTable,
     enumerate_programs,
 )
 from repro.registers.herlihy import ObjectConsensusSystem, wait_free_verdict
@@ -183,3 +185,62 @@ def reference_verdicts(depth: int) -> List[str]:
         _packed_verdict_kind(program, solo_bound=depth + 2)
         for program in enumerate_programs(depth)
     ]
+
+
+def four_start_search(table: SubtreeTable, start: int) -> str:
+    """The verdict of the candidate whose root lid is ``start``: the
+    kind of the first violating configuration of one BFS over all
+    interleavings from the four input vectors at once, or
+    ``"solution"`` (the table's search before it was split by input
+    vector)."""
+    decide = table.decide
+    write_value = table.write_value
+    write_next = table.write_next
+    read_next = table.read_next
+    L = len(decide)
+    queue = [
+        ((start + in0 * 3) * L + start + in1 * 3) * 4
+        for in0 in (0, 1) for in1 in (0, 1)
+    ]
+    # Marking on enqueue visits configurations in the same order as
+    # a mark-on-dequeue BFS would.
+    seen = set(queue)
+    for cfg in queue:
+        mem = cfg & 3
+        lid0, lid1 = divmod(cfg >> 2, L)
+        d0 = decide[lid0]
+        d1 = decide[lid1]
+        if d0 >= 0 or d1 >= 0:
+            if d0 >= 0 and d1 >= 0 and d0 != d1:
+                return "agreement"
+            # Inputs are positional and immutable, so the originating
+            # input vector is recoverable from the lids.
+            in0 = lid0 % 6 // 3
+            in1 = lid1 % 6 // 3
+            if d0 >= 0 and d0 != in0 and d0 != in1:
+                return "validity"
+            if d1 >= 0 and d1 != in0 and d1 != in1:
+                return "validity"
+        # Wait-freedom cannot fail: height(program) <= solo_bound.
+        if d0 < 0:
+            nxt = write_next[lid0]
+            if nxt >= 0:
+                child = (((nxt * L + lid1) * 4)
+                         | (write_value[lid0] << 1) | (mem & 1))
+            else:
+                nxt = read_next[lid0][mem & 1]  # read r1
+                child = ((nxt * L + lid1) * 4) | mem
+            if child not in seen:
+                seen.add(child)
+                queue.append(child)
+        if d1 < 0:
+            nxt = write_next[lid1]
+            if nxt >= 0:
+                child = ((lid0 * L + nxt) * 4) | (mem & 2) | write_value[lid1]
+            else:
+                nxt = read_next[lid1][mem >> 1]  # read r0
+                child = ((lid0 * L + nxt) * 4) | mem
+            if child not in seen:
+                seen.add(child)
+                queue.append(child)
+    return "solution"

@@ -113,20 +113,65 @@ print(sorted(map(repr, options)))
 """
 
 
+def _outputs_under_hash_seeds(probe):
+    """The stdout lines of ``probe`` run under two hash seeds."""
+    outputs = []
+    for hashseed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    return outputs
+
+
 def test_option_order_independent_of_pythonhashseed():
     """Options holding a string set are ordered by their canonical text,
     so a scripted index picks the same option under every hash seed —
     while the raw ``repr`` order of the same options does move."""
     chosen, reprs = set(), set()
-    for hashseed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
-        proc = subprocess.run(
-            [sys.executable, "-c", _ORDER_PROBE],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        order, raw = proc.stdout.splitlines()
+    for order, raw in _outputs_under_hash_seeds(_ORDER_PROBE):
         chosen.add(order)
         reprs.add(raw)
     assert len(chosen) == 1, "option order varies with PYTHONHASHSEED"
     assert len(reprs) > 1, "the hash seeds never reordered a repr"
+
+
+_SET_KEY_PROBE = """\
+from itertools import combinations
+from repro.clocks.logical import Computation, Event
+from repro.impossibility.certificate import BoundCertificate
+from repro.shared_memory.mutex.base import MutexSystem
+from repro.shared_memory.mutex.dijkstra import DijkstraProcess
+names = [frozenset(pair) for pair in combinations("abcdef", 2)]
+rank = {name: i for i, name in enumerate(names)}
+summary = BoundCertificate("claim", "counting", series=rank).summary()
+print([line.rsplit(" ", 1)[1] for line in summary.splitlines()[1:]])
+processes = Computation([Event(name, 0, "local") for name in names]).processes
+print([rank[name] for name in processes])
+racers = [frozenset(pair) for pair in ("ad", "bc", "ae")]
+log = []
+class Logged(MutexSystem):
+    def apply(self, state, action):
+        log.append((action[0], racers.index(action[1])))
+        return super().apply(state, action)
+Logged(
+    [DijkstraProcess(name, i, 3) for i, name in enumerate(racers)],
+    initial_memory={"flag0": 0, "flag1": 0, "flag2": 0, "turn": 0},
+).measure_bypass(racers[0], steps=40, seeds=[0])
+print(log)
+print(sorted(map(repr, names + racers)))
+"""
+
+
+def test_set_keyed_sorts_independent_of_pythonhashseed():
+    """A bound certificate's summary, a computation's processes and the
+    mutex bypass run's enabled actions are ordered by canonical text, so
+    string-set keys come out in the same order under every hash seed."""
+    (*first, raw0), (*second, raw1) = _outputs_under_hash_seeds(
+        _SET_KEY_PROBE
+    )
+    assert first == second, "a set-keyed order varies with PYTHONHASHSEED"
+    assert raw0 != raw1, "the hash seeds never reordered a repr"

@@ -1,11 +1,16 @@
-"""The E11 shared-subtree-table kernel checked against the per-candidate
-checker it replaced (``tests/register_reference.py``).
+"""The E11 shared-subtree-table kernel checked against the checkers it
+replaced (``tests/register_reference.py``).
 
-Every candidate must get the reference's verdict at depths 0, 1 and 2,
-through the per-table memo that runs one BFS per behaviour (the pair of
-root-lid signatures); the budget cursor and a resumed search must match
-the full search.
+Every candidate must get the per-candidate reference's verdict at depths
+0, 1 and 2, through the per-table memos: one search per root-lid
+signature for the input vectors 00 and 11, and at most one bounded
+search of the vector 01 per behaviour (the pair of root-lid
+signatures).  The same verdicts must come from one BFS over all four
+input vectors; the budget cursor and a resumed search must match the
+full search.
 """
+
+from unittest import mock
 
 import pytest
 
@@ -17,7 +22,11 @@ from repro.registers.exhaustive import (
     search_register_consensus,
 )
 
-from .register_reference import _packed_verdict_kind, reference_verdicts
+from .register_reference import (
+    _packed_verdict_kind,
+    four_start_search,
+    reference_verdicts,
+)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
@@ -99,3 +108,28 @@ def test_one_search_per_behaviour_on_a_fresh_table():
     # Candidates of one behaviour share a verdict, and every verdict is
     # the memo's for its behaviour.
     assert kinds == [table._verdicts[pair] for pair in behaviours(table)]
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_split_search_matches_the_four_start_search(depth):
+    table = SubtreeTable(depth)
+    for nid in table.candidates:
+        assert table.verdict(nid, depth + 2) == four_start_search(
+            table, nid * 6
+        ), table.program_of(nid)
+
+
+def test_per_vector_memo_sizes():
+    table = SubtreeTable(2)
+    with mock.patch.object(
+        SubtreeTable, "_first_violation", autospec=True,
+        side_effect=SubtreeTable._first_violation,
+    ) as search:
+        for nid in table.candidates:
+            table.verdict(nid, 4)
+    # One search per root-lid signature of the vectors 00 and 11, and at
+    # most one 01 search per behaviour: none where 00 fails at level 0.
+    starts = [call.args[1:3] for call in search.call_args_list]
+    diagonal = [lid0 for lid0, lid1 in starts if lid0 == lid1]
+    assert len(diagonal) == len(table._diagonals) == 244
+    assert len(starts) - len(diagonal) <= len(table._verdicts) == 507

@@ -12,15 +12,12 @@ process class that declares a state key (and so is merged with equal
 states), is checked on every vector.
 """
 
-import importlib
 import itertools
-import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.consensus import (
     DolevStrong,
     EIGByzantine,
@@ -42,6 +39,7 @@ from .round_bound_reference import (
     reference_crash_adversaries,
     reference_round_bound_violation,
 )
+from .src_classes import subclasses_under_src
 
 
 def outcome(result):
@@ -200,23 +198,6 @@ def test_pattern_count_matches_the_generator(n, t, rounds):
     assert _pattern_count(n, t, rounds) == len(list(_crash_patterns(n, t, rounds)))
 
 
-def _import_every_module():
-    for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        if not info.name.endswith("__main__"):
-            importlib.import_module(info.name)
-
-
-def _subclasses_under_src(base, declares):
-    _import_every_module()
-    found, stack = set(), [base]
-    while stack:
-        for cls in stack.pop().__subclasses__():
-            stack.append(cls)
-            if declares(cls) and cls.__module__.startswith("repro."):
-                found.add(cls)
-    return found
-
-
 # -- the orbit walk of symmetric protocols ------------------------------
 
 #: How to build each symmetric protocol truncated to r rounds.
@@ -226,7 +207,7 @@ SYMMETRIC_FACTORIES = {
 
 
 def test_every_symmetric_protocol_has_a_factory():
-    found = _subclasses_under_src(SyncProtocol, lambda cls: cls.symmetric)
+    found = subclasses_under_src(SyncProtocol, lambda cls: cls.symmetric)
     assert found == set(SYMMETRIC_FACTORIES)
 
 
@@ -326,7 +307,7 @@ def _declares_state_key(cls):
 
 
 def test_every_state_keyed_process_has_cases():
-    found = _subclasses_under_src(SyncProcess, _declares_state_key)
+    found = subclasses_under_src(SyncProcess, _declares_state_key)
     assert found == set(STATE_KEYED)
 
 

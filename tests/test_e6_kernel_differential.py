@@ -8,9 +8,14 @@ check covers the three FLP candidates, random small deterministic
 protocol tables (self-sends, duplicate messages, null steps, non-binary
 values, custom input vectors) and shared-object systems, which go
 through the same fused pass without a codec.
+
+Every protocol under ``src/`` that declares itself symmetric (and so
+has one input vector per orbit labelled) must give the report of its
+undeclared twin, which labels every vector.
 """
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +40,7 @@ from repro.registers.herlihy import (
     TasConsensus3,
 )
 
+from .src_classes import subclasses_under_src
 from .valency_reference import (
     HiddenCodec,
     ReferenceValencyAnalyzer,
@@ -127,6 +133,52 @@ def test_store_payloads_match_reference():
         with reference_path():
             reference = flp_report_payload(flp.flp_analysis(candidate(), n))
         assert canonical_json(kernel) == canonical_json(reference)
+
+
+# ---------------------------------------------------------------------------
+# The input-orbit quotient of symmetric protocols
+
+
+def _undeclared(cls):
+    """``cls`` without its symmetry declaration: every vector labelled."""
+    return type(cls.__name__, (cls,), {"symmetric": False})
+
+
+def test_every_symmetric_protocol_matches_the_full_labelling():
+    found = subclasses_under_src(AsyncProtocol, lambda cls: cls.symmetric)
+    assert set(ALL_CANDIDATES) <= found
+    for cls in sorted(found, key=lambda cls: cls.__qualname__):
+        for n in (2, 3):
+            quotiented = flp.flp_analysis(cls(), n)
+            assert quotiented == flp.flp_analysis(_undeclared(cls)(), n), (
+                cls, n,
+            )
+
+
+def test_quorum_vote_n4_payload_matches_the_full_labelling():
+    from repro.service.keys import canonical_json
+    from repro.service.service import flp_report_payload
+
+    payloads = [
+        canonical_json(flp_report_payload(flp.flp_analysis(cls(), 4)))
+        for cls in (flp.QuorumVote, _undeclared(flp.QuorumVote))
+    ]
+    assert payloads[0] == payloads[1]
+
+
+def test_symmetric_analysis_labels_one_vector_per_orbit():
+    labelled = []
+
+    class Spy(ValencyAnalyzer):
+        def classify_initial(self, configurations=None):
+            labelled.append(len(configurations))
+            return super().classify_initial(configurations)
+
+    with mock.patch.object(flp, "ValencyAnalyzer", Spy):
+        flp.flp_analysis(flp.QuorumVote(), 3)
+        flp.flp_analysis(_undeclared(flp.QuorumVote)(), 3)
+    # The multisets {0,0,0}, {0,0,1}, {0,1,1}, {1,1,1}; then all 8.
+    assert labelled == [4, 8]
 
 
 # ---------------------------------------------------------------------------

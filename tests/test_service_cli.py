@@ -62,3 +62,14 @@ def test_printed_key_is_the_constructors(tmp_path, capsys, argv, key):
     warm = capsys.readouterr().err
     assert "answered from store" in warm and prefix in warm
     assert "hits=1" in warm
+
+
+def test_unknown_campaign_target_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--store", str(tmp_path / "certs"), "campaign",
+              "--targets", "lcr-ring", "bogus"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown targets ['bogus']" in err and "lcr-ring" in err
+    # Refused before the store is opened.
+    assert not (tmp_path / "certs").exists()
