@@ -188,7 +188,8 @@ def flp_analysis(
     only the configurations it labels (for a symmetric protocol, the
     cones of one input vector per orbit, plus whatever the stalling
     adversary labels later), and the disagreement search, which visits
-    the whole reachable space.
+    the same labelled cones: one input vector per orbit for a symmetric
+    protocol, not the whole reachable space.
     """
     system = AsyncConsensusSystem(protocol, n)
     analyzer = ValencyAnalyzer(system, max_configurations=max_configurations)
@@ -206,9 +207,8 @@ def flp_analysis(
     first = {}
     for orbit, inputs in zip(orbits, vectors):
         first.setdefault(orbit, inputs)
-    labelled = analyzer.classify_initial(
-        [system.configuration_for(inputs) for inputs in first.values()]
-    )
+    roots = [system.configuration_for(inputs) for inputs in first.values()]
+    labelled = analyzer.classify_initial(roots)
     valency_of = {
         orbit: valency for orbit, (_config, valency) in zip(first, labelled)
     }
@@ -229,8 +229,13 @@ def flp_analysis(
             system.configuration_for(bivalent_inputs), stall_stages
         )
 
-    # Safety: reachable agreement violation anywhere?
-    violation = analyzer.find_disagreement()
+    # Safety: reachable agreement violation anywhere?  Vectors reach
+    # disjoint configurations (a local state keeps its input), and a
+    # violation under a later vector of an orbit has a symmetric image at
+    # the same BFS level under the orbit's first vector, which the BFS
+    # queues earlier.  So walking the roots finds the same first
+    # violation as walking every vector.
+    violation = analyzer.find_disagreement(roots=roots)
     if violation is not None:
         return FLPReport(
             protocol.name, n, initial_valencies, bivalent_inputs,

@@ -57,8 +57,11 @@ class AsyncProtocol(ABC):
     #: the relabeling (it reads a pid to address or tag messages, never
     #: to choose between behaviours), so the valency of an initial
     #: configuration depends only on the multiset of its inputs.  FLP
-    #: analysis then labels one input vector per orbit, so a false
-    #: declaration can hide the valencies of the other vectors.
+    #: analysis then labels, and searches for a disagreement from, one
+    #: input vector per orbit, so a false declaration can hide the
+    #: valencies of the other vectors.  The disagreement search also
+    #: relies on each local state keeping its process's input, so that
+    #: different vectors reach disjoint configurations.
     symmetric: bool = False
 
     @abstractmethod

@@ -682,9 +682,14 @@ class ValencyAnalyzer:
         return None
 
     def find_agreement_violation(
-        self, max_configurations: Optional[int] = None
+        self, max_configurations: Optional[int] = None,
+        roots: Optional[Iterable[Configuration]] = None,
     ) -> Optional[Configuration]:
-        """Search the full reachable space for two processes deciding differently."""
+        """Search the configurations reachable from ``roots`` (default: every
+        initial configuration) breadth-first for two processes deciding
+        differently; the first one found is returned."""
+        if roots is None:
+            roots = self.system.initial_configurations()
         budget = (
             self.max_configurations if max_configurations is None
             else max_configurations
@@ -697,9 +702,7 @@ class ValencyAnalyzer:
         own_vals = self._own
         seen = bytearray(len(cache.interner))
         seen_count = 0
-        queue: deque = deque(
-            intern(config) for config in self.system.initial_configurations()
-        )
+        queue: deque = deque(intern(config) for config in roots)
         succ = graph._succ
         gstart = graph._start
         gend = graph._end

@@ -155,5 +155,5 @@ class BoundCertificate:
             measured = self.series[point]
             expected = self.bound.get(point)
             suffix = f" (bound {expected})" if expected is not None else ""
-            lines.append(f"  {point}: {measured}{suffix}")
+            lines.append(f"  {text(point)}: {measured}{suffix}")
         return "\n".join(lines)

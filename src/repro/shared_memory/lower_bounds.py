@@ -25,8 +25,12 @@ evidence that the other process ever ran.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
+    Tuple,
+)
 
 from ..core.errors import ModelError, SearchBudgetExceeded
 from ..core.execution import Execution
@@ -163,35 +167,70 @@ _ACT = 1
 _EXIT_INPUT = 4
 _CRIT_OUTPUT = 16
 
+# A table is a row of digits: one per trying entry, in table order, then
+# one per exit entry.  A digit is the entry's index among its options, so
+# a class's candidates in class order are its digit rows counted in mixed
+# radix.  Trying options: ("enter", w) is w, ("stay", m, w) is
+# values * (1 + m) + w, as in enumerate_protocol_tables; an exit digit is
+# the value written.
 
-def _moves(table: ProtocolTable, pid: int) -> List[Tuple[int, int, int]]:
+
+def _digits(table: ProtocolTable) -> List[int]:
+    values = table.values
+    return [
+        entry[1] if entry[0] == "enter" else values * (1 + entry[1]) + entry[2]
+        for entry in table.try_table
+    ] + list(table.exit_table)
+
+
+def _options(values: int, modes: int) -> List[List[Tuple[int, int]]]:
+    """Per digit of one table, its options as moves ``(local', value')``."""
+    trying = [(_CRIT_PENDING, w) for w in range(values)]
+    trying += [(_TRYING + m, w) for m in range(modes) for w in range(values)]
+    exiting = [(_REM_PENDING, w) for w in range(values)]
+    return [trying] * (modes * values) + [exiting] * values
+
+
+def _reader(values: int, modes: int, locals_: int, base: int) -> List[int]:
+    """The digit a process reads per ``local * values + value`` (-1 for a
+    move that reads no entry), its table's digits starting at ``base``."""
+    reads = [-1] * (locals_ * values)
+    for v in range(values):
+        reads[_EXIT * values + v] = base + modes * values + v
+        for m in range(modes):
+            reads[(_TRYING + m) * values + v] = base + m * values + v
+    return reads
+
+
+def _layout(values: int, modes0: int, modes1: int, shared: bool
+            ) -> Tuple[List[List[Tuple[int, int]]], Tuple[List[int], List[int]]]:
+    """A candidate pair's digit options and each pid's reader.  With
+    ``shared`` both pids read one table (of ``modes0`` modes), as in a
+    symmetric class; otherwise pid 1 reads a second table after it."""
+    locals_ = _TRYING + max(modes0, modes1)
+    options = _options(values, modes0)
+    reads0 = _reader(values, modes0, locals_, 0)
+    if shared:
+        return options, (reads0, reads0)
+    reads1 = _reader(values, modes1, locals_, len(options))
+    return options + _options(values, modes1), (reads0, reads1)
+
+
+def _fixed_moves(values: int, locals_: int, pid: int) -> List[Optional[Tuple[int, int, int]]]:
     """Process ``pid``'s move ``(local', value', label)`` per
-    ``local * values + value``."""
+    ``local * values + value`` where it reads no table entry."""
     act = _ACT << pid
-    moves = []
-    for local in range(_TRYING + table.modes):
-        for v in range(table.values):
-            if local == _REM:
-                moves.append((_TRYING, v, 0))  # the try input
-            elif local == _CRIT_PENDING:
-                moves.append((_CRIT, v, act | _CRIT_OUTPUT))
-            elif local == _CRIT:
-                moves.append((_EXIT, v, _EXIT_INPUT << pid))
-            elif local == _EXIT:
-                moves.append((_REM_PENDING, table.exit_table[v], act))
-            elif local == _REM_PENDING:
-                moves.append((_REM, v, act))
-            else:
-                entry = table.try_entry(local - _TRYING, v)
-                if entry[0] == "enter":
-                    moves.append((_CRIT_PENDING, entry[1], act))
-                else:
-                    moves.append((_TRYING + entry[1], entry[2], act))
+    moves: List[Optional[Tuple[int, int, int]]] = [None] * (locals_ * values)
+    for v in range(values):
+        moves[_REM * values + v] = (_TRYING, v, 0)  # the try input
+        moves[_CRIT_PENDING * values + v] = (_CRIT, v, act | _CRIT_OUTPUT)
+        moves[_CRIT * values + v] = (_EXIT, v, _EXIT_INPUT << pid)
+        moves[_REM_PENDING * values + v] = (_REM, v, act)
     return moves
 
 
-def _admissible_cycle(order: List[int], succ: Dict[int, Tuple[Tuple[int, int], ...]],
-                      local_of: Dict[int, Tuple[int, int]], victim: int,
+def _admissible_cycle(order: List[int], succ: Sequence[Tuple[Tuple[int, int], ...]],
+                      local_of: Sequence[Tuple[int, int]], victim: int,
                       skip: int) -> bool:
     """Does some maximal SCC of the graph restricted to states with
     ``victim`` trying (dropping edges labelled ``skip``) unroll into an
@@ -255,55 +294,118 @@ def _admissible_cycle(order: List[int], succ: Dict[int, Tuple[Tuple[int, int], .
     return False
 
 
-def check_candidate(tables: Tuple[ProtocolTable, ...],
-                    max_states: int = 20_000,
-                    moves: Optional[Tuple[List, List]] = None) -> CandidateVerdict:
-    """Model-check one candidate protocol pair for all three properties.
+Verdict = Tuple[bool, bool, bool]  # mutual exclusion, deadlock-, lockout-free
+
+
+def _walk(values: int, options: List[List[Tuple[int, int]]],
+          reads: Tuple[List[int], List[int]], digits: List[int],
+          max_states: int, leaf: Callable[[List[int], Verdict], None]) -> None:
+    """Decide every candidate whose digits agree with ``digits`` (-1 marks
+    a free entry), calling ``leaf(digits, verdict)`` once per leaf of the
+    decision tree.
 
     One breadth-first pass over the integer-encoded state graph decides
     mutual exclusion; deadlock- and lockout-freedom for each victim come
-    from SCCs of that graph.  The verdict equals the generic
+    from SCCs of that graph.  When the pass reads a free entry it branches
+    on the entry's options, in option order, and resumes at the same
+    state; a branch's new states are dropped before the next.  Candidates
+    that agree on the entries read share one pass, hence one verdict.
+    Raises :class:`SearchBudgetExceeded` past ``max_states`` states.
+    """
+    reads0, reads1 = reads
+    locals_ = len(reads0) // values
+    row = locals_ * values
+    size = locals_ * row
+    local_of = [(s // row, s // values % locals_) for s in range(size)]
+    fixed0, fixed1 = (_fixed_moves(values, locals_, pid) for pid in (0, 1))
+    succ: List[Tuple[Tuple[int, int], ...]] = [()] * size
+    order = [0]  # the initial state: both in rem, v = 0
+    seen = bytearray(size)
+    seen[0] = 1
+
+    def branch(k: int, p: int) -> None:
+        mark = len(order)
+        for option in range(len(options[p])):
+            digits[p] = option
+            run(k)
+            for s in order[mark:]:
+                seen[s] = 0
+            del order[mark:]
+        digits[p] = -1
+
+    def run(k: int) -> None:
+        while k < len(order):
+            s = order[k]
+            l0, l1 = local_of[s]
+            if _CRIT_PENDING <= l0 <= _CRIT and _CRIT_PENDING <= l1 <= _CRIT:
+                leaf(digits, (False, False, False))
+                return
+            v = s % values
+            key = l0 * values + v
+            p = reads0[key]
+            if p < 0:
+                n0, v0, label0 = fixed0[key]
+            elif digits[p] < 0:
+                return branch(k, p)
+            else:
+                (n0, v0), label0 = options[p][digits[p]], _ACT
+            key = l1 * values + v
+            p = reads1[key]
+            if p < 0:
+                n1, v1, label1 = fixed1[key]
+            elif digits[p] < 0:
+                return branch(k, p)
+            else:
+                (n1, v1), label1 = options[p][digits[p]], _ACT << 1
+            edges = ((n0 * row + l1 * values + v0, label0),
+                     (l0 * row + n1 * values + v1, label1))
+            succ[s] = edges
+            for child, _label in edges:
+                if not seen[child]:
+                    if len(order) >= max_states:
+                        raise SearchBudgetExceeded(
+                            f"candidate check exceeded {max_states} states"
+                        )
+                    seen[child] = 1
+                    order.append(child)
+            k += 1
+        if any(_admissible_cycle(order, succ, local_of, victim, _CRIT_OUTPUT)
+               for victim in (0, 1)):
+            leaf(digits, (True, False, False))
+            return
+        lockout_ok = not any(_admissible_cycle(order, succ, local_of, victim, 0)
+                             for victim in (0, 1))
+        leaf(digits, (True, True, lockout_ok))
+
+    run(0)
+
+
+def check_candidate(tables: Tuple[ProtocolTable, ...],
+                    max_states: int = 20_000) -> CandidateVerdict:
+    """Model-check one candidate protocol pair for all three properties.
+
+    The decision-tree walk of :func:`search_two_process_protocols` with
+    every entry fixed: a single leaf.  The verdict equals the generic
     :class:`MutexSystem` checkers' on :func:`build_synthetic_system`.
     Raises :class:`SearchBudgetExceeded` past ``max_states`` states.
-    ``moves`` may carry ``(_moves(tables[0], 0), _moves(tables[1], 1))``
-    when the caller has built them already.
     """
-    values = tables[0].values
-    locals_ = _TRYING + max(table.modes for table in tables)
-    row = locals_ * values
-    if moves is None:
-        moves = _moves(tables[0], 0), _moves(tables[1], 1)
-    moves0, moves1 = moves
-    order = [0]  # the initial state: both in rem, v = 0
-    local_of: Dict[int, Tuple[int, int]] = {}
-    succ: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-    seen = bytearray(locals_ * row)
-    seen[0] = 1
-    for s in order:
-        l0, rest = divmod(s, row)
-        l1, v = divmod(rest, values)
-        if _CRIT_PENDING <= l0 <= _CRIT and _CRIT_PENDING <= l1 <= _CRIT:
-            return CandidateVerdict(tables, False, False, False)
-        local_of[s] = (l0, l1)
-        n0, v0, label0 = moves0[l0 * values + v]
-        n1, v1, label1 = moves1[l1 * values + v]
-        edges = ((n0 * row + l1 * values + v0, label0),
-                 (l0 * row + n1 * values + v1, label1))
-        succ[s] = edges
-        for child, _label in edges:
-            if not seen[child]:
-                if len(order) >= max_states:
-                    raise SearchBudgetExceeded(
-                        f"candidate check exceeded {max_states} states"
-                    )
-                seen[child] = 1
-                order.append(child)
-    if any(_admissible_cycle(order, succ, local_of, victim, _CRIT_OUTPUT)
-           for victim in (0, 1)):
-        return CandidateVerdict(tables, True, False, False)
-    lockout_ok = not any(_admissible_cycle(order, succ, local_of, victim, 0)
-                         for victim in (0, 1))
-    return CandidateVerdict(tables, True, True, lockout_ok)
+    a, b = tables
+    options, reads = _layout(a.values, a.modes, b.modes, shared=False)
+    verdicts: List[Verdict] = []
+    _walk(a.values, options, reads, _digits(a) + _digits(b), max_states,
+          lambda _row, verdict: verdicts.append(verdict))
+    return CandidateVerdict(tables, *verdicts[0])
+
+
+def _decision_leaves(values: int, modes: int, symmetric: bool,
+                     max_states: int = 20_000) -> List[Tuple[Tuple[int, ...], Verdict]]:
+    """The class's decision tree as ``(digits, verdict)`` leaves, in walk
+    order; a leaf's free entries are -1."""
+    options, reads = _layout(values, modes, modes, shared=symmetric)
+    leaves: List[Tuple[Tuple[int, ...], Verdict]] = []
+    _walk(values, options, reads, [-1] * len(options), max_states,
+          lambda row, verdict: leaves.append((tuple(row), verdict)))
+    return leaves
 
 
 def search_two_process_protocols(
@@ -315,41 +417,38 @@ def search_two_process_protocols(
     """Model-check every candidate 2-process protocol in the class.
 
     With ``symmetric=True`` both processes run the same table (the class is
-    then linear rather than quadratic in the table count).  Otherwise the
-    pid swap is a symmetry of the class: ``(a, b)`` is checked once and its
-    verdict reused for ``(b, a)``.  Returns the verdict list in class order;
-    see :func:`cremers_hibbard_certificate` for the certified conclusion.
+    then linear rather than quadratic in the table count).  One
+    decision-tree walk (see :func:`_walk`) decides the class: each leaf's
+    verdict goes to every candidate that agrees with the leaf's entries.
+    Returns the verdict list in class order; see
+    :func:`cremers_hibbard_certificate` for the certified conclusion.
     """
-    # The table count of enumerate_protocol_tables, known before enumerating.
-    count = (values * (1 + modes)) ** (modes * values) * values ** values
-    total = count if symmetric else count ** 2
+    options, _reads = _layout(values, modes, modes, shared=symmetric)
+    radices = [len(digit) for digit in options]
+    total = math.prod(radices)
     if max_candidates is not None and total > max_candidates:
         raise ModelError(
             f"protocol class has {total} candidates, above the limit "
             f"{max_candidates}; narrow the class"
         )
+    weights = [math.prod(radices[i + 1:]) for i in range(len(radices))]
+    verdict_of: List[Verdict] = [None] * total  # type: ignore[list-item]
+    for digits, verdict in _decision_leaves(values, modes, symmetric):
+        # The agreeing candidates' class indices, in mixed radix: the
+        # fixed digits give the first, the free ones every offset.
+        first, offsets = 0, [0]
+        for digit, radix, weight in zip(digits, radices, weights):
+            if digit < 0:
+                offsets = [o + c for o in offsets
+                           for c in range(0, radix * weight, weight)]
+            else:
+                first += digit * weight
+        for offset in offsets:
+            verdict_of[first + offset] = verdict
     tables = list(enumerate_protocol_tables(values, modes))
-    if symmetric:
-        return [check_candidate((t, t)) for t in tables]
-    # Each table's moves, built once per pid for the whole search.
-    moves1 = [_moves(table, 1) for table in tables]
-    verdicts: List[CandidateVerdict] = []
-    checked: List[List[CandidateVerdict]] = []  # checked[i][j - i] for j >= i
-    for i, a in enumerate(tables):
-        for j, b in enumerate(tables[:i]):
-            mirror = checked[j][i - j]
-            verdicts.append(CandidateVerdict(
-                (a, b), mirror.mutual_exclusion, mirror.deadlock_free,
-                mirror.lockout_free,
-            ))
-        moves0 = _moves(a, 0)
-        row = [
-            check_candidate((a, b), moves=(moves0, moves1[j]))
-            for j, b in enumerate(tables[i:], i)
-        ]
-        checked.append(row)
-        verdicts.extend(row)
-    return verdicts
+    pairs = ((t, t) for t in tables) if symmetric else itertools.product(tables, repeat=2)
+    return [CandidateVerdict(pair, *verdict)
+            for pair, verdict in zip(pairs, verdict_of)]
 
 
 def cremers_hibbard_certificate(

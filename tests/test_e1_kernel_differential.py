@@ -1,31 +1,40 @@
-"""The integer E1 kernel checked against the generic model checker it
-replaced (``tests/mutex_reference.py``).
+"""The E1 decision-tree walk checked against the checks it replaced
+(``tests/mutex_reference.py``).
 
-On every candidate compared, ``check_candidate`` must give the reference's
-(mutual exclusion, deadlock-free, lockout-free) verdict; the verdict must
-not change under the pid swap the search quotients by; and the three
-classes the survey's claim rests on keep their census.
+On every candidate compared, ``check_candidate`` and the search must give
+the generic reference's (mutual exclusion, deadlock-free, lockout-free)
+verdict; on the three classes the survey's claim rests on, the search's
+verdict lists must equal the eager per-pair search's and keep their
+census; the verdict must not change under the pid swap; and the decision
+trees keep their leaf counts.
 """
 
 import functools
 import importlib
-from collections import Counter
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import SearchBudgetExceeded
+from repro.core.errors import ModelError, SearchBudgetExceeded
 from repro.shared_memory import (
     ProtocolTable,
     check_candidate,
     enumerate_protocol_tables,
     search_two_process_protocols,
 )
+from repro.shared_memory.lower_bounds import _decision_leaves, _layout
 
-from .mutex_reference import reference_check_candidate, reference_search
+from .mutex_reference import (
+    eager_check_candidate,
+    eager_search,
+    reference_check_candidate,
+    reference_search,
+)
 
 CLASSES = ((2, 1), (2, 2), (3, 1))
+SEARCHED = ((2, 1, False), (2, 2, True), (3, 1, True))
 
 
 def verdict(v):
@@ -35,6 +44,11 @@ def verdict(v):
 @functools.lru_cache(maxsize=None)
 def tables_of(values, modes):
     return tuple(enumerate_protocol_tables(values, modes))
+
+
+@functools.lru_cache(maxsize=None)
+def searched(values, modes, symmetric):
+    return tuple(search_two_process_protocols(values, modes, symmetric))
 
 
 def test_full_two_valued_symmetric_class_matches_reference():
@@ -80,28 +94,42 @@ def test_quotiented_search_keeps_class_order_and_mirrors_verdicts():
             )
 
 
-def test_asymmetric_search_builds_each_move_list_once(monkeypatch):
-    module = importlib.import_module("repro.shared_memory.lower_bounds")
-    built, checked = Counter(), []
-    real_moves, real_check = module._moves, module.check_candidate
+@pytest.mark.parametrize("values, modes, symmetric", SEARCHED)
+def test_search_matches_eager_reference(values, modes, symmetric):
+    lazy = searched(values, modes, symmetric)
+    eager = eager_search(values, modes, symmetric)
+    assert [v.tables for v in lazy] == [v.tables for v in eager]
+    assert [verdict(v) for v in lazy] == [verdict(v) for v in eager]
 
-    def counting_moves(table, pid):
-        built[table, pid] += 1
-        return real_moves(table, pid)
 
-    def counting_check(tables, *args, **kwargs):
-        checked.append(tables)
-        return real_check(tables, *args, **kwargs)
+@st.composite
+def searched_candidates(draw):
+    values, modes, symmetric = draw(st.sampled_from(SEARCHED))
+    verdicts = searched(values, modes, symmetric)
+    return verdicts[draw(st.integers(0, len(verdicts) - 1))]
 
-    monkeypatch.setattr(module, "_moves", counting_moves)
-    monkeypatch.setattr(module, "check_candidate", counting_check)
-    search_two_process_protocols(2, modes=1, symmetric=False)
-    assert len(checked) == 2080
-    assert len(built) == 2 * len(tables_of(2, 1))
-    assert set(built.values()) == {1}
-    # Nothing outlives a search: the next one builds every list again.
-    search_two_process_protocols(2, modes=1, symmetric=False)
-    assert set(built.values()) == {2}
+
+@settings(max_examples=150, deadline=None)
+@given(searched_candidates())
+def test_search_matches_reference_on_sampled_candidates(candidate):
+    assert verdict(candidate) == verdict(
+        reference_check_candidate(candidate.tables)
+    )
+
+
+@pytest.mark.parametrize(
+    "values, modes, symmetric, leaves, candidates",
+    [(2, 1, False, 462, 4096), (2, 2, True, 792, 5184), (3, 1, True, 224, 5832)],
+)
+def test_decision_tree_leaf_counts(values, modes, symmetric, leaves, candidates):
+    tree = _decision_leaves(values, modes, symmetric)
+    assert len(tree) == leaves
+    # The leaves partition the class: their candidate counts add up.
+    options, _reads = _layout(values, modes, modes, shared=symmetric)
+    assert sum(
+        math.prod(len(options[i]) for i, digit in enumerate(digits) if digit < 0)
+        for digits, _verdict in tree
+    ) == candidates
 
 
 @pytest.mark.parametrize(
@@ -128,4 +156,19 @@ def test_state_budget_still_raises():
     with pytest.raises(SearchBudgetExceeded):
         reference_check_candidate((semaphore, semaphore), max_states=2)
     with pytest.raises(SearchBudgetExceeded):
+        eager_check_candidate((semaphore, semaphore), max_states=2)
+    with pytest.raises(SearchBudgetExceeded):
         check_candidate((semaphore, semaphore), max_states=2)
+    with pytest.raises(SearchBudgetExceeded):
+        _decision_leaves(2, 1, False, max_states=2)
+
+
+def test_candidate_limit_raises_before_walking(monkeypatch):
+    module = importlib.import_module("repro.shared_memory.lower_bounds")
+
+    def no_walk(*_args, **_kwargs):
+        raise AssertionError("walked a class above the candidate limit")
+
+    monkeypatch.setattr(module, "_walk", no_walk)
+    with pytest.raises(ModelError, match="5832 candidates"):
+        search_two_process_protocols(3, 1, symmetric=True, max_candidates=5831)

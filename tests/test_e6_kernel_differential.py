@@ -181,6 +181,24 @@ def test_symmetric_analysis_labels_one_vector_per_orbit():
     assert labelled == [4, 8]
 
 
+@pytest.mark.parametrize(
+    "candidate, rows", [(flp.QuorumVote, 561), (flp.FirstMessageWins, 432)],
+    ids=lambda c: getattr(c, "name", c),
+)
+def test_disagreement_walk_expands_only_labelled_rows(candidate, rows):
+    made = []
+
+    class Spy(ValencyAnalyzer):
+        def __post_init__(self):
+            super().__post_init__()
+            made.append(self)
+
+    with mock.patch.object(flp, "ValencyAnalyzer", Spy):
+        flp.flp_analysis(candidate(), 3)
+    (analyzer,) = made
+    assert analyzer.cache.graph.rows == len(analyzer._masks) == rows
+
+
 # ---------------------------------------------------------------------------
 # Random protocol tables
 
