@@ -234,8 +234,12 @@ def flp_analysis(
     # violation under a later vector of an orbit has a symmetric image at
     # the same BFS level under the orbit's first vector, which the BFS
     # queues earlier.  So walking the roots finds the same first
-    # violation as walking every vector.
-    violation = analyzer.find_disagreement(roots=roots)
+    # violation as walking every vector.  A violation's own decisions
+    # make it bivalent, and so every configuration on a path to it: no
+    # univalent root reaches one, nor shifts the bivalent configurations'
+    # BFS order among themselves.  So only the bivalent roots are walked.
+    bivalent = [config for config, valency in labelled if len(valency) >= 2]
+    violation = analyzer.find_disagreement(roots=bivalent) if bivalent else None
     if violation is not None:
         return FLPReport(
             protocol.name, n, initial_valencies, bivalent_inputs,

@@ -29,7 +29,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
@@ -327,7 +327,7 @@ class TransitionCache:
 
 class _ValencyView(Mapping):
     """Read-through mapping {configuration: valency} over the packed
-    mask table — what ``ValencyAnalyzer._valency_cache`` now is.
+    mask table — what ``ValencyAnalyzer._valency_cache`` returns.
 
     Labels live as int masks indexed by state id; this view materializes
     frozen configurations and frozensets only when someone actually reads
@@ -392,9 +392,6 @@ class ValencyAnalyzer:
     system: DecisionSystem
     max_configurations: int = 200_000
     cache: Optional[TransitionCache] = None
-    _valency_cache: Dict[Configuration, FrozenSet[Hashable]] = field(
-        default_factory=dict
-    )
 
     __hash__ = object.__hash__
 
@@ -408,10 +405,13 @@ class ValencyAnalyzer:
         # bit.
         self._own = array("q")
         self._local_bits: List[int] = []
-        # The config-keyed label mapping is a read-through view over the
-        # mask table (kept as a field for API/debugging compatibility).
-        self._valency_cache = _ValencyView(self)
         register_packed_owner(self)
+
+    @property
+    def _valency_cache(self) -> Mapping:
+        """The config-keyed labels, as a read-through view over the mask
+        table (built per access: a stored view would be a cycle)."""
+        return _ValencyView(self)
 
     def reset_packed_state(self) -> None:
         """Drop id-indexed labels (cascade target of ``clear_intern_table``)."""

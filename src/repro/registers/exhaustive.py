@@ -11,9 +11,10 @@ runs a depth-bounded decision-tree program —
   initial value also readable);
 * leaf: decide 0 / 1 / own input / last value read.
 
-Every candidate is model-checked exhaustively for agreement, validity and
-wait-freedom over all interleavings; the certificate records that **no
-candidate solves 2-process wait-free consensus**, which is the
+Every candidate is model-checked exhaustively for agreement and validity
+over all interleavings (wait-freedom holds by construction: a solo run
+decides within the height of its tree); the certificate records that
+**no candidate solves 2-process wait-free consensus**, which is the
 Loui–Abu-Amara / Herlihy impossibility restricted to the stated class —
 with the class bound honest in the certificate, and deep enough to
 contain the natural write-then-read-then-decide protocols.
@@ -22,16 +23,13 @@ contain the natural write-then-read-then-decide protocols.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.budget import Budget, BudgetExceeded
 from ..impossibility.certificate import ImpossibilityCertificate
 from ..shared_memory.variables import Access, read, write
-from .herlihy import (
-    ObjectConsensusProtocol,
-    ObjectConsensusSystem,
-    wait_free_verdict,
-)
+from .herlihy import ObjectConsensusProtocol
 
 # A program tree, as nested tuples (registers start at 0):
 #   ("decide", leaf)                 leaf in {"zero", "one", "own", "seen"}
@@ -123,273 +121,192 @@ _RESOLVED = {
     "own": (0, 0, 0, 1, 1, 1),
     "seen": (0, 0, 1, 1, 0, 1),
 }
-_ZEROS = (0,) * 6
-_NONE = (-1,) * 6
-_NO_READ = ((-1, -1),) * 6
-_UNBOUNDED = float("inf")
-#: What a search with no violation returns: no level, no failure.
-_CLEAN = (_UNBOUNDED, "solution")
+#: The root slots: input 0 and input 1, nothing read yet.
+_ROOTS = (0, 3)
+#: What a search with no violation returns: no distance, no failure.
+_CLEAN = (float("inf"), "solution")
 
 
-class SubtreeTable:
-    """Every program of the class as one hash-consed table of subtrees.
+class BehaviourClasses:
+    """The candidates of the class as an automaton over behaviour classes.
 
-    A node is a subtree: ``("decide", leaf)``, ``("write", value,
-    sub_node)`` or ``("read", if0_node, if1_node)``, interned once per
-    search, so the 1124 depth-2 candidates share 1124 nodes instead of
-    flattening a tree each.  A local state of :class:`ProgramConsensus`
-    is ``(pid, input, seen, subtree)``; ``pid`` is positional and
-    ``input`` never changes, so it packs into a local id ``lid = node * 6
-    + input * 3 + (seen + 1)``, and each node owns six rows of the
-    decide/write/read tables below.  A configuration of a candidate is
-    one int ``(lid0 * L + lid1) * 4 + mem0 * 2 + mem1`` over the table's
-    lid space ``L``, so a candidate check is just a BFS over ints.
+    A local state of :class:`ProgramConsensus` is ``(pid, input, seen,
+    subtree)``; ``pid`` is positional and ``input`` never changes.  A
+    state here is a signature ``(input bit, decided value, written
+    value, write successor, read successor on 0, read successor on 1)``,
+    -1 where absent, whose successors are states again.  Programs are
+    trees, so signatures built bottom-up are canonical: two local states
+    get one state exactly when they are bisimilar, as are ``("decide",
+    "own")`` and ``("decide", "zero")`` under input 0.
 
-    Wait-freedom is discharged structurally: a solo run from node ``v``
-    decides after at most ``height(v)`` accesses (programs are trees, so
-    solo runs neither halt undecided nor cycle), hence it can only fail
-    when the tree is deeper than the solo bound — and then
-    :meth:`verdict` defers to the generic :func:`wait_free_verdict`
-    rather than replicate its failure order.
-
-    Lids are also sorted into behaviour classes, bottom-up: two lids
-    with equal signatures (:meth:`_signature`: input bit, decided and
-    written value, classes of the successors) are bisimilar, as are
-    ``("decide", "own")`` and ``("decide", "zero")`` under input 0.  A
-    BFS first reaches the configurations of bisimilar candidates in the
-    same order of their class vectors, and its checks read only what a
-    class fixes, so a candidate's verdict is a function of the
-    signatures of its two root lids: :meth:`verdict` searches once per
-    such pair, and the search from one input vector with both processes
-    at one root lid once per signature (:meth:`_search`).  Only the lids
-    of subtrees need a class; a root's signature is taken when its
-    candidate is checked.
+    Only the subtrees of the candidates get states, at all six slots
+    ``input * 3 + seen + 1``.  A candidate's root pair (its states under
+    input 0 and 1, nothing read) is read off its op and its children's
+    slot states; a read's depends only on the states of its ``if0``
+    child at slots 1 and 4 and of its ``if1`` child at slots 2 and 5, so
+    the read candidates' pairs come from one table over those groups.
+    A verdict is a function of the root pair (:meth:`verdict`), and the
+    searches share one memo of first violations over configurations
+    ``(state0, state1, mem)`` (:meth:`_first`).
     """
 
     def __init__(self, depth: int):
         self._ids: Dict[Tuple, int] = {}
-        self._programs: List[Optional[Program]] = []
-        self._keys: List[Tuple] = []
-        self.heights: List[int] = []
-        # Per lid: decided value (-1 while running), written value and
-        # successor of a write (-1 if not a write), successors of a read
-        # per response.
-        self.decide: List[int] = []
-        self.write_value: List[int] = []
-        self.write_next: List[int] = []
-        self.read_next: List[Tuple[int, int]] = []
-        #: Per lid of a subtree of some candidate: its behaviour class.
-        self.behaviour: List[int] = []
-        self._verdicts: Dict[Tuple[Tuple, Tuple], str] = {}
-        #: Per root-lid signature: the first violation from that lid on
-        #: both processes (the input vector 00 or 11).
-        self._diagonals: Dict[Tuple, Tuple[float, str]] = {}
-        level: List[int] = []
-        for d in range(depth + 1):
-            if d == depth:  # every subtree of a candidate is interned
-                classes: Dict[Tuple, int] = {}
-                for lid in range(len(self.decide)):
-                    self.behaviour.append(
-                        classes.setdefault(self._signature(lid), len(classes))
-                    )
-            leaves = [self._node(("decide", leaf)) for leaf in LEAVES]
-            subs = level
-            level = leaves
-            if d:
-                level += [
-                    self._node(("write", value, sub))
-                    for value in WRITE_VALUES for sub in subs
-                ]
-                level += [
-                    self._node(("read", if0, if1))
-                    for if0 in subs for if1 in subs
-                ]
-        #: The class's candidates, as node ids in enumerate_programs order.
-        self.candidates = level
-
-    def _node(self, key: Tuple) -> int:
-        nid = self._ids.get(key)
-        if nid is not None:
-            return nid
-        nid = len(self._keys)
-        self._ids[key] = nid
-        self._keys.append(key)
-        self._programs.append(None)
-        op = key[0]
-        if op == "decide":
-            self.heights.append(0)
-            self.decide.extend(_RESOLVED[key[1]])
-            self.write_value.extend(_ZEROS)
-            self.write_next.extend(_NONE)
-            self.read_next.extend(_NO_READ)
-        elif op == "write":
-            sub = key[2] * 6
-            self.heights.append(1 + self.heights[key[2]])
-            self.decide.extend(_NONE)
-            self.write_value.extend(_RESOLVED[key[1]])
-            self.write_next.extend(range(sub, sub + 6))  # slot unchanged
-            self.read_next.extend(_NO_READ)
-        else:
-            if0, if1 = key[1] * 6, key[2] * 6
-            self.heights.append(
-                1 + max(self.heights[key[1]], self.heights[key[2]])
+        #: Per state id: its signature.
+        self.states: List[Tuple[int, int, int, int, int, int]] = []
+        #: Per configuration ``(a << 32 | b) << 2 | mem``: its first
+        #: violation ``(distance, kind)``.
+        self._memo: Dict[int, Tuple[float, str]] = {}
+        #: Per root pair: its candidates' verdict.
+        self._verdicts: Dict[Tuple[int, ...], str] = {}
+        slots: List[Tuple[int, ...]] = []
+        every = range(6)
+        for _ in range(depth):
+            reads = [self._read(if0[1::3], if1[2::3]) for if0 in slots for if1 in slots]
+            slots = (
+                [self._leaf(tag, every) for tag in LEAVES]
+                + [self._write(tag, sub, every)
+                   for tag in WRITE_VALUES for sub in slots]
+                + [(root0,) * 3 + (root1,) * 3 for root0, root1 in reads]
             )
-            self.decide.extend(_NONE)
-            self.write_value.extend(_ZEROS)
-            self.write_next.extend(_NONE)
-            # A read keeps the input and sets seen to the response.
-            self.read_next.extend((
-                (if0 + 1, if1 + 2), (if0 + 1, if1 + 2), (if0 + 1, if1 + 2),
-                (if0 + 4, if1 + 5), (if0 + 4, if1 + 5), (if0 + 4, if1 + 5),
-            ))
-        return nid
+        #: The candidates' subtrees in enumerate_programs order, and each
+        #: one's states at the six slots.
+        self.subtrees = list(enumerate_programs(depth - 1)) if depth else []
+        self.slots = slots
+        # Root pairs of the leaf and write candidates, by index.
+        self._roots = [self._leaf(tag, _ROOTS) for tag in LEAVES] + [
+            self._write(tag, sub, _ROOTS)
+            for tag in WRITE_VALUES for sub in slots
+        ]
+        # A read's root pair, per group of its if0 child and of its if1
+        # child (their states at the slots the read moves to).
+        groups0: Dict[Tuple[int, ...], int] = {}
+        groups1: Dict[Tuple[int, ...], int] = {}
+        self._if0 = [groups0.setdefault(sub[1::3], len(groups0)) for sub in slots]
+        self._if1 = [groups1.setdefault(sub[2::3], len(groups1)) for sub in slots]
+        self._read_roots = [[self._read(g0, g1) for g1 in groups1] for g0 in groups0]
 
-    def _signature(self, lid: int) -> Tuple:
-        """``(input bit, decided value, written value, class of the write
-        successor, classes of the read successors)``, -1 where absent."""
-        behaviour = self.behaviour
-        nxt = self.write_next[lid]
-        if0, if1 = self.read_next[lid]
-        return (
-            lid % 6 // 3, self.decide[lid], self.write_value[lid],
-            behaviour[nxt] if nxt >= 0 else -1,
-            behaviour[if0] if if0 >= 0 else -1,
-            behaviour[if1] if if1 >= 0 else -1,
+    def _state(self, signature: Tuple[int, int, int, int, int, int]) -> int:
+        sid = self._ids.get(signature)
+        if sid is None:
+            sid = self._ids[signature] = len(self.states)
+            self.states.append(signature)
+        return sid
+
+    def _leaf(self, tag: str, slots) -> Tuple[int, ...]:
+        decided = _RESOLVED[tag]
+        return tuple(
+            self._state((slot // 3, decided[slot], -1, -1, -1, -1))
+            for slot in slots
         )
 
-    def program_of(self, nid: int) -> Program:
-        """The program tree of node ``nid`` (built once per node)."""
-        program = self._programs[nid]
-        if program is None:
-            key = self._keys[nid]
-            if key[0] == "decide":
-                program = key
-            elif key[0] == "write":
-                program = ("write", key[1], self.program_of(key[2]))
-            else:
-                program = (
-                    "read", self.program_of(key[1]), self.program_of(key[2])
-                )
-            self._programs[nid] = program
-        return program
+    def _write(self, tag: str, sub: Tuple[int, ...], slots) -> Tuple[int, ...]:
+        written = _RESOLVED[tag]
+        return tuple(  # a write keeps the slot
+            self._state((slot // 3, -1, written[slot], sub[slot], -1, -1))
+            for slot in slots
+        )
 
-    def verdict(self, nid: int, solo_bound: int) -> str:
-        """Classify candidate ``nid``: ``"solution"``, ``"agreement"``,
-        ``"validity"`` or ``"wait_freedom"``, as the generic verdict
-        would over the same program."""
-        if self.heights[nid] > solo_bound:
-            program = self.program_of(nid)
-            system = ObjectConsensusSystem(ProgramConsensus(program), 2)
-            verdict = wait_free_verdict(system, solo_bound=solo_bound)
-            if verdict.solves_consensus:
-                return "solution"
-            return verdict.failure_kind or "wait_freedom"
-        start = nid * 6  # lid of (nid, input 0, nothing seen)
-        behaviour = (self._signature(start), self._signature(start + 3))
-        kind = self._verdicts.get(behaviour)
+    def _read(self, if0: Tuple[int, ...], if1: Tuple[int, ...]) -> Tuple[int, int]:
+        """A read's states under input 0 and 1, from its ``if0`` child's
+        states at slots 1 and 4 and its ``if1`` child's at slots 2 and 5:
+        a read keeps the input and sets seen to the response, so its own
+        seen does not matter."""
+        return (self._state((0, -1, -1, -1, if0[0], if1[0])),
+                self._state((1, -1, -1, -1, if0[1], if1[1])))
+
+    def program_of(self, index: int) -> Program:
+        """The program tree of candidate ``index`` (enumerate_programs
+        order)."""
+        if index < len(LEAVES):
+            return ("decide", LEAVES[index])
+        index -= len(LEAVES)
+        subs = self.subtrees
+        if index < len(WRITE_VALUES) * len(subs):
+            tag, sub = divmod(index, len(subs))
+            return ("write", WRITE_VALUES[tag], subs[sub])
+        if0, if1 = divmod(index - len(WRITE_VALUES) * len(subs), len(subs))
+        return ("read", subs[if0], subs[if1])
+
+    def root_pairs(self) -> Iterator[Tuple[int, int]]:
+        """Every candidate's root states under input 0 and 1, in
+        enumerate_programs order."""
+        yield from self._roots
+        if1 = self._if1
+        for g0 in self._if0:
+            row = self._read_roots[g0]
+            for g1 in if1:
+                yield row[g1]
+
+    def verdict(self, pair: Tuple[int, int]) -> str:
+        """The verdict of the candidates with root pair ``pair``:
+        ``"solution"``, ``"agreement"`` or ``"validity"``, as the generic
+        verdict would say; searched once per pair."""
+        kind = self._verdicts.get(pair)
         if kind is None:
-            kind = self._verdicts[behaviour] = self._search(start, behaviour)
+            kind = self._verdicts[pair] = self.first_violation(*pair)[2]
         return kind
 
-    def _search(self, start: int, behaviour: Tuple[Tuple, Tuple]) -> str:
-        """The verdict of the candidate whose root lid is ``start``: the
-        kind of the first violating configuration of a FIFO BFS over all
-        interleavings from the input vectors 00, 01, 10 and 11, or
-        ``"solution"``.
+    def first_violation(self, root0: int, root1: int) -> Tuple[float, int, str]:
+        """``(level, vector index, kind)`` of the first violating
+        configuration of a FIFO BFS over all interleavings from the input
+        vectors 00, 01, 10 and 11 (vector index ``2 * in0 + in1``) with
+        the root states ``root0`` and ``root1``, or ``(inf, 0,
+        "solution")``.
 
         Inputs are positional and immutable, so the four vectors reach
         disjoint configuration sets, and that BFS dequeues by level, then
-        by vector, then in each vector's own BFS order.  Its first
-        violation is the one at the least ``(level, vector index)`` over
-        the vectors' own first violations, which come from one search
-        per vector.  01 and 10 can only break agreement, and 10 is the
-        pid-mirror of 01 level by level, so it never comes first.  The
-        diagonal searches are shared by every candidate whose root lid
-        has that signature, and the 01 search only looks for a violation
-        that would come first: below 00's level, at most at 11's.
+        by vector, then in each vector's own BFS order: the least ``(level,
+        vector index)`` over the vectors' own first violations.  10 is the
+        pid-mirror of 01 level by level, so it never comes first.
         """
-        level00, kind00 = self._diagonal(start, behaviour[0])
-        level11, kind11 = self._diagonal(start + 3, behaviour[1])
-        bound = min(level00 - 1, level11)
-        level01, kind01 = _CLEAN
-        if bound >= 0:
-            level01, kind01 = self._first_violation(start, start + 3, bound)
+        first = self._first
+        level00, kind00 = first(root0, root0, 0)
+        level01, kind01 = first(root0, root1, 0)
+        level11, kind11 = first(root1, root1, 0)
         return min(
             (level00, 0, kind00), (level01, 1, kind01), (level11, 3, kind11)
-        )[2]
+        )
 
-    def _diagonal(self, lid: int, signature: Tuple) -> Tuple[float, str]:
-        """The first violation from both processes at ``lid``, memoized
-        by the lid's signature."""
-        found = self._diagonals.get(signature)
-        if found is None:
-            found = self._diagonals[signature] = self._first_violation(
-                lid, lid, _UNBOUNDED
-            )
+    def _first(self, a: int, b: int, mem: int) -> Tuple[float, str]:
+        """``(distance, kind)`` of the first violation a mark-on-enqueue
+        BFS from configuration ``(a, b, mem)`` dequeues, or ``(inf,
+        "solution")``; memoized.
+
+        That BFS dequeues configurations in shortlex order of their least
+        path words (p0's step before p1's), and configurations form a DAG
+        (every step descends a tree), so its first violation is the one
+        at the least distance, ties going to the child of p0's step.
+        """
+        key = (a << 32 | b) << 2 | mem
+        found = self._memo.get(key)
+        if found is not None:
+            return found
+        in0, d0, w0, next0, read00, read01 = self.states[a]
+        in1, d1, w1, next1, read10, read11 = self.states[b]
+        if d0 >= 0 and d1 >= 0 and d0 != d1:
+            found = (0, "agreement")
+        elif (d0 >= 0 and d0 != in0 and d0 != in1
+              or d1 >= 0 and d1 != in0 and d1 != in1):
+            found = (0, "validity")
+        else:
+            found = _CLEAN
+            if d0 < 0:  # p0 writes r0 or reads r1
+                if next0 >= 0:
+                    found = self._first(next0, b, w0 << 1 | mem & 1)
+                else:
+                    found = self._first(read01 if mem & 1 else read00, b, mem)
+            # p1 writes r1 or reads r0, unless p0's step already violates.
+            if d1 < 0 and found[0]:
+                if next1 >= 0:
+                    child = self._first(a, next1, mem & 2 | w1)
+                else:
+                    child = self._first(a, read11 if mem & 2 else read10, mem)
+                if child[0] < found[0]:
+                    found = child
+            found = (found[0] + 1, found[1])
+        self._memo[key] = found
         return found
-
-    def _first_violation(
-        self, lid0: int, lid1: int, bound: float
-    ) -> Tuple[float, str]:
-        """``(level, kind)`` of the first violating configuration of a BFS
-        over all interleavings from the local ids ``lid0`` and ``lid1``
-        with both registers 0, looking no deeper than level ``bound``;
-        ``(inf, "solution")`` when there is none."""
-        decide = self.decide
-        write_value = self.write_value
-        write_next = self.write_next
-        read_next = self.read_next
-        L = len(decide)
-        queue = [(lid0 * L + lid1) * 4]
-        # Marking on enqueue visits configurations in the same order as
-        # a mark-on-dequeue BFS would.
-        seen = set(queue)
-        level = 0
-        level_end = 1
-        for index, cfg in enumerate(queue):
-            if index == level_end:
-                level += 1
-                if level > bound:
-                    break
-                level_end = len(queue)
-            mem = cfg & 3
-            lid0, lid1 = divmod(cfg >> 2, L)
-            d0 = decide[lid0]
-            d1 = decide[lid1]
-            if d0 >= 0 or d1 >= 0:
-                if d0 >= 0 and d1 >= 0 and d0 != d1:
-                    return level, "agreement"
-                # Inputs are positional and immutable, so the originating
-                # input vector is recoverable from the lids.
-                in0 = lid0 % 6 // 3
-                in1 = lid1 % 6 // 3
-                if d0 >= 0 and d0 != in0 and d0 != in1:
-                    return level, "validity"
-                if d1 >= 0 and d1 != in0 and d1 != in1:
-                    return level, "validity"
-            # Wait-freedom cannot fail: height(program) <= solo_bound.
-            if d0 < 0:
-                nxt = write_next[lid0]
-                if nxt >= 0:
-                    child = (((nxt * L + lid1) * 4)
-                             | (write_value[lid0] << 1) | (mem & 1))
-                else:
-                    nxt = read_next[lid0][mem & 1]  # read r1
-                    child = ((nxt * L + lid1) * 4) | mem
-                if child not in seen:
-                    seen.add(child)
-                    queue.append(child)
-            if d1 < 0:
-                nxt = write_next[lid1]
-                if nxt >= 0:
-                    child = ((lid0 * L + nxt) * 4) | (mem & 2) | write_value[lid1]
-                else:
-                    nxt = read_next[lid1][mem >> 1]  # read r0
-                    child = ((lid0 * L + nxt) * 4) | mem
-                if child not in seen:
-                    seen.add(child)
-                    queue.append(child)
-        return _CLEAN
 
 
 @dataclass
@@ -424,10 +341,9 @@ def search_register_consensus(
     wait_freedom = resume.wait_freedom_failures if resume else 0
     total = resume.candidates if resume else 0
     meter = budget.meter("register-consensus-search") if budget else None
-    table = SubtreeTable(depth)
-    solo_bound = depth + 2
-    for index in range(start, len(table.candidates)):
-        nid = table.candidates[index]
+    classes = BehaviourClasses(depth)
+    pairs = islice(classes.root_pairs(), start, None)
+    for index, pair in enumerate(pairs, start):
         if meter is not None:
             try:
                 meter.charge_steps()
@@ -443,15 +359,13 @@ def search_register_consensus(
                     resume_at=index,
                 )
         total += 1
-        kind = table.verdict(nid, solo_bound)
-        if kind == "solution":
-            solutions.append(table.program_of(nid))
-        elif kind == "agreement":
+        kind = classes.verdict(pair)
+        if kind == "agreement":
             agreement += 1
         elif kind == "validity":
             validity += 1
         else:
-            wait_freedom += 1
+            solutions.append(classes.program_of(index))
     return RegisterSearchOutcome(
         depth=depth,
         candidates=total,

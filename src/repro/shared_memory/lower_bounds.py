@@ -322,31 +322,26 @@ def _walk(values: int, options: List[List[Tuple[int, int]]],
     order = [0]  # the initial state: both in rem, v = 0
     seen = bytearray(size)
     seen[0] = 1
-
-    def branch(k: int, p: int) -> None:
-        mark = len(order)
-        for option in range(len(options[p])):
-            digits[p] = option
-            run(k)
-            for s in order[mark:]:
-                seen[s] = 0
-            del order[mark:]
-        digits[p] = -1
-
-    def run(k: int) -> None:
+    # The open branches, innermost last: (state index, digit, len(order)
+    # when the branch was opened).
+    branches: List[Tuple[int, int, int]] = []
+    k = 0
+    while True:
+        free = -1
         while k < len(order):
             s = order[k]
             l0, l1 = local_of[s]
             if _CRIT_PENDING <= l0 <= _CRIT and _CRIT_PENDING <= l1 <= _CRIT:
                 leaf(digits, (False, False, False))
-                return
+                break
             v = s % values
             key = l0 * values + v
             p = reads0[key]
             if p < 0:
                 n0, v0, label0 = fixed0[key]
             elif digits[p] < 0:
-                return branch(k, p)
+                free = p
+                break
             else:
                 (n0, v0), label0 = options[p][digits[p]], _ACT
             key = l1 * values + v
@@ -354,7 +349,8 @@ def _walk(values: int, options: List[List[Tuple[int, int]]],
             if p < 0:
                 n1, v1, label1 = fixed1[key]
             elif digits[p] < 0:
-                return branch(k, p)
+                free = p
+                break
             else:
                 (n1, v1), label1 = options[p][digits[p]], _ACT << 1
             edges = ((n0 * row + l1 * values + v0, label0),
@@ -369,15 +365,34 @@ def _walk(values: int, options: List[List[Tuple[int, int]]],
                     seen[child] = 1
                     order.append(child)
             k += 1
-        if any(_admissible_cycle(order, succ, local_of, victim, _CRIT_OUTPUT)
-               for victim in (0, 1)):
-            leaf(digits, (True, False, False))
+        else:
+            if any(_admissible_cycle(order, succ, local_of, victim, _CRIT_OUTPUT)
+                   for victim in (0, 1)):
+                leaf(digits, (True, False, False))
+            else:
+                lockout_ok = not any(
+                    _admissible_cycle(order, succ, local_of, victim, 0)
+                    for victim in (0, 1)
+                )
+                leaf(digits, (True, True, lockout_ok))
+        if free >= 0:  # branch on the free digit's first option
+            branches.append((k, free, len(order)))
+            digits[free] = 0
+            continue
+        # Drop the finished option's new states; go on with the next
+        # option of the innermost branch that has one.
+        while branches:
+            k, p, mark = branches[-1]
+            for s in order[mark:]:
+                seen[s] = 0
+            del order[mark:]
+            if digits[p] + 1 < len(options[p]):
+                digits[p] += 1
+                break
+            digits[p] = -1
+            branches.pop()
+        else:
             return
-        lockout_ok = not any(_admissible_cycle(order, succ, local_of, victim, 0)
-                             for victim in (0, 1))
-        leaf(digits, (True, True, lockout_ok))
-
-    run(0)
 
 
 def check_candidate(tables: Tuple[ProtocolTable, ...],
@@ -461,12 +476,23 @@ def cremers_hibbard_certificate(
     this class (and would be a library bug for values=2, or a discovery for
     values=3).
     """
-    verdicts = search_two_process_protocols(values, modes, symmetric)
-    fair = [v for v in verdicts if v.fair_solution]
-    unfair = [v for v in verdicts if v.unfair_solution]
+    # Count over the decision tree's leaves: a leaf stands for every
+    # candidate that agrees with its fixed digits.
+    options, _reads = _layout(values, modes, modes, shared=symmetric)
+    candidates = exclusive = unfair = fair = 0
+    for digits, (mutex, deadlock_free, lockout_free) in _decision_leaves(
+        values, modes, symmetric
+    ):
+        weight = math.prod(
+            len(choices) for digit, choices in zip(digits, options) if digit < 0
+        )
+        candidates += weight
+        exclusive += weight * mutex
+        fair += weight * (mutex and deadlock_free and lockout_free)
+        unfair += weight * (mutex and deadlock_free and not lockout_free)
     if fair:
         raise ModelError(
-            f"found {len(fair)} fair protocols with {values} values — "
+            f"found {fair} fair protocols with {values} values — "
             "the impossibility claim fails for this class"
         )
     shape = "symmetric" if symmetric else "asymmetric"
@@ -477,15 +503,13 @@ def cremers_hibbard_certificate(
         ),
         scope=(
             f"{shape} protocols, {modes} trying mode(s), one TAS access per "
-            f"step, exhaustive over {len(verdicts)} candidates"
+            f"step, exhaustive over {candidates} candidates"
         ),
         technique="pigeonhole / exhaustive model checking",
-        candidates_checked=len(verdicts),
+        candidates_checked=candidates,
         details={
-            "mutual_exclusion_holders": sum(
-                1 for v in verdicts if v.mutual_exclusion
-            ),
-            "unfair_solutions": len(unfair),
+            "mutual_exclusion_holders": exclusive,
+            "unfair_solutions": unfair,
             "fair_solutions": 0,
         },
     )

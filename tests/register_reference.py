@@ -1,11 +1,10 @@
 """The E11 candidate checks the kernel replaced — kept only as the
 differential references for ``tests/test_e11_kernel_differential.py``.
 
-Before the shared subtree table, each candidate program was flattened on
-its own (DFS-numbered subtrees), got its own per-local-id tables, and
-was model-checked by a BFS over a bytearray visited set sized to that
-program.  Before the search was split by input vector, the table ran
-one BFS from all four input vectors per behaviour.
+Before the searches were shared, each candidate program was flattened
+on its own (DFS-numbered subtrees), got its own per-local-id tables, and
+was model-checked by one BFS from all four input vectors over a
+bytearray visited set sized to that program.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import List, Tuple
 from repro.registers.exhaustive import (
     Program,
     ProgramConsensus,
-    SubtreeTable,
     enumerate_programs,
 )
 from repro.registers.herlihy import ObjectConsensusSystem, wait_free_verdict
@@ -87,7 +85,14 @@ def _packed_verdict_kind(program: Program, solo_bound: int) -> str:
         if verdict.solves_consensus:
             return "solution"
         return verdict.failure_kind or "wait_freedom"
+    return four_start_first_violation(program)[2]
 
+
+def four_start_first_violation(program: Program) -> Tuple[float, int, str]:
+    """``(level, input vector index, kind)`` of the first violating
+    configuration of one FIFO BFS from the input vectors 00, 01, 10 and
+    11 (index ``2 * in0 + in1``), or ``(inf, 0, "solution")``."""
+    kinds, node_args, _heights = _flatten_program(program)
     # Local-state id: lid = (node * 2 + input) * 3 + (seen + 1), with
     # seen = -1 encoding "nothing read yet" (decides fall back to own
     # input, exactly ProgramConsensus._resolve).
@@ -133,9 +138,9 @@ def _packed_verdict_kind(program: Program, solo_bound: int) -> str:
         for in1 in (0, 1):
             lid0 = in0 * 3  # node 0, seen = -1
             lid1 = in1 * 3
-            queue.append((lid0 * L + lid1) * 4)
+            queue.append(((lid0 * L + lid1) * 4, 0))
     while queue:
-        cfg = queue.popleft()
+        cfg, level = queue.popleft()
         if seen_configs[cfg]:
             continue
         seen_configs[cfg] = 1
@@ -146,17 +151,18 @@ def _packed_verdict_kind(program: Program, solo_bound: int) -> str:
         d0 = dec[lid0]
         d1 = dec[lid1]
         if d0 >= 0 or d1 >= 0:
-            if d0 >= 0 and d1 >= 0 and d0 != d1:
-                return "agreement"
             # inputs are positionally encoded and immutable, so the
             # originating input vector is recoverable from the config.
             in0 = (lid0 // 3) & 1
             in1 = (lid1 // 3) & 1
+            if d0 >= 0 and d1 >= 0 and d0 != d1:
+                return level, 2 * in0 + in1, "agreement"
             if d0 >= 0 and d0 != in0 and d0 != in1:
-                return "validity"
+                return level, 2 * in0 + in1, "validity"
             if d1 >= 0 and d1 != in0 and d1 != in1:
-                return "validity"
-        # Wait-freedom cannot fail: height(program) <= solo_bound.
+                return level, 2 * in0 + in1, "validity"
+        # Wait-freedom is not checked: a solo run decides within the
+        # height of the tree.
         if d0 < 0:
             nxt = wnext[lid0]
             if nxt >= 0:
@@ -165,7 +171,7 @@ def _packed_verdict_kind(program: Program, solo_bound: int) -> str:
                 nxt = rnext[lid0][mem & 1]  # read the other's register r1
                 child = ((nxt * L + lid1) * 4) | mem
             if not seen_configs[child]:
-                queue.append(child)
+                queue.append((child, level + 1))
         if d1 < 0:
             nxt = wnext[lid1]
             if nxt >= 0:
@@ -174,8 +180,8 @@ def _packed_verdict_kind(program: Program, solo_bound: int) -> str:
                 nxt = rnext[lid1][mem >> 1]  # read the other's register r0
                 child = ((lid0 * L + nxt) * 4) | mem
             if not seen_configs[child]:
-                queue.append(child)
-    return "solution"
+                queue.append((child, level + 1))
+    return float("inf"), 0, "solution"
 
 
 def reference_verdicts(depth: int) -> List[str]:
@@ -185,62 +191,3 @@ def reference_verdicts(depth: int) -> List[str]:
         _packed_verdict_kind(program, solo_bound=depth + 2)
         for program in enumerate_programs(depth)
     ]
-
-
-def four_start_search(table: SubtreeTable, start: int) -> str:
-    """The verdict of the candidate whose root lid is ``start``: the
-    kind of the first violating configuration of one BFS over all
-    interleavings from the four input vectors at once, or
-    ``"solution"`` (the table's search before it was split by input
-    vector)."""
-    decide = table.decide
-    write_value = table.write_value
-    write_next = table.write_next
-    read_next = table.read_next
-    L = len(decide)
-    queue = [
-        ((start + in0 * 3) * L + start + in1 * 3) * 4
-        for in0 in (0, 1) for in1 in (0, 1)
-    ]
-    # Marking on enqueue visits configurations in the same order as
-    # a mark-on-dequeue BFS would.
-    seen = set(queue)
-    for cfg in queue:
-        mem = cfg & 3
-        lid0, lid1 = divmod(cfg >> 2, L)
-        d0 = decide[lid0]
-        d1 = decide[lid1]
-        if d0 >= 0 or d1 >= 0:
-            if d0 >= 0 and d1 >= 0 and d0 != d1:
-                return "agreement"
-            # Inputs are positional and immutable, so the originating
-            # input vector is recoverable from the lids.
-            in0 = lid0 % 6 // 3
-            in1 = lid1 % 6 // 3
-            if d0 >= 0 and d0 != in0 and d0 != in1:
-                return "validity"
-            if d1 >= 0 and d1 != in0 and d1 != in1:
-                return "validity"
-        # Wait-freedom cannot fail: height(program) <= solo_bound.
-        if d0 < 0:
-            nxt = write_next[lid0]
-            if nxt >= 0:
-                child = (((nxt * L + lid1) * 4)
-                         | (write_value[lid0] << 1) | (mem & 1))
-            else:
-                nxt = read_next[lid0][mem & 1]  # read r1
-                child = ((nxt * L + lid1) * 4) | mem
-            if child not in seen:
-                seen.add(child)
-                queue.append(child)
-        if d1 < 0:
-            nxt = write_next[lid1]
-            if nxt >= 0:
-                child = ((lid0 * L + nxt) * 4) | (mem & 2) | write_value[lid1]
-            else:
-                nxt = read_next[lid1][mem >> 1]  # read r0
-                child = ((lid0 * L + nxt) * 4) | mem
-            if child not in seen:
-                seen.add(child)
-                queue.append(child)
-    return "solution"

@@ -176,17 +176,19 @@ ALLOWLIST = {
     "impossibility.pigeonhole:incompatible_collision": TECHNIQUE,
     "knowledge.analysis:two_generals_point_system": INTERNAL,
     "parallel.pool:pool_context": INTERNAL,
-    "registers.exhaustive:ProgramConsensus": INTERNAL,
+    "registers.exhaustive:ProgramConsensus": CONSTRUCTION,
     "registers.exhaustive:RegisterSearchOutcome": INTERNAL,
-    "registers.exhaustive:SubtreeTable": INTERNAL,
+    "registers.exhaustive:BehaviourClasses": INTERNAL,
     "registers.exhaustive:count_programs": CONSTRUCTION,
     "registers.exhaustive:enumerate_programs": CONSTRUCTION,
     "registers.herlihy:CasConsensus": INTERNAL,
+    "registers.herlihy:ObjectConsensusSystem": INTERNAL,
     "registers.herlihy:QueueConsensus2": INTERNAL,
     "registers.herlihy:RegisterConsensus": INTERNAL,
     "registers.herlihy:TasConsensus2": INTERNAL,
     "registers.herlihy:TasConsensus3": INTERNAL,
     "registers.herlihy:WaitFreeVerdict": INTERNAL,
+    "registers.herlihy:wait_free_verdict": INTERNAL,
     "registers.history:QueueSpec": CONSTRUCTION,
     "registers.history:SequentialSpec": INTERNAL,
     "registers.regular:SingleReaderMonotonic": INTERNAL,

@@ -5,8 +5,9 @@ On every candidate compared, ``check_candidate`` and the search must give
 the generic reference's (mutual exclusion, deadlock-free, lockout-free)
 verdict; on the three classes the survey's claim rests on, the search's
 verdict lists must equal the eager per-pair search's and keep their
-census; the verdict must not change under the pid swap; and the decision
-trees keep their leaf counts.
+census; the verdict must not change under the pid swap; the decision
+trees keep their leaf counts; and the certificate's leaf-weighted counts
+must be the materialized search's.
 """
 
 import functools
@@ -21,6 +22,7 @@ from repro.core.errors import ModelError, SearchBudgetExceeded
 from repro.shared_memory import (
     ProtocolTable,
     check_candidate,
+    cremers_hibbard_certificate,
     enumerate_protocol_tables,
     search_two_process_protocols,
 )
@@ -148,6 +150,22 @@ def test_class_census(values, modes, symmetric, census):
         sum(v.unfair_solution for v in verdicts),
         sum(v.fair_solution for v in verdicts),
     ) == census
+
+
+@pytest.mark.parametrize(
+    "values, modes, symmetric", SEARCHED + ((2, 1, True),)
+)
+def test_certificate_counts_match_the_materialized_search(values, modes, symmetric):
+    # The certificate weighs each decision-tree leaf by its free digits'
+    # radices; the search hands every candidate its leaf's verdict.
+    cert = cremers_hibbard_certificate(values, modes, symmetric)
+    verdicts = searched(values, modes, symmetric)
+    assert cert.candidates_checked == len(verdicts)
+    assert cert.details == {
+        "mutual_exclusion_holders": sum(v.mutual_exclusion for v in verdicts),
+        "unfair_solutions": sum(v.unfair_solution for v in verdicts),
+        "fair_solutions": sum(v.fair_solution for v in verdicts),
+    }
 
 
 def test_state_budget_still_raises():

@@ -35,8 +35,8 @@ from repro.core import (
     state_graph,
 )
 from repro.registers.exhaustive import (
+    BehaviourClasses,
     ProgramConsensus,
-    SubtreeTable,
     enumerate_programs,
 )
 from repro.registers.herlihy import ObjectConsensusSystem, wait_free_verdict
@@ -192,20 +192,20 @@ class TestFrozenEquivalence:
 # Register search: packed integer checker == generic wait_free_verdict
 
 
-_TABLE = SubtreeTable(2)
-_NODES = {_TABLE.program_of(nid): nid for nid in _TABLE.candidates}
+_CLASSES = BehaviourClasses(2)
+_PAIRS = dict(zip(enumerate_programs(2), _CLASSES.root_pairs()))
 
 
-def _packed_verdict_kind(program, solo_bound):
-    """The shared-subtree-table verdict of one program of the class."""
-    return _TABLE.verdict(_NODES[program], solo_bound)
+def _packed_verdict_kind(program):
+    """The behaviour-class verdict of one program of the class."""
+    return _CLASSES.verdict(_PAIRS[program])
 
 
 class TestPackedRegisterSearch:
     def test_packed_checker_matches_generic_verdict_exhaustively(self):
         """Every depth<=1 candidate, classified by both engines."""
         for program in enumerate_programs(1):
-            fast = _packed_verdict_kind(program, solo_bound=3)
+            fast = _packed_verdict_kind(program)
             system = ObjectConsensusSystem(ProgramConsensus(program), 2)
             verdict = wait_free_verdict(system, solo_bound=3)
             slow = (
@@ -219,7 +219,7 @@ class TestPackedRegisterSearch:
     def test_packed_checker_matches_generic_on_depth_2(self, index):
         programs = list(enumerate_programs(2))
         program = programs[index % len(programs)]
-        fast = _packed_verdict_kind(program, solo_bound=4)
+        fast = _packed_verdict_kind(program)
         system = ObjectConsensusSystem(ProgramConsensus(program), 2)
         verdict = wait_free_verdict(system, solo_bound=4)
         slow = (
@@ -228,13 +228,6 @@ class TestPackedRegisterSearch:
         )
         assert fast == slow
 
-    def test_deep_programs_defer_to_generic_engine(self):
-        program = ("write", "own", ("read",
-                   ("decide", "seen"), ("decide", "seen")))
-        # solo_bound below the tree height forces the generic fallback.
-        assert _packed_verdict_kind(program, solo_bound=1) in {
-            "agreement", "validity", "wait-freedom", "solution"
-        }
 
 
 # ---------------------------------------------------------------------------
