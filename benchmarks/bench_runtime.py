@@ -7,7 +7,15 @@ unified trace, verify by replay):
 
 * ring election (asynchronous LCR under the seeded scheduler);
 * synchronous consensus (FloodSet under a crash adversary).
+
+A third line times what a user starting one proof pays first: a cold
+import of the ``proofs`` engines, compiled from source.
 """
+
+import os
+import subprocess
+import sys
+import tempfile
 
 from conftest import record
 
@@ -44,3 +52,52 @@ def test_runtime_sync_consensus_traced(benchmark):
            trace_events=len(result.trace.events))
     assert result.agreement_holds()
     assert result.trace.fingerprint() == replay(result.trace).fingerprint()
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Imports perfbench's ``proofs`` engines, then, per line read, drops
+#: every ``repro`` module and imports the engines again, as perfbench's
+#: set-up does; prints the number of ``repro`` modules loaded each time.
+_RELOADER = """
+import importlib, sys
+from common import forget_repro
+from proofs_workload import ENGINES
+
+def load():
+    for name in ENGINES:
+        importlib.import_module(name)
+    print(sum(m.split('.')[0] == 'repro' for m in sys.modules), flush=True)
+
+load()
+for _line in sys.stdin:
+    forget_repro()
+    load()
+"""
+
+
+def test_proofs_engines_cold_import(benchmark):
+    with tempfile.TemporaryDirectory(prefix="pycache-") as cache:
+        env = dict(
+            os.environ,
+            PYTHONDONTWRITEBYTECODE="1",
+            PYTHONPYCACHEPREFIX=cache,  # empty: no cached bytecode to read
+            PYTHONPATH=os.pathsep.join(
+                os.path.join(REPO, part) for part in ("src", "perfbench")
+            ),
+        )
+        with subprocess.Popen(
+            [sys.executable, "-c", _RELOADER], env=env, text=True,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        ) as reloader:
+            first = int(reloader.stdout.readline())
+
+            def reimport():
+                reloader.stdin.write("\n")
+                reloader.stdin.flush()
+                return int(reloader.stdout.readline())
+
+            modules = benchmark.pedantic(reimport, rounds=10, iterations=1)
+            reloader.stdin.close()
+    record(benchmark, repro_modules=modules)
+    assert modules == first == 23

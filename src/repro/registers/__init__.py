@@ -10,9 +10,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".concurrent": ("RegisterSpace", "ScheduledOp", "run_concurrent"),
     ".herlihy": (
         "BOTTOM", "CasConsensus", "ObjectConsensusProtocol",
-        "ObjectConsensusSystem", "QueueConsensus2", "RegisterConsensus",
-        "TasConsensus2", "TasConsensus3", "WaitFreeVerdict", "hierarchy_table",
-        "wait_free_verdict",
+        "ObjectConsensusSystem", "ProgramConsensus", "QueueConsensus2",
+        "RegisterConsensus", "TasConsensus2", "TasConsensus3",
+        "WaitFreeVerdict", "hierarchy_table", "wait_free_verdict",
     ),
     ".history": (
         "HistoryRecorder", "Operation", "QueueSpec", "RegisterSpec",
@@ -25,9 +25,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "single_reader_histories", "two_reader_failure",
     ),
     ".exhaustive": (
-        "ProgramConsensus", "RegisterSearchOutcome", "count_programs",
-        "enumerate_programs", "register_consensus_certificate",
-        "search_register_consensus",
+        "RegisterSearchOutcome", "count_programs", "enumerate_programs",
+        "register_consensus_certificate", "search_register_consensus",
     ),
     ".renaming": (
         "RenamingOutcome", "RenamingProtocol", "renaming_series",

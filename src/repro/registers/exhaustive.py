@@ -28,8 +28,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.budget import Budget, BudgetExceeded
 from ..impossibility.certificate import ImpossibilityCertificate
-from ..shared_memory.variables import Access, read, write
-from .herlihy import ObjectConsensusProtocol
 
 # A program tree, as nested tuples (registers start at 0):
 #   ("decide", leaf)                 leaf in {"zero", "one", "own", "seen"}
@@ -65,56 +63,10 @@ def count_programs(depth: int) -> int:
     return len(LEAVES) + len(WRITE_VALUES) * inner + inner ** 2
 
 
-class ProgramConsensus(ObjectConsensusProtocol):
-    """A symmetric 2-process protocol defined by one program tree."""
-
-    def __init__(self, program: Program):
-        self.program = program
-        self.name = f"program-consensus-{hash(program) & 0xFFFF:04x}"
-
-    def initial_memory(self, n):
-        return {f"r{i}": 0 for i in range(n)}
-
-    def initial_local(self, pid, n, input_value):
-        # (pid, own input, last read value, current subtree)
-        return (pid, input_value, None, self.program)
-
-    def _resolve(self, tag, input_value, seen):
-        if tag == "zero":
-            return 0
-        if tag == "one":
-            return 1
-        if tag == "own":
-            return input_value
-        # "seen": the last value read; before any read, fall back to own.
-        if seen is None:
-            return input_value
-        return seen
-
-    def pending_access(self, local) -> Optional[Access]:
-        pid, input_value, seen, tree = local
-        if tree[0] == "decide":
-            return None
-        if tree[0] == "write":
-            return write(f"r{pid}", self._resolve(tree[1], input_value, seen))
-        return read(f"r{1 - pid}")
-
-    def after_access(self, local, response):
-        pid, input_value, seen, tree = local
-        if tree[0] == "write":
-            return (pid, input_value, seen, tree[2])
-        return (pid, input_value, response, tree[1 + int(bool(response))])
-
-    def decision(self, local):
-        pid, input_value, seen, tree = local
-        if tree[0] != "decide":
-            return None
-        return self._resolve(tree[1], input_value, seen)
-
-
 # The value of each leaf/write tag per (own input, last read) slot,
 # slot = input * 3 + (seen + 1) with seen = -1 for "nothing read yet"
-# (which falls back to the own input, exactly ProgramConsensus._resolve).
+# (which falls back to the own input, exactly
+# repro.registers.herlihy.ProgramConsensus._resolve).
 _RESOLVED = {
     "zero": (0, 0, 0, 0, 0, 0),
     "one": (1, 1, 1, 1, 1, 1),
@@ -130,14 +82,15 @@ _CLEAN = (float("inf"), "solution")
 class BehaviourClasses:
     """The candidates of the class as an automaton over behaviour classes.
 
-    A local state of :class:`ProgramConsensus` is ``(pid, input, seen,
-    subtree)``; ``pid`` is positional and ``input`` never changes.  A
-    state here is a signature ``(input bit, decided value, written
-    value, write successor, read successor on 0, read successor on 1)``,
-    -1 where absent, whose successors are states again.  Programs are
-    trees, so signatures built bottom-up are canonical: two local states
-    get one state exactly when they are bisimilar, as are ``("decide",
-    "own")`` and ``("decide", "zero")`` under input 0.
+    A local state of :class:`~repro.registers.herlihy.ProgramConsensus`
+    is ``(pid, input, seen, subtree)``; ``pid`` is positional and
+    ``input`` never changes.  A state here is a signature ``(input bit,
+    decided value, written value, write successor, read successor on 0,
+    read successor on 1)``, -1 where absent, whose successors are states
+    again.  Programs are trees, so signatures built bottom-up are
+    canonical: two local states get one state exactly when they are
+    bisimilar, as are ``("decide", "own")`` and ``("decide", "zero")``
+    under input 0.
 
     Only the subtrees of the candidates get states, at all six slots
     ``input * 3 + seen + 1``.  A candidate's root pair (its states under
@@ -185,6 +138,17 @@ class BehaviourClasses:
         self._if0 = [groups0.setdefault(sub[1::3], len(groups0)) for sub in slots]
         self._if1 = [groups1.setdefault(sub[2::3], len(groups1)) for sub in slots]
         self._read_roots = [[self._read(g0, g1) for g1 in groups1] for g0 in groups0]
+        #: Per state id: the fewest steps it takes before it decides (a
+        #: state's successors have smaller ids, so one pass suffices).
+        steps: List[int] = []
+        for _bit, decided, _written, after_write, if0, if1 in self.states:
+            if decided >= 0:
+                steps.append(0)
+            elif after_write >= 0:
+                steps.append(1 + steps[after_write])
+            else:
+                steps.append(1 + min(steps[if0], steps[if1]))
+        self._to_decide = steps
 
     def _state(self, signature: Tuple[int, int, int, int, int, int]) -> int:
         sid = self._ids.get(signature)
@@ -241,10 +205,26 @@ class BehaviourClasses:
     def verdict(self, pair: Tuple[int, int]) -> str:
         """The verdict of the candidates with root pair ``pair``:
         ``"solution"``, ``"agreement"`` or ``"validity"``, as the generic
-        verdict would say; searched once per pair."""
+        verdict would say; searched once per pair.
+
+        The kind of :meth:`first_violation`, which it reads without
+        searching from 01 when that search cannot come first: under
+        inputs 01 both values are inputs, so only agreement can fail, and
+        only once both processes have decided, at a level of at least
+        the two roots' fewest steps to a decision.
+        """
         kind = self._verdicts.get(pair)
         if kind is None:
-            kind = self._verdicts[pair] = self.first_violation(*pair)[2]
+            root0, root1 = pair
+            first = self._first
+            level00, kind00 = first(root0, root0, 0)
+            level11, kind11 = first(root1, root1, 0)
+            found = min((level00, 0, kind00), (level11, 3, kind11))
+            bound = self._to_decide[root0] + self._to_decide[root1]
+            if (bound, 1) < found[:2]:  # ties go 00 < 01 < 11
+                level01, kind01 = first(root0, root1, 0)
+                found = min(found, (level01, 1, kind01))
+            kind = self._verdicts[pair] = found[2]
         return kind
 
     def first_violation(self, root0: int, root1: int) -> Tuple[float, int, str]:

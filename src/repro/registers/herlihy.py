@@ -16,7 +16,9 @@ consensus protocols:
   validity and wait-freedom over *all* schedules (bounded state space);
 * the protocol zoo: a doomed register protocol, the TAS and queue
   2-consensus protocols (verified correct), their natural 3-process
-  extensions (defeated), and CAS consensus for any n (verified).
+  extensions (defeated), CAS consensus for any n (verified), and
+  :class:`ProgramConsensus`, any one program of the exhaustive E11 class
+  (:mod:`repro.registers.exhaustive`).
 
 :func:`hierarchy_table` assembles the measured consensus-number table the
 E11 bench reports.
@@ -573,6 +575,55 @@ class CasConsensus(ObjectConsensusProtocol):
 
     def decision(self, local):
         return local[3]
+
+
+class ProgramConsensus(ObjectConsensusProtocol):
+    """A symmetric 2-process protocol defined by one program tree of
+    :mod:`repro.registers.exhaustive`'s class, each process owning one
+    register ``r<pid>``."""
+
+    def __init__(self, program: Tuple):
+        self.program = program
+        self.name = f"program-consensus-{hash(program) & 0xFFFF:04x}"
+
+    def initial_memory(self, n):
+        return {f"r{i}": 0 for i in range(n)}
+
+    def initial_local(self, pid, n, input_value):
+        # (pid, own input, last read value, current subtree)
+        return (pid, input_value, None, self.program)
+
+    def _resolve(self, tag, input_value, seen):
+        if tag == "zero":
+            return 0
+        if tag == "one":
+            return 1
+        if tag == "own":
+            return input_value
+        # "seen": the last value read; before any read, fall back to own.
+        if seen is None:
+            return input_value
+        return seen
+
+    def pending_access(self, local) -> Optional[Access]:
+        pid, input_value, seen, tree = local
+        if tree[0] == "decide":
+            return None
+        if tree[0] == "write":
+            return write(f"r{pid}", self._resolve(tree[1], input_value, seen))
+        return read(f"r{1 - pid}")
+
+    def after_access(self, local, response):
+        pid, input_value, seen, tree = local
+        if tree[0] == "write":
+            return (pid, input_value, seen, tree[2])
+        return (pid, input_value, response, tree[1 + int(bool(response))])
+
+    def decision(self, local):
+        pid, input_value, seen, tree = local
+        if tree[0] != "decide":
+            return None
+        return self._resolve(tree[1], input_value, seen)
 
 
 def hierarchy_table() -> List[WaitFreeVerdict]:

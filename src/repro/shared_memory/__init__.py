@@ -15,11 +15,14 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "CountingSemaphoreProcess", "KExclusionSystem",
         "counting_semaphore_system",
     ),
+    ".burns_lynch": (
+        "NaiveSpinLockProcess", "SyntheticTasProcess", "burns_lynch_attack",
+        "naive_spin_lock_system",
+    ),
     ".lower_bounds": (
-        "CandidateVerdict", "NaiveSpinLockProcess", "ProtocolTable",
-        "SyntheticTasProcess", "burns_lynch_attack", "check_candidate",
+        "CandidateVerdict", "ProtocolTable", "check_candidate",
         "cremers_hibbard_certificate", "enumerate_protocol_tables",
-        "naive_spin_lock_system", "search_two_process_protocols",
+        "search_two_process_protocols",
     ),
     ".process": ("SharedMemoryProcess",),
     ".system": (

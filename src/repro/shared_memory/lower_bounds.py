@@ -1,25 +1,19 @@
-"""Mechanized shared-memory lower bounds (survey §2.1).
+"""Mechanized Cremers–Hibbard values bound (survey §2.1, E1).
 
-Two results are mechanized here.
+"Two values of a single test-and-set variable are insufficient for fair
+2-process mutual exclusion."  We enumerate *every* protocol in two
+bounded classes — memoryless single-variable TAS protocols, and
+symmetric protocols with one bit of trying-region memory — model-check
+each candidate for mutual exclusion, deadlock-freedom and
+lockout-freedom, and certify that no candidate achieves all three with a
+2-valued variable, while semaphore-like candidates do achieve the first
+two (the paper's "a 2-valued semaphore is plenty if there are no
+fairness requirements").
 
-**Cremers–Hibbard values bound (E1).**  "Two values of a single
-test-and-set variable are insufficient for fair 2-process mutual
-exclusion."  We enumerate *every* protocol in two bounded classes —
-memoryless single-variable TAS protocols, and symmetric protocols with one
-bit of trying-region memory — model-check each candidate for mutual
-exclusion, deadlock-freedom and lockout-freedom, and certify that no
-candidate achieves all three with a 2-valued variable, while semaphore-like
-candidates do achieve the first two (the paper's "a 2-valued semaphore is
-plenty if there are no fairness requirements").
-
-**Burns–Lynch register bound, n = 2 case (E2).**  "Mutual exclusion for n
-processes requires at least n read/write registers."  Rather than
-enumerate protocols, we implement the proof itself as an *adversary*: a
-procedure that takes an arbitrary 2-process algorithm using a single
-read/write register and constructs a violating execution, by the covering
-argument — (1) a process must write before entering its critical region
-(or it is invisible), and (2) a write to the only register obliterates all
-evidence that the other process ever ran.
+The search runs on an integer kernel of its own; the generic mutex stack
+(:func:`build_synthetic_system`) loads only when a caller asks for it.
+The other §2.1 result, the Burns–Lynch adversary (E2), is in
+:mod:`.burns_lynch`.
 """
 
 from __future__ import annotations
@@ -28,23 +22,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
-    Tuple,
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
 from ..core.errors import ModelError, SearchBudgetExceeded
-from ..core.execution import Execution
-from ..core.freeze import frozendict
-from ..impossibility.certificate import (
-    CounterexampleCertificate,
-    ImpossibilityCertificate,
-)
-from .mutex.base import CRITICAL, MutexProcess, MutexSystem, REMAINDER
-from .variables import Access, Read, Write, tas
-
-# --------------------------------------------------------------------------
-# E1: exhaustive search over single-TAS-variable protocol classes
-# --------------------------------------------------------------------------
+from ..impossibility.certificate import ImpossibilityCertificate
 
 # A trying-table entry is either ("enter", w) — move to the critical region
 # writing w — or ("stay", m, w) — remain trying, switch to mode m, write w.
@@ -64,46 +46,6 @@ class ProtocolTable:
 
     def try_entry(self, mode: int, value: int) -> TryEntry:
         return self.try_table[mode * self.values + value]
-
-
-class SyntheticTasProcess(MutexProcess):
-    """A mutex participant driven by a :class:`ProtocolTable`.
-
-    Every trying step and the single exit step are one atomic test-and-set
-    access, exactly the Cremers–Hibbard model.
-    """
-
-    VAR = "v"
-
-    def __init__(self, name: str, table: ProtocolTable):
-        super().__init__(name)
-        self.table = table
-
-    def initial_fields(self):
-        return {"mode": 0}
-
-    def _try_step(self, value: Hashable, arg: Hashable) -> Tuple[Hashable, Hashable]:
-        entry = self.table.try_entry(arg, value)
-        if entry[0] == "enter":
-            return entry[1], ("enter",)
-        return entry[2], ("stay", entry[1])
-
-    def trying_access(self, local: frozendict) -> Optional[Access]:
-        return tas(self.VAR, self._try_step, arg=local["mode"], name="synthetic-try")
-
-    def after_trying(self, local: frozendict, response: Hashable) -> frozendict:
-        if response[0] == "enter":
-            return local.set("region", CRITICAL).set("mode", 0)
-        return local.set("mode", response[1])
-
-    def _exit_step(self, value: Hashable, arg: Hashable) -> Tuple[Hashable, Hashable]:
-        return self.table.exit_table[value], None
-
-    def exit_access(self, local: frozendict) -> Optional[Access]:
-        return tas(self.VAR, self._exit_step, name="synthetic-exit")
-
-    def after_exit(self, local: frozendict, response: Hashable) -> frozendict:
-        return local.set("region", REMAINDER).set("mode", 0)
 
 
 def enumerate_protocol_tables(values: int, modes: int) -> Iterator[ProtocolTable]:
@@ -142,8 +84,12 @@ class CandidateVerdict:
         return self.mutual_exclusion and self.deadlock_free and not self.lockout_free
 
 
-def build_synthetic_system(tables: Iterable[ProtocolTable], initial_value: int = 0
-                           ) -> MutexSystem:
+def build_synthetic_system(tables: Iterable[ProtocolTable], initial_value: int = 0):
+    """The generic :class:`MutexSystem` that runs ``tables``, one
+    :class:`~repro.shared_memory.burns_lynch.SyntheticTasProcess` each."""
+    from .burns_lynch import SyntheticTasProcess
+    from .mutex.base import MutexSystem
+
     processes = [
         SyntheticTasProcess(f"p{i}", table) for i, table in enumerate(tables)
     ]
@@ -514,188 +460,3 @@ def cremers_hibbard_certificate(
         },
     )
 
-
-# --------------------------------------------------------------------------
-# E2: the Burns–Lynch covering adversary for a single read/write register
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class SoloRun:
-    """A process's solo behaviour: inputs + steps until critical entry.
-
-    ``actions`` replays against the full system; ``first_write_index``
-    locates the process's first write step within them (None if it enters
-    its critical region without writing).  ``enters`` is False when the
-    solo run cycles without entering (a progress violation on its own).
-    """
-
-    victim: str
-    actions: Tuple
-    first_write_index: Optional[int]
-    enters: bool
-
-
-def _classify_access(access: Access) -> str:
-    if isinstance(access.op, Read):
-        return "read"
-    if isinstance(access.op, Write):
-        return "write"
-    raise ModelError(
-        "the Burns–Lynch adversary applies to read/write algorithms only; "
-        f"found operation {access.op!r}"
-    )
-
-
-def _solo_run(system: MutexSystem, victim: str, budget: int = 10_000) -> SoloRun:
-    """Simulate ``victim`` running alone from the initial state."""
-    state = next(iter(system.initial_states()))
-    proc = system.process_named(victim)
-    actions: List = [("try", victim)]
-    state = next(iter(system.apply(state, ("try", victim))))
-    first_write: Optional[int] = None
-    seen = {state}
-    for _ in range(budget):
-        local = system.local_state(state, victim)
-        output = proc.output_action(local)
-        if output is not None:
-            actions.append(output)
-            state = next(iter(system.apply(state, output)))
-            if output == ("crit", victim):
-                return SoloRun(victim, tuple(actions), first_write, True)
-            continue
-        access = proc.pending_access(local)
-        if access is None:
-            break
-        if _classify_access(access) == "write" and first_write is None:
-            first_write = len(actions)
-        actions.append(("step", victim))
-        state = next(iter(system.apply(state, ("step", victim))))
-        if state in seen and first_write is None:
-            # Cycling on reads alone: never enters, never writes.
-            return SoloRun(victim, tuple(actions), None, False)
-        seen.add(state)
-    return SoloRun(victim, tuple(actions), first_write, False)
-
-
-def burns_lynch_attack(system: MutexSystem) -> CounterexampleCertificate:
-    """Defeat any 2-process mutex algorithm over one read/write register.
-
-    Implements the covering argument of [27] constructively: returns a
-    certificate whose evidence is a concrete execution of ``system`` that
-    either puts both processes in their critical regions simultaneously or
-    exhibits a solo progress failure.  Raises :class:`ModelError` if the
-    system does not match the theorem's hypotheses (two processes, one
-    shared variable, read/write accesses only).
-    """
-    if len(system.processes) != 2:
-        raise ModelError("the attack is stated for exactly two processes")
-    if len(system.initial_memory) != 1:
-        raise ModelError(
-            "the attack applies to algorithms using a single shared register; "
-            f"this system has {len(system.initial_memory)}"
-        )
-    p0, p1 = (p.name for p in system.processes)
-    run0 = _solo_run(system, p0)
-    run1 = _solo_run(system, p1)
-
-    for run in (run0, run1):
-        if not run.enters and run.first_write_index is None:
-            execution = Execution.run(system, run.actions)
-            return CounterexampleCertificate(
-                claim=(
-                    f"{system.name}: {run.victim} running alone never enters "
-                    "its critical region — progress violation"
-                ),
-                technique="covering argument (solo run)",
-                evidence=execution,
-                details={"solo_steps": len(run.actions)},
-            )
-
-    # Interleave: p0 up to (but excluding) its first write — all reads, so
-    # memory still looks initial to p1; p1's full solo run to its critical
-    # region; then p0's continuation, whose first step *obliterates* the
-    # register, hiding p1 entirely.
-    if run0.first_write_index is None:
-        prefix0 = list(run0.actions)  # p0 entered without ever writing
-        suffix0: List = []
-    else:
-        prefix0 = list(run0.actions[: run0.first_write_index])
-        suffix0 = list(run0.actions[run0.first_write_index:])
-    actions = prefix0 + list(run1.actions) + suffix0
-    execution = Execution.run(system, actions)
-    final = execution.last_state
-    both_critical = len(system.critical_processes(final)) == 2
-    if not both_critical:
-        raise ModelError(
-            f"covering attack failed to violate mutual exclusion on "
-            f"{system.name}; the system may not satisfy the theorem's "
-            "hypotheses (e.g. nondeterministic or non-register operations)"
-        )
-    return CounterexampleCertificate(
-        claim=(
-            f"{system.name}: both processes simultaneously critical — "
-            "mutual exclusion is impossible with a single read/write register"
-        ),
-        technique="covering argument (obliterated write)",
-        evidence=execution,
-        replay=lambda: len(
-            system.critical_processes(Execution.run(system, actions).last_state)
-        ) == 2,
-        details={
-            "p0_reads_before_first_write": len(prefix0) - 1,
-            "schedule_length": len(actions),
-        },
-    )
-
-
-# --------------------------------------------------------------------------
-# A deliberately plausible single-register algorithm for the adversary to eat
-# --------------------------------------------------------------------------
-
-
-class NaiveSpinLockProcess(MutexProcess):
-    """Read the register until it is 0, then write 1 and enter.
-
-    The natural first attempt at a lock with one read/write register; the
-    Burns–Lynch adversary finds its race in four moves.
-    """
-
-    VAR = "lock"
-
-    def initial_fields(self):
-        return {"pc": "read"}
-
-    def trying_access(self, local: frozendict) -> Optional[Access]:
-        from .variables import read as read_access, write as write_access
-
-        if local["pc"] == "read":
-            return read_access(self.VAR)
-        return write_access(self.VAR, 1)
-
-    def after_trying(self, local: frozendict, response: Hashable) -> frozendict:
-        if local["pc"] == "read":
-            if response == 0:
-                return local.set("pc", "write")
-            return local
-        return local.set("region", CRITICAL).set("pc", "read")
-
-    def start_exit(self, local: frozendict) -> frozendict:
-        return local.set("pc", "release")
-
-    def exit_access(self, local: frozendict) -> Optional[Access]:
-        from .variables import write as write_access
-
-        return write_access(self.VAR, 0)
-
-    def after_exit(self, local: frozendict, response: Hashable) -> frozendict:
-        return local.set("region", REMAINDER).set("pc", "read")
-
-
-def naive_spin_lock_system() -> MutexSystem:
-    processes = [NaiveSpinLockProcess("p0"), NaiveSpinLockProcess("p1")]
-    return MutexSystem(
-        processes,
-        initial_memory={NaiveSpinLockProcess.VAR: 0},
-        name="naive-spin-lock",
-    )

@@ -14,10 +14,13 @@ from typing import List, Tuple
 
 from repro.registers.exhaustive import (
     Program,
-    ProgramConsensus,
     enumerate_programs,
 )
-from repro.registers.herlihy import ObjectConsensusSystem, wait_free_verdict
+from repro.registers.herlihy import (
+    ObjectConsensusSystem,
+    ProgramConsensus,
+    wait_free_verdict,
+)
 
 
 def _flatten_program(

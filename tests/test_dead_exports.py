@@ -176,13 +176,14 @@ ALLOWLIST = {
     "impossibility.pigeonhole:incompatible_collision": TECHNIQUE,
     "knowledge.analysis:two_generals_point_system": INTERNAL,
     "parallel.pool:pool_context": INTERNAL,
-    "registers.exhaustive:ProgramConsensus": CONSTRUCTION,
     "registers.exhaustive:RegisterSearchOutcome": INTERNAL,
     "registers.exhaustive:BehaviourClasses": INTERNAL,
     "registers.exhaustive:count_programs": CONSTRUCTION,
     "registers.exhaustive:enumerate_programs": CONSTRUCTION,
     "registers.herlihy:CasConsensus": INTERNAL,
+    "registers.herlihy:ObjectConsensusProtocol": INTERNAL,
     "registers.herlihy:ObjectConsensusSystem": INTERNAL,
+    "registers.herlihy:ProgramConsensus": CONSTRUCTION,
     "registers.herlihy:QueueConsensus2": INTERNAL,
     "registers.herlihy:RegisterConsensus": INTERNAL,
     "registers.herlihy:TasConsensus2": INTERNAL,
@@ -214,16 +215,14 @@ ALLOWLIST = {
     "shared_memory.choice_coordination:RabinChoiceCoordination": CONSTRUCTION,
     "shared_memory.choice_coordination:SymmetricRun": INTERNAL,
     "shared_memory.choice_coordination:symmetric_deterministic_failure": TECHNIQUE,
+    "shared_memory.burns_lynch:NaiveSpinLockProcess": INTERNAL,
+    "shared_memory.burns_lynch:SoloRun": INTERNAL,
     "shared_memory.kexclusion:CasSemaphoreProcess": INTERNAL,
     "shared_memory.kexclusion:CountingSemaphoreProcess": INTERNAL,
     "shared_memory.kexclusion:KExclusionSystem": INTERNAL,
     "shared_memory.kexclusion:cas_semaphore_system": CONSTRUCTION,
     "shared_memory.kexclusion:counting_semaphore_system": CONSTRUCTION,
     "shared_memory.lower_bounds:CandidateVerdict": INTERNAL,
-    "shared_memory.lower_bounds:NaiveSpinLockProcess": INTERNAL,
-    "shared_memory.lower_bounds:ProtocolTable": INTERNAL,
-    "shared_memory.lower_bounds:SoloRun": INTERNAL,
-    "shared_memory.lower_bounds:SyntheticTasProcess": INTERNAL,
     "shared_memory.lower_bounds:enumerate_protocol_tables": INTERNAL,
     "shared_memory.mutex.bakery:BakeryProcess": INTERNAL,
     "shared_memory.mutex.bakery:bakery_system": CONSTRUCTION,

@@ -4,9 +4,10 @@ it replaced (``tests/register_reference.py``).
 Every candidate must get the per-candidate reference's verdict at depths
 0, 1 and 2, and the memoized first violation must be the one a BFS from
 all four input vectors dequeues first: same level, same input vector,
-same kind.  Verdicts are searched once per root pair, and the searches
-share one memo of configurations over behaviour classes; the budget
-cursor and a resumed search must match the full search.
+same kind.  Verdicts are searched once per root pair, skipping the
+search from 01 only where it cannot come first, and the searches share
+one memo of configurations over behaviour classes; the budget cursor and
+a resumed search must match the full search.
 """
 
 import pytest
@@ -106,13 +107,48 @@ def test_one_search_per_behaviour_on_a_fresh_table():
 
 def test_per_vector_memo_sizes():
     # One memo entry per configuration reachable, without passing a
-    # violation, from the start configurations 00, 01 and 11 of the 507
-    # root pairs (violations included); the per-vector BFS searches
-    # dequeued 4,635 configurations.
+    # violation, from the start configurations searched: 00 and 11 of
+    # the 507 root pairs, and 01 where it can come first (violations
+    # included).  Searching 01 for every pair stores 2,705; the
+    # per-vector BFS searches dequeued 4,635 configurations.
     classes = BehaviourClasses(2)
     for pair in classes.root_pairs():
         classes.verdict(pair)
-    assert len(classes._memo) == 2705
+    assert len(classes._memo) == 1738
+
+
+def _top_level_searches(classes):
+    """Record the start ``(a, b)`` of every search ``classes`` runs, not
+    counting the recursive calls inside one."""
+    starts = []
+    inner = classes._first
+    nested = [0]
+
+    def first(a, b, mem):
+        if not nested[0]:
+            starts.append((a, b))
+        nested[0] += 1
+        try:
+            return inner(a, b, mem)
+        finally:
+            nested[0] -= 1
+
+    classes._first = first
+    return starts
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_verdict_skips_only_searches_that_cannot_come_first(depth):
+    classes = BehaviourClasses(depth)
+    full = BehaviourClasses(depth)
+    starts = _top_level_searches(classes)
+    searched_01 = 0
+    for pair in dict.fromkeys(classes.root_pairs()):
+        del starts[:]
+        assert classes.verdict(pair) == full.first_violation(*pair)[2], pair
+        searched_01 += pair in starts
+    if depth == 2:
+        assert searched_01 == 179
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2])

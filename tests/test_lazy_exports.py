@@ -90,6 +90,23 @@ def _proofs_engines():
 PACKAGES = _packages()
 ENGINES = _proofs_engines()
 
+#: Every ``repro`` module the proofs engines load: each proof module
+#: imports at module level only what its search runs.
+PROOFS_FOOTPRINT = [
+    "repro", "repro._lazy",
+    "repro.asynchronous", "repro.asynchronous.flp",
+    "repro.asynchronous.network",
+    "repro.consensus", "repro.consensus.floodset",
+    "repro.consensus.lower_bounds", "repro.consensus.synchronous",
+    "repro.core", "repro.core.budget", "repro.core.canonical",
+    "repro.core.errors", "repro.core.freeze", "repro.core.packed",
+    "repro.core.runtime",
+    "repro.impossibility", "repro.impossibility.bivalence",
+    "repro.impossibility.certificate",
+    "repro.registers", "repro.registers.exhaustive",
+    "repro.shared_memory", "repro.shared_memory.lower_bounds",
+]
+
 
 def test_every_package_init_exports_lazily():
     for name, path in PACKAGES.items():
@@ -113,6 +130,34 @@ def test_engines_and_clis_load_no_numpy_or_networkx(modules):
         f"for name in {modules!r}:\n"
         "    importlib.import_module(name)\n"
         "print(sorted({'numpy', 'networkx'} & set(sys.modules)))"
+    )
+    assert loaded.strip() == "[]"
+
+
+def test_proofs_engines_load_only_their_footprint():
+    loaded = _fresh(
+        "import importlib, sys\n"
+        f"for name in {ENGINES!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'repro'))"
+    )
+    assert loaded.strip() == repr(PROOFS_FOOTPRINT)
+
+
+def test_a_proofs_pass_loads_no_further_module():
+    """A tiny ``proofs`` pass runs on what its set-up imported: nothing
+    that set-up left out is loaded by the first pass instead."""
+    perfbench = os.path.join(REPO, "perfbench")
+    loaded = _fresh(
+        "import sys\n"
+        f"sys.path.insert(0, {perfbench!r})\n"
+        "from proofs_workload import ProofsJob\n"
+        "job = ProofsJob(0, 'tiny', '.')\n"
+        "before = set(sys.modules)\n"
+        "result = job.run_pass()\n"
+        "assert result.failures == [], result.failures\n"
+        "print(sorted(m for m in set(sys.modules) - before\n"
+        "             if m.split('.')[0] == 'repro'))"
     )
     assert loaded.strip() == "[]"
 

@@ -36,10 +36,13 @@ from repro.core import (
 )
 from repro.registers.exhaustive import (
     BehaviourClasses,
-    ProgramConsensus,
     enumerate_programs,
 )
-from repro.registers.herlihy import ObjectConsensusSystem, wait_free_verdict
+from repro.registers.herlihy import (
+    ObjectConsensusSystem,
+    ProgramConsensus,
+    wait_free_verdict,
+)
 
 
 # ---------------------------------------------------------------------------
