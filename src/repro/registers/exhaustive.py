@@ -205,26 +205,10 @@ class BehaviourClasses:
     def verdict(self, pair: Tuple[int, int]) -> str:
         """The verdict of the candidates with root pair ``pair``:
         ``"solution"``, ``"agreement"`` or ``"validity"``, as the generic
-        verdict would say; searched once per pair.
-
-        The kind of :meth:`first_violation`, which it reads without
-        searching from 01 when that search cannot come first: under
-        inputs 01 both values are inputs, so only agreement can fail, and
-        only once both processes have decided, at a level of at least
-        the two roots' fewest steps to a decision.
-        """
+        verdict would say; searched once per pair."""
         kind = self._verdicts.get(pair)
         if kind is None:
-            root0, root1 = pair
-            first = self._first
-            level00, kind00 = first(root0, root0, 0)
-            level11, kind11 = first(root1, root1, 0)
-            found = min((level00, 0, kind00), (level11, 3, kind11))
-            bound = self._to_decide[root0] + self._to_decide[root1]
-            if (bound, 1) < found[:2]:  # ties go 00 < 01 < 11
-                level01, kind01 = first(root0, root1, 0)
-                found = min(found, (level01, 1, kind01))
-            kind = self._verdicts[pair] = found[2]
+            kind = self._verdicts[pair] = self.first_violation(*pair)[2]
         return kind
 
     def first_violation(self, root0: int, root1: int) -> Tuple[float, int, str]:
@@ -238,15 +222,21 @@ class BehaviourClasses:
         disjoint configuration sets, and that BFS dequeues by level, then
         by vector, then in each vector's own BFS order: the least ``(level,
         vector index)`` over the vectors' own first violations.  10 is the
-        pid-mirror of 01 level by level, so it never comes first.
+        pid-mirror of 01 level by level, so it never comes first.  Under
+        inputs 01 both values are inputs, so only agreement can fail, and
+        only once both processes have decided, at a level of at least the
+        two roots' fewest steps to a decision; 01 is not searched when
+        that bound shows it cannot come first.
         """
         first = self._first
         level00, kind00 = first(root0, root0, 0)
-        level01, kind01 = first(root0, root1, 0)
         level11, kind11 = first(root1, root1, 0)
-        return min(
-            (level00, 0, kind00), (level01, 1, kind01), (level11, 3, kind11)
-        )
+        found = min((level00, 0, kind00), (level11, 3, kind11))
+        bound = self._to_decide[root0] + self._to_decide[root1]
+        if (bound, 1) < found[:2]:  # ties go 00 < 01 < 11
+            level01, kind01 = first(root0, root1, 0)
+            found = min(found, (level01, 1, kind01))
+        return found
 
     def _first(self, a: int, b: int, mem: int) -> Tuple[float, str]:
         """``(distance, kind)`` of the first violation a mark-on-enqueue

@@ -16,14 +16,14 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "counting_semaphore_system",
     ),
     ".burns_lynch": (
-        "NaiveSpinLockProcess", "SyntheticTasProcess", "burns_lynch_attack",
-        "naive_spin_lock_system",
+        "NaiveSpinLockProcess", "burns_lynch_attack", "naive_spin_lock_system",
     ),
     ".lower_bounds": (
         "CandidateVerdict", "ProtocolTable", "check_candidate",
         "cremers_hibbard_certificate", "enumerate_protocol_tables",
         "search_two_process_protocols",
     ),
+    ".mutex.synthetic": ("SyntheticTasProcess",),
     ".process": ("SharedMemoryProcess",),
     ".system": (
         "SharedMemorySystem", "StarvationWitness", "find_starvation_cycle",

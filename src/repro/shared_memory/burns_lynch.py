@@ -8,10 +8,6 @@ execution, by the covering argument — (1) a process must write before
 entering its critical region (or it is invisible), and (2) a write to
 the only register obliterates all evidence that the other process ever
 ran.
-
-The module also holds :class:`SyntheticTasProcess`, which runs a
-Cremers–Hibbard protocol table (E1, :mod:`.lower_bounds`) on the generic
-:class:`MutexSystem`.  Both need the mutex stack; the E1 search does not.
 """
 
 from __future__ import annotations
@@ -23,9 +19,8 @@ from ..core.errors import ModelError
 from ..core.execution import Execution
 from ..core.freeze import frozendict
 from ..impossibility.certificate import CounterexampleCertificate
-from .lower_bounds import ProtocolTable
 from .mutex.base import CRITICAL, MutexProcess, MutexSystem, REMAINDER
-from .variables import Access, Read, Write, read, tas, write
+from .variables import Access, Read, Write, read, write
 
 
 @dataclass
@@ -203,48 +198,3 @@ def naive_spin_lock_system() -> MutexSystem:
         initial_memory={NaiveSpinLockProcess.VAR: 0},
         name="naive-spin-lock",
     )
-
-
-# --------------------------------------------------------------------------
-# E1's protocol tables as mutex participants, for the generic checkers
-# --------------------------------------------------------------------------
-
-
-class SyntheticTasProcess(MutexProcess):
-    """A mutex participant driven by a :class:`ProtocolTable`.
-
-    Every trying step and the single exit step are one atomic test-and-set
-    access, exactly the Cremers–Hibbard model.
-    """
-
-    VAR = "v"
-
-    def __init__(self, name: str, table: ProtocolTable):
-        super().__init__(name)
-        self.table = table
-
-    def initial_fields(self):
-        return {"mode": 0}
-
-    def _try_step(self, value: Hashable, arg: Hashable) -> Tuple[Hashable, Hashable]:
-        entry = self.table.try_entry(arg, value)
-        if entry[0] == "enter":
-            return entry[1], ("enter",)
-        return entry[2], ("stay", entry[1])
-
-    def trying_access(self, local: frozendict) -> Optional[Access]:
-        return tas(self.VAR, self._try_step, arg=local["mode"], name="synthetic-try")
-
-    def after_trying(self, local: frozendict, response: Hashable) -> frozendict:
-        if response[0] == "enter":
-            return local.set("region", CRITICAL).set("mode", 0)
-        return local.set("mode", response[1])
-
-    def _exit_step(self, value: Hashable, arg: Hashable) -> Tuple[Hashable, Hashable]:
-        return self.table.exit_table[value], None
-
-    def exit_access(self, local: frozendict) -> Optional[Access]:
-        return tas(self.VAR, self._exit_step, name="synthetic-exit")
-
-    def after_exit(self, local: frozendict, response: Hashable) -> frozendict:
-        return local.set("region", REMAINDER).set("mode", 0)

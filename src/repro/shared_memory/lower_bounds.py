@@ -86,8 +86,9 @@ class CandidateVerdict:
 
 def build_synthetic_system(tables: Iterable[ProtocolTable], initial_value: int = 0):
     """The generic :class:`MutexSystem` that runs ``tables``, one
-    :class:`~repro.shared_memory.burns_lynch.SyntheticTasProcess` each."""
-    from .burns_lynch import SyntheticTasProcess
+    :class:`~repro.shared_memory.mutex.synthetic.SyntheticTasProcess`
+    each."""
+    from .mutex.synthetic import SyntheticTasProcess
     from .mutex.base import MutexSystem
 
     processes = [
