@@ -12,6 +12,7 @@ A third line times what a user starting one proof pays first: a cold
 import of the ``proofs`` engines, compiled from source.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -59,8 +60,13 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Imports perfbench's ``proofs`` engines, then, per line read, drops
 #: every ``repro`` module and imports the engines again, as perfbench's
 #: set-up does; prints the number of ``repro`` modules loaded each time.
+#: After the first import it also prints the other modules the engines
+#: added (a JSON list), and at end of input its own peak RSS in MB.  That
+#: is ``VmHWM``, not ``ru_maxrss``: Linux carries the parent's high-water
+#: mark into a child's ``ru_maxrss`` across exec, so under pytest it
+#: would read pytest's peak.
 _RELOADER = """
-import importlib, sys
+import importlib, json, sys
 from common import forget_repro
 from proofs_workload import ENGINES
 
@@ -69,10 +75,16 @@ def load():
         importlib.import_module(name)
     print(sum(m.split('.')[0] == 'repro' for m in sys.modules), flush=True)
 
+before = set(sys.modules)
 load()
+print(json.dumps(sorted(m for m in set(sys.modules) - before
+                        if m.split('.')[0] != 'repro')), flush=True)
 for _line in sys.stdin:
     forget_repro()
     load()
+with open('/proc/self/status') as status:
+    kb = next(line.split()[1] for line in status if line.startswith('VmHWM:'))
+print(int(kb) / 1024, flush=True)
 """
 
 
@@ -91,6 +103,7 @@ def test_proofs_engines_cold_import(benchmark):
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
         ) as reloader:
             first = int(reloader.stdout.readline())
+            added = json.loads(reloader.stdout.readline())
 
             def reimport():
                 reloader.stdin.write("\n")
@@ -99,5 +112,8 @@ def test_proofs_engines_cold_import(benchmark):
 
             modules = benchmark.pedantic(reimport, rounds=10, iterations=1)
             reloader.stdin.close()
-    record(benchmark, repro_modules=modules)
+            peak_rss_mb = float(reloader.stdout.readline())
+    record(benchmark, repro_modules=modules,
+           reloader_peak_rss_mb=round(peak_rss_mb, 2),
+           other_modules_added=added)
     assert modules == first  # every re-import loads the same set

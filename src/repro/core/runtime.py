@@ -45,7 +45,6 @@ trace.  This module is the shared kernel they now all route through:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from dataclasses import dataclass, field
@@ -266,6 +265,8 @@ class Trace:
         values alone (:mod:`repro.core.canonical`): equal traces get
         equal bytes whatever order their sets were built in.
         """
+        import hashlib
+
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
     @property
@@ -378,6 +379,8 @@ def derive_seed(*components: Hashable) -> int:
     components' canonical :func:`~repro.core.canonical.text`, which
     writes sets in a fixed member order.
     """
+    import hashlib
+
     digest = hashlib.sha256(canonical.text(components).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
 

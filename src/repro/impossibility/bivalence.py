@@ -700,18 +700,19 @@ class ValencyAnalyzer:
         decided_values_of = cache.decided_values_of
         intern = cache.intern
         own_vals = self._own
-        seen = bytearray(len(cache.interner))
-        seen_count = 0
         queue: deque = deque(intern(config) for config in roots)
+        # One flag per interned id; only ``ensure_expanded`` creates ids,
+        # so ``seen`` grows after it and never per edge.
+        states = cache.interner._states
+        seen = bytearray(len(states))
+        seen_count = 0
         succ = graph._succ
         gstart = graph._start
         gend = graph._end
         while queue:
             sid = queue.popleft()
-            if sid < len(seen) and seen[sid]:
+            if seen[sid]:
                 continue
-            if sid >= len(seen):
-                seen.extend(b"\x00" * (sid + 1 - len(seen)))
             seen[sid] = 1
             seen_count += 1
             if seen_count > budget:
@@ -727,9 +728,11 @@ class ValencyAnalyzer:
             elif len(decided_values_of(sid)) >= 2:
                 return cache.config_of(sid)
             ensure_expanded(sid)
+            if len(states) > len(seen):
+                seen.extend(bytes(len(states) - len(seen)))
             for i in range(gstart[sid], gend[sid]):
                 child = succ[i]
-                if child >= len(seen) or not seen[child]:
+                if not seen[child]:
                     queue.append(child)
         return None
 

@@ -43,6 +43,7 @@ from typing import (
 from ..core.errors import ModelError, SearchBudgetExceeded
 from ..core.freeze import frozendict
 from ..core.packed import IdToValue
+from ..core.runtime import derive_seed
 from ..impossibility.bivalence import (
     DecisionSystem,
     TransitionCache,
@@ -584,7 +585,9 @@ class ProgramConsensus(ObjectConsensusProtocol):
 
     def __init__(self, program: Tuple):
         self.program = program
-        self.name = f"program-consensus-{hash(program) & 0xFFFF:04x}"
+        # From the program's canonical text, so the name is the same in
+        # every interpreter (``hash`` of a tuple follows PYTHONHASHSEED).
+        self.name = f"program-consensus-{derive_seed(program) & 0xFFFF:04x}"
 
     def initial_memory(self, n):
         return {f"r{i}": 0 for i in range(n)}

@@ -177,21 +177,22 @@ def _fixed_moves(values: int, locals_: int, pid: int) -> List[Optional[Tuple[int
 
 
 def _admissible_cycle(order: List[int], succ: Sequence[Tuple[Tuple[int, int], ...]],
-                      local_of: Sequence[Tuple[int, int]], victim: int,
+                      local_of: Sequence[Tuple[int, int]], stuck: Sequence[int],
                       skip: int) -> bool:
-    """Does some maximal SCC of the graph restricted to states with
-    ``victim`` trying (dropping edges labelled ``skip``) unroll into an
-    admissible execution?  The three conditions of
+    """Does some maximal SCC of the graph restricted to the ``stuck``
+    states (dropping edges labelled ``skip``) unroll into an admissible
+    execution?  The three conditions of
     :func:`~repro.shared_memory.system.find_starvation_cycle`: every process
     acts in it or is idle at one of its states, every owed exit occurs in
-    it, and no skipped edge is used."""
-    stuck = {s for s in order if local_of[s][victim] >= _TRYING}
+    it, and no skipped edge is used.  ``stuck[s]`` is nonzero when the
+    victim is trying at state ``s``; ``order`` must be closed under
+    ``succ``."""
     index: Dict[int, int] = {}
     low: Dict[int, int] = {}
     component: Dict[int, int] = {}
     stack: List[int] = []
     for root in order:
-        if root not in stuck or root in index:
+        if not stuck[root] or root in index:
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
@@ -202,7 +203,7 @@ def _admissible_cycle(order: List[int], succ: Sequence[Tuple[Tuple[int, int], ..
             if i < len(edges):
                 work[-1] = (s, i + 1)
                 child, label = edges[i]
-                if child not in stuck or label & skip:
+                if not stuck[child] or label & skip:
                     continue
                 if child not in index:
                     index[child] = low[child] = len(index)
@@ -264,6 +265,10 @@ def _walk(values: int, options: List[List[Tuple[int, int]]],
     row = locals_ * values
     size = locals_ * row
     local_of = [(s // row, s // values % locals_) for s in range(size)]
+    # Per victim, the states where it is trying: a leaf's graph is closed
+    # under successors, so one mask per walk serves every SCC check.
+    stuck = [bytes(local[victim] >= _TRYING for local in local_of)
+             for victim in (0, 1)]
     fixed0, fixed1 = (_fixed_moves(values, locals_, pid) for pid in (0, 1))
     succ: List[Tuple[Tuple[int, int], ...]] = [()] * size
     order = [0]  # the initial state: both in rem, v = 0
@@ -313,13 +318,13 @@ def _walk(values: int, options: List[List[Tuple[int, int]]],
                     order.append(child)
             k += 1
         else:
-            if any(_admissible_cycle(order, succ, local_of, victim, _CRIT_OUTPUT)
-                   for victim in (0, 1)):
+            if any(_admissible_cycle(order, succ, local_of, trying, _CRIT_OUTPUT)
+                   for trying in stuck):
                 leaf(digits, (True, False, False))
             else:
                 lockout_ok = not any(
-                    _admissible_cycle(order, succ, local_of, victim, 0)
-                    for victim in (0, 1)
+                    _admissible_cycle(order, succ, local_of, trying, 0)
+                    for trying in stuck
                 )
                 leaf(digits, (True, True, lockout_ok))
         if free >= 0:  # branch on the free digit's first option

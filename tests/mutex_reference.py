@@ -129,11 +129,14 @@ def eager_check_candidate(tables: Tuple[ProtocolTable, ...],
                     )
                 seen[child] = 1
                 order.append(child)
-    if any(_admissible_cycle(order, succ, local_of, victim, _CRIT_OUTPUT)
-           for victim in (0, 1)):
+    stuck = [bytes(s in local_of and local_of[s][victim] >= _TRYING
+                   for s in range(len(seen)))
+             for victim in (0, 1)]
+    if any(_admissible_cycle(order, succ, local_of, trying, _CRIT_OUTPUT)
+           for trying in stuck):
         return CandidateVerdict(tables, True, False, False)
-    lockout_ok = not any(_admissible_cycle(order, succ, local_of, victim, 0)
-                         for victim in (0, 1))
+    lockout_ok = not any(_admissible_cycle(order, succ, local_of, trying, 0)
+                         for trying in stuck)
     return CandidateVerdict(tables, True, True, lockout_ok)
 
 

@@ -113,10 +113,10 @@ print(sorted(map(repr, options)))
 """
 
 
-def _outputs_under_hash_seeds(probe):
-    """The stdout lines of ``probe`` run under two hash seeds."""
+def _outputs_under_hash_seeds(probe, hashseeds=("0", "1")):
+    """The stdout lines of ``probe`` run under each of ``hashseeds``."""
     outputs = []
-    for hashseed in ("0", "1"):
+    for hashseed in hashseeds:
         env = dict(os.environ, PYTHONHASHSEED=hashseed)
         proc = subprocess.run(
             [sys.executable, "-c", probe],
@@ -176,3 +176,27 @@ def test_set_keyed_sorts_independent_of_pythonhashseed():
     )
     assert first == second, "a set-keyed order varies with PYTHONHASHSEED"
     assert raw0 != raw1, "the hash seeds never reordered a repr"
+
+
+_PROGRAM_NAME_PROBE = """\
+from repro.registers.herlihy import (
+    ObjectConsensusSystem, ProgramConsensus, wait_free_verdict,
+)
+program = ("write", "own", ("decide", "own"))
+protocol = ProgramConsensus(program)
+print(protocol.name)
+print(wait_free_verdict(ObjectConsensusSystem(protocol, 2)).protocol_name)
+print(hash(program) & 0xFFFF)
+"""
+
+
+def test_program_consensus_name_independent_of_pythonhashseed():
+    """A program protocol is named from the program's canonical text, so
+    one program gets one name under every hash seed, while its ``hash``
+    does move."""
+    outputs = _outputs_under_hash_seeds(_PROGRAM_NAME_PROBE, ("0", "1", "2"))
+    names = {name for lines in outputs for name in lines[:2]}
+    assert len(names) == 1, "a ProgramConsensus name varies with PYTHONHASHSEED"
+    assert len({lines[2] for lines in outputs}) > 1, (
+        "the hash seeds never moved the program's hash"
+    )

@@ -162,6 +162,24 @@ def test_a_proofs_pass_loads_no_further_module():
     assert loaded.strip() == "[]"
 
 
+def test_proofs_load_no_hashing():
+    """No proof takes a digest, so neither the engines' set-up nor a
+    pass loads ``hashlib`` and the OpenSSL extension behind it:
+    ``core.runtime`` imports it inside ``Trace.fingerprint`` and
+    ``derive_seed`` only."""
+    perfbench = os.path.join(REPO, "perfbench")
+    loaded = _fresh(
+        "import sys\n"
+        f"sys.path.insert(0, {perfbench!r})\n"
+        "from proofs_workload import ProofsJob\n"
+        "job = ProofsJob(0, 'tiny', '.')\n"
+        "result = job.run_pass()\n"
+        "assert result.failures == [], result.failures\n"
+        "print(sorted({'hashlib', '_hashlib', '_blake2'} & set(sys.modules)))"
+    )
+    assert loaded.strip() == "[]"
+
+
 @pytest.mark.parametrize("package", list(PACKAGES))
 def test_every_export_is_its_defining_modules_object(package):
     module = importlib.import_module(package)
