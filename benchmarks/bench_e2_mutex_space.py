@@ -10,7 +10,7 @@ Paper claims reproduced:
 from conftest import record
 
 from repro.shared_memory import burns_lynch_attack, naive_spin_lock_system
-from repro.shared_memory.mutex import peterson_system
+from repro.shared_memory.mutex import peterson_system, tournament_system
 
 
 def test_e2_covering_adversary(benchmark):
@@ -38,3 +38,24 @@ def test_e2_peterson_with_three_registers_is_correct(benchmark):
     record(benchmark, **outcome)
     assert outcome["registers"] == 3 >= 2  # >= n, as the theorem requires
     assert outcome["mutex"] and outcome["fair"]
+
+
+def test_e2_tournament_four_liveness(benchmark):
+    """The generic liveness checkers at n = 4: lockout- and
+    deadlock-freedom of p0 in the Burns–Lynch tournament.  The system is
+    explored once before timing (mutual exclusion, inputs included), so
+    the line times the starvation-cycle searches alone."""
+    system = tournament_system(4)
+    assert system.check_mutual_exclusion(max_states=2_000_000) is None
+
+    def check():
+        return {
+            "lockout_free": system.check_lockout_freedom(
+                "p0", max_states=2_000_000) is None,
+            "deadlock_free": system.check_deadlock_freedom(
+                "p0", max_states=2_000_000) is None,
+        }
+
+    outcome = benchmark(check)
+    record(benchmark, states=system.reachable_state_count(2_000_000), **outcome)
+    assert outcome == {"lockout_free": True, "deadlock_free": True}

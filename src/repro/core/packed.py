@@ -357,3 +357,78 @@ class ValueTable:
             )
             self._mask_sets[mask] = cached
         return cached
+
+
+def admissible_component(
+    order: Iterable[int],
+    succ: Sequence[Sequence[Tuple[int, int]]],
+    stuck: Sequence[int],
+    idle: Sequence[int],
+    owed: Sequence[int],
+    skip: int,
+    everyone: int,
+) -> Optional[List[int]]:
+    """The fairness-cycle kernel: the member ids of the first maximal SCC
+    that unrolls into an admissible execution starving a victim, or None.
+
+    The graph: per id, its ``succ[id]`` edges ``(child, label)``, kept
+    where ``stuck`` is nonzero at both ends and the label misses ``skip``;
+    the roots ``order`` must be closed under ``succ``.  Bitmasks: a label
+    has its owner's bit of ``everyone`` and the bit of the owed action it
+    carries, if any; ``idle[id]`` has the bits of the processes with no
+    enabled action, ``owed[id]`` those of the actions owed there.  A
+    component with an edge is admissible when every process acts or idles
+    in it (``(acts | idle) & everyone == everyone``) and every owed action
+    occurs in it (``not owed & ~acts``).  Tarjan's algorithm, iterative.
+    """
+    index: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    component: Dict[int, int] = {}
+    stack: List[int] = []
+    count = 0
+    for root in order:
+        if not stuck[root] or root in index:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            s, edges = work[-1]
+            for child, label in edges:
+                if not stuck[child] or label & skip:
+                    continue
+                if child not in index:
+                    index[child] = low[child] = count
+                    count += 1
+                    stack.append(child)
+                    work.append((child, iter(succ[child])))
+                    break
+                if child not in component and index[child] < low[s]:
+                    low[s] = index[child]
+            else:
+                work.pop()
+                if work and low[s] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[s]
+                if low[s] != index[s]:
+                    continue
+                members = []
+                while True:
+                    member = stack.pop()
+                    component[member] = s
+                    members.append(member)
+                    if member == s:
+                        break
+                acts = idles = debts = 0
+                has_edge = False
+                for member in members:
+                    idles |= idle[member]
+                    debts |= owed[member]
+                    for child, label in succ[member]:
+                        if component.get(child) == s and not label & skip:
+                            acts |= label
+                            has_edge = True
+                if (has_edge and (acts | idles) & everyone == everyone
+                        and not debts & ~acts):
+                    return members
+    return None

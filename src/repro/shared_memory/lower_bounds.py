@@ -22,10 +22,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
 )
 
 from ..core.errors import ModelError, SearchBudgetExceeded
+from ..core.packed import admissible_component
 from ..impossibility.certificate import ImpossibilityCertificate
 
 # A trying-table entry is either ("enter", w) — move to the critical region
@@ -108,8 +109,9 @@ def build_synthetic_system(tables: Iterable[ProtocolTable], initial_value: int =
 _REM, _CRIT_PENDING, _CRIT, _EXIT, _REM_PENDING, _TRYING = range(6)
 _IDLE = (_REM, _CRIT)  # no step to take
 
-# Edge labels: bit pid marks a step or output of that process, bit 2 + pid
-# the environment's exit input to it, bit 4 a crit output.
+# Edge labels, as core.packed.admissible_component reads them: bit pid
+# marks a step or output of that process, bit 2 + pid the environment's
+# (owed) exit input to it, bit 4 a crit output (a deadlock check's skip).
 _ACT = 1
 _EXIT_INPUT = 4
 _CRIT_OUTPUT = 16
@@ -176,72 +178,6 @@ def _fixed_moves(values: int, locals_: int, pid: int) -> List[Optional[Tuple[int
     return moves
 
 
-def _admissible_cycle(order: List[int], succ: Sequence[Tuple[Tuple[int, int], ...]],
-                      local_of: Sequence[Tuple[int, int]], stuck: Sequence[int],
-                      skip: int) -> bool:
-    """Does some maximal SCC of the graph restricted to the ``stuck``
-    states (dropping edges labelled ``skip``) unroll into an admissible
-    execution?  The three conditions of
-    :func:`~repro.shared_memory.system.find_starvation_cycle`: every process
-    acts in it or is idle at one of its states, every owed exit occurs in
-    it, and no skipped edge is used.  ``stuck[s]`` is nonzero when the
-    victim is trying at state ``s``; ``order`` must be closed under
-    ``succ``."""
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    component: Dict[int, int] = {}
-    stack: List[int] = []
-    for root in order:
-        if not stuck[root] or root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work = [(root, 0)]
-        while work:
-            s, i = work[-1]
-            edges = succ[s]
-            if i < len(edges):
-                work[-1] = (s, i + 1)
-                child, label = edges[i]
-                if not stuck[child] or label & skip:
-                    continue
-                if child not in index:
-                    index[child] = low[child] = len(index)
-                    stack.append(child)
-                    work.append((child, 0))
-                elif child not in component and index[child] < low[s]:
-                    low[s] = index[child]
-                continue
-            work.pop()
-            if work and low[s] < low[work[-1][0]]:
-                low[work[-1][0]] = low[s]
-            if low[s] != index[s]:
-                continue
-            members = []
-            while True:
-                member = stack.pop()
-                component[member] = s
-                members.append(member)
-                if member == s:
-                    break
-            acts = idle = owed = 0
-            has_edge = False
-            for member in members:
-                l0, l1 = local_of[member]
-                idle |= (l0 in _IDLE) | (l1 in _IDLE) << 1
-                if l0 == _CRIT:
-                    owed |= _EXIT_INPUT
-                elif l1 == _CRIT:
-                    owed |= _EXIT_INPUT << 1
-                for child, label in succ[member]:
-                    if component.get(child) == s and not label & skip:
-                        acts |= label
-                        has_edge = True
-            if has_edge and (acts | idle) & 3 == 3 and not owed & ~acts:
-                return True
-    return False
-
-
 Verdict = Tuple[bool, bool, bool]  # mutual exclusion, deadlock-, lockout-free
 
 
@@ -265,10 +201,14 @@ def _walk(values: int, options: List[List[Tuple[int, int]]],
     row = locals_ * values
     size = locals_ * row
     local_of = [(s // row, s // values % locals_) for s in range(size)]
-    # Per victim, the states where it is trying: a leaf's graph is closed
-    # under successors, so one mask per walk serves every SCC check.
+    # The kernel's masks per state (per victim, ``stuck``: it is trying):
+    # a leaf's graph is closed under successors, so one set per walk
+    # serves every SCC check.
     stuck = [bytes(local[victim] >= _TRYING for local in local_of)
              for victim in (0, 1)]
+    idle = bytes((l0 in _IDLE) | (l1 in _IDLE) << 1 for l0, l1 in local_of)
+    owed = bytes(_EXIT_INPUT if l0 == _CRIT else _EXIT_INPUT << 1 if l1 == _CRIT
+                 else 0 for l0, l1 in local_of)
     fixed0, fixed1 = (_fixed_moves(values, locals_, pid) for pid in (0, 1))
     succ: List[Tuple[Tuple[int, int], ...]] = [()] * size
     order = [0]  # the initial state: both in rem, v = 0
@@ -318,13 +258,14 @@ def _walk(values: int, options: List[List[Tuple[int, int]]],
                     order.append(child)
             k += 1
         else:
-            if any(_admissible_cycle(order, succ, local_of, trying, _CRIT_OUTPUT)
+            if any(admissible_component(order, succ, trying, idle, owed,
+                                        _CRIT_OUTPUT, 3) is not None
                    for trying in stuck):
                 leaf(digits, (True, False, False))
             else:
-                lockout_ok = not any(
-                    _admissible_cycle(order, succ, local_of, trying, 0)
-                    for trying in stuck
+                lockout_ok = all(
+                    admissible_component(order, succ, trying, idle, owed, 0, 3)
+                    is None for trying in stuck
                 )
                 leaf(digits, (True, True, lockout_ok))
         if free >= 0:  # branch on the free digit's first option

@@ -32,7 +32,9 @@ from ...core.exploration import check_invariant, explore
 from ...core.execution import Execution
 from ...core.freeze import frozendict
 from ..process import SharedMemoryProcess
-from ..system import SharedMemorySystem, StarvationWitness, find_starvation_cycle
+from ..system import (
+    SharedMemorySystem, StarvationWitness, _process_of_action, find_starvation_cycle,
+)
 from ..variables import Access
 
 REMAINDER = "rem"
@@ -169,15 +171,6 @@ def region_of(local: frozendict) -> str:
     return local["region"]
 
 
-def _owner_of(system: "MutexSystem", action: Action) -> Optional[str]:
-    """Which process an action belongs to (None for environment inputs)."""
-    if isinstance(action, tuple) and len(action) == 2:
-        tag, name = action
-        if tag in ("step", "crit", "rem"):
-            return name
-    return None
-
-
 class MutexSystem(SharedMemorySystem):
     """A shared-memory system of :class:`MutexProcess` participants."""
 
@@ -293,13 +286,13 @@ class MutexSystem(SharedMemorySystem):
                 # Fairness floor: a process starved for too long must step.
                 overdue = [
                     a for a in enabled
-                    if starvation.get(_owner_of(self, a), 0) >= 50
+                    if starvation.get(_process_of_action(self, a), 0) >= 50
                 ]
                 pool = overdue or [
-                    a for a in enabled if _owner_of(self, a) != victim
+                    a for a in enabled if _process_of_action(self, a) != victim
                 ] or enabled
                 action = pool[rng.randrange(len(pool))]
-                owner = _owner_of(self, action)
+                owner = _process_of_action(self, action)
                 for name in starvation:
                     starvation[name] += 1
                 if owner is not None:

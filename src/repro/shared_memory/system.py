@@ -9,8 +9,8 @@ instances with a set of shared variables into one
 * one internal action ``('step', p)`` per process — performing p's pending
   atomic access;
 * each process's output actions are outputs of the system; each process's
-  input actions are inputs (ill-formed inputs are ignored, keeping the
-  system input-enabled);
+  input actions are inputs, delivered only to the processes declaring
+  them (ill-formed inputs are ignored, keeping the system input-enabled);
 * one fairness task per process, so round-robin scheduling of tasks yields
   admissible executions ("every non-failed process keeps taking steps").
 
@@ -20,12 +20,17 @@ executions in which a victim process remains forever in its trying region.
 The proper treatment of admissibility is, as the survey stresses, "one of
 the most difficult aspects of this work" — the checker encodes it as three
 side conditions on a cycle (every process is serviced, the environment
-returns the resource, no vacuous stalls).
+returns the resource, no vacuous stalls).  The cycle search is the
+integer fairness-cycle kernel E1 uses too,
+:func:`repro.core.packed.admissible_component`, run over the shared state
+graph's ids; states are looked up only to build the witness.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from typing import (
     Callable,
     Dict,
@@ -35,20 +40,15 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
-    TYPE_CHECKING,
     Tuple,
 )
 
 from ..core.automaton import Action, IOAutomaton, Signature, State
 from ..core.errors import ModelError
-from ..core.exploration import explore
 from ..core.freeze import frozendict
+from ..core.packed import admissible_component
 from ..core.stategraph import state_graph
 from .process import SharedMemoryProcess
-
-if TYPE_CHECKING:
-    import networkx
 
 
 class SharedMemorySystem(IOAutomaton):
@@ -67,16 +67,21 @@ class SharedMemorySystem(IOAutomaton):
         self.name = name
         self._index = {p.name: i for i, p in enumerate(self.processes)}
 
-        inputs: Set[Action] = set()
-        outputs: Set[Action] = set()
-        internals: Set[Action] = {("step", p.name) for p in self.processes}
-        for p in self.processes:
-            inputs |= set(p.input_actions())
-            outputs |= set(p.output_actions())
+        # Per action, the processes an input is delivered to, and the
+        # process owning a step or an output (the first that declares it).
+        self._receivers: Dict[Action, Tuple[int, ...]] = {}
+        self._owner: Dict[Action, int] = {}
+        for i, p in enumerate(self.processes):
+            self._owner[("step", p.name)] = i
+            for action in p.input_actions():
+                self._receivers[action] = self._receivers.get(action, ()) + (i,)
+            for action in p.output_actions():
+                self._owner.setdefault(action, i)
+        outputs = frozenset(self._owner) - {("step", p.name) for p in self.processes}
         self._signature = Signature(
-            inputs=frozenset(inputs - outputs),
-            outputs=frozenset(outputs),
-            internals=frozenset(internals),
+            inputs=frozenset(self._receivers) - outputs,
+            outputs=outputs,
+            internals=frozenset(("step", p.name) for p in self.processes),
         )
 
     # -- IOAutomaton interface -------------------------------------------
@@ -125,15 +130,14 @@ class SharedMemorySystem(IOAutomaton):
                     yield (new_locals, memory)
                     return
             return  # not currently enabled
-        # Input: deliver to every receptive process; ignore if none.
+        # Input: deliver to every receptive receiver; ignore if none.
         new_locals = list(locals_)
         touched = False
-        for i, p in enumerate(self.processes):
-            if action in p.input_actions():
-                reaction = p.on_input(locals_[i], action)
-                if reaction is not None:
-                    new_locals[i] = reaction
-                    touched = True
+        for i in self._receivers[action]:
+            reaction = self.processes[i].on_input(locals_[i], action)
+            if reaction is not None:
+                new_locals[i] = reaction
+                touched = True
         yield (tuple(new_locals), memory) if touched else state
 
     def tasks(self) -> Sequence[FrozenSet[Action]]:
@@ -179,12 +183,8 @@ class StarvationWitness:
 
 def _process_of_action(system: SharedMemorySystem, action: Action) -> Optional[str]:
     """Which process an action belongs to (None for pure inputs)."""
-    if isinstance(action, tuple) and len(action) == 2 and action[0] == "step":
-        return action[1]
-    for p in system.processes:
-        if action in p.output_actions():
-            return p.name
-    return None
+    i = system._owner.get(action)
+    return None if i is None else system.processes[i].name
 
 
 def run_system(
@@ -243,118 +243,104 @@ def find_starvation_cycle(
     3. optionally, no ``forbidden_actions`` occur in the cycle (used to ask
        for deadlock rather than mere lockout).
 
-    Returns a witness or None.  This is the mechanized form of "construct
-    an incompatible infinite admissible execution" from [26].
+    The SCC search is :func:`~repro.core.packed.admissible_component` over
+    the shared state graph's ids; states are looked up only for the
+    witness.  Returns a witness or None.  This is the mechanized form of
+    "construct an incompatible infinite admissible execution" from [26].
     """
-    import networkx as nx
-
-    reach = explore(system, max_states=max_states, include_inputs=True)
-    # The exploration above populated the shared state graph; rebuilding
-    # the stuck-subgraph edges below is served entirely from its cache.
-    shared = state_graph(system)
-    inputs = system.signature.inputs
-
-    graph = nx.MultiDiGraph()
-    for state in reach.reachable:
+    graph = state_graph(system)
+    frontier = graph.frontier(include_inputs=True)
+    frontier.expand_all(max_states)
+    state_of = graph.interner.state_of
+    size = len(graph.interner)
+    processes = system.processes
+    # Per id: is the victim stuck; which processes idle; which owed input
+    # (its bit, above the n owner bits).  Per action: its label.
+    stuck = bytearray(size)
+    idle = [0] * size
+    owed = [0] * size
+    owed_bit: Dict[Action, int] = {}
+    is_idle = [cache(p.is_idle) for p in processes]  # one call per local
+    for sid in frontier.order:
+        state = state_of(sid)
         if not victim_stuck(state):
             continue
-        graph.add_node(state)
-        for action, succ in shared.transitions(state, include_inputs=True):
-            if forbidden_actions is not None and forbidden_actions(action):
-                continue
-            if succ == state and action in inputs:
-                continue  # ignored input; not a real step
-            if victim_stuck(succ):
-                graph.add_edge(state, succ, action=action)
-
-    for component in nx.strongly_connected_components(graph):
-        subgraph = graph.subgraph(component)
-        edges = list(subgraph.edges(data="action"))
-        if not edges:
+        stuck[sid] = 1
+        idle[sid] = sum(is_idle[i](local) << i for i, local in enumerate(state[0]))
+        action = environment_returns(state) if environment_returns else None
+        if action is not None:
+            owed[sid] = owed_bit.setdefault(
+                action, 1 << (len(processes) + len(owed_bit)))
+    skip = 1 << (len(processes) + len(owed_bit)) if forbidden_actions else 0
+    owner = system._owner
+    signature = system.signature
+    labels = {
+        action: (1 << owner[action] if action in owner else 0)
+        | owed_bit.get(action, 0)
+        | (skip if skip and forbidden_actions(action) else 0)
+        for action in signature.inputs | signature.outputs | signature.internals
+    }
+    succ: List[Tuple[Tuple[int, int], ...]] = [()] * size
+    moves: Dict[int, List[Tuple[Action, int]]] = {}
+    for sid in frontier.order:
+        if not stuck[sid]:
             continue
-        actions_in_cycle = {a for (_u, _v, a) in edges}
-        # Condition 1: process fairness.
-        fair = True
-        for p in system.processes:
-            acts_here = any(
-                _process_of_action(system, a) == p.name for a in actions_in_cycle
-            )
-            if acts_here:
-                continue
-            sometimes_idle = any(
-                p.is_idle(system.local_state(state, p.name)) for state in component
-            )
-            if not sometimes_idle:
-                fair = False
-                break
-        if not fair:
-            continue
-        # Condition 2: environment cooperation.
-        if environment_returns is not None:
-            owed = {
-                environment_returns(state)
-                for state in component
-                if environment_returns(state) is not None
-            }
-            if not owed <= actions_in_cycle:
-                continue
-        # Build a concrete cycle through the component covering one edge per
-        # required action (any closed walk through all of them).
-        witness_cycle = _closed_walk_covering(subgraph, actions_in_cycle)
-        if witness_cycle is None:
-            continue
-        cycle_states, cycle_actions = witness_cycle
-        stem = reach.path_to(cycle_states[0])
-        return StarvationWitness(
-            victim=victim,
-            stem_states=stem.states,
-            cycle_states=tuple(cycle_states),
-            cycle_actions=tuple(cycle_actions),
-        )
-    return None
-
-
-def _closed_walk_covering(
-    graph: "networkx.MultiDiGraph", required_actions: Set[Action]
-) -> Optional[Tuple[List[State], List[Action]]]:
-    """A closed walk in a strongly connected multigraph covering every
-    required action at least once."""
-    import networkx as nx
-
-    # Pick, for each required action, one edge carrying it; then stitch the
-    # edges together with shortest paths (the graph is strongly connected).
-    chosen: List[Tuple[State, State, Action]] = []
-    remaining = set(required_actions)
-    for u, v, a in graph.edges(data="action"):
-        if a in remaining:
-            chosen.append((u, v, a))
-            remaining.discard(a)
-        if not remaining:
-            break
-    if remaining or not chosen:
+        # Edges to stuck states, minus ignored inputs (not real steps).
+        moves[sid] = [
+            (action, child) for packed in graph._expand_id(sid, True)
+            for action, child in zip(packed.labels_of(sid), packed.successors_ids(sid))
+            if stuck[child] and not (child == sid and action in signature.inputs)
+        ]
+        succ[sid] = tuple((child, labels[action]) for action, child in moves[sid])
+    members = admissible_component(frontier.order, succ, stuck, idle, owed,
+                                   skip, (1 << len(processes)) - 1)
+    if members is None:
         return None
-    walk_states: List[State] = [chosen[0][0]]
-    walk_actions: List[Action] = []
-    current = chosen[0][0]
-    for u, v, a in chosen:
-        if current != u:
-            path = nx.shortest_path(graph, current, u)
-            for i in range(len(path) - 1):
-                edge_action = next(
-                    iter(graph.get_edge_data(path[i], path[i + 1]).values())
-                )["action"]
-                walk_states.append(path[i + 1])
-                walk_actions.append(edge_action)
-            current = u
-        walk_states.append(v)
-        walk_actions.append(a)
-        current = v
-    if current != walk_states[0]:
-        path = nx.shortest_path(graph, current, walk_states[0])
-        for i in range(len(path) - 1):
-            edge_action = next(
-                iter(graph.get_edge_data(path[i], path[i + 1]).values())
-            )["action"]
-            walk_states.append(path[i + 1])
-            walk_actions.append(edge_action)
-    return walk_states, walk_actions
+    inside = set(members)
+    inner = {sid: [(action, child) for action, child in moves[sid]
+                   if child in inside and not labels[action] & skip]
+             for sid in members}
+    # A closed walk taking an edge of every action of the component.  A
+    # process that never acts there changes only by inputs, and a mutex
+    # process takes its inputs only while idle, so the walk passes a state
+    # where it idles.
+    legs: Dict[Action, Tuple[int, int]] = {}
+    for sid in members:
+        for action, child in inner[sid]:
+            legs.setdefault(action, (sid, child))
+    start = next(iter(legs.values()))[0]
+    walk, walk_actions = [start], []
+
+    def go(target: int) -> None:
+        """Extend the walk by a shortest path in the component to ``target``."""
+        parent: Dict[int, Optional[Tuple[int, Action]]] = {walk[-1]: None}
+        queue = deque([walk[-1]])
+        while target not in parent:
+            sid = queue.popleft()
+            for action, child in inner[sid]:
+                if child not in parent:
+                    parent[child] = (sid, action)
+                    queue.append(child)
+        path = []
+        while parent[target] is not None:
+            path.append((target, parent[target][1]))
+            target = parent[target][0]
+        for sid, action in reversed(path):
+            walk.append(sid)
+            walk_actions.append(action)
+
+    for action, (u, v) in legs.items():
+        if action not in walk_actions:
+            go(u)
+            walk.append(v)
+            walk_actions.append(action)
+    go(start)
+    stem = [start]
+    while frontier.parent_of[stem[-1]] is not None:
+        stem.append(frontier.parent_of[stem[-1]][0])
+    return StarvationWitness(
+        victim=victim,
+        stem_states=tuple(state_of(sid) for sid in reversed(stem)),
+        cycle_states=tuple(state_of(sid) for sid in walk),
+        cycle_actions=tuple(walk_actions),
+    )

@@ -3,10 +3,11 @@ differential references for ``tests/test_e1_kernel_differential.py``.
 
 ``reference_check_candidate`` is the generic check as it was before the
 integer kernel: each candidate pair becomes a :class:`MutexSystem` of two
-:class:`SyntheticTasProcess` participants, model-checked by the generic
-checkers: one reachability search for mutual exclusion, then a
-starvation-cycle search (networkx SCCs) per victim for deadlock- and
-lockout-freedom.
+:class:`SyntheticTasProcess` participants, model-checked by one
+reachability search for mutual exclusion, then a starvation-cycle search
+per victim for deadlock- and lockout-freedom.  The cycle search is the
+networkx copy in ``tests/starvation_reference.py``, so it shares no code
+with the fairness-cycle kernel it checks.
 
 ``eager_search`` is the integer kernel's search as it was before the
 walk: one whole-table BFS per ordered pair ``a <= b``, its verdict
@@ -31,10 +32,14 @@ from repro.shared_memory.lower_bounds import (
     _TRYING,
     CandidateVerdict,
     ProtocolTable,
-    _admissible_cycle,
+    _IDLE,
     build_synthetic_system,
     enumerate_protocol_tables,
 )
+from repro.core.packed import admissible_component
+from repro.shared_memory.mutex import TRYING
+
+from .starvation_reference import find_starvation_cycle
 
 
 def reference_check_candidate(tables: Tuple[ProtocolTable, ...],
@@ -43,16 +48,22 @@ def reference_check_candidate(tables: Tuple[ProtocolTable, ...],
     mutex_ok = system.check_mutual_exclusion(max_states=max_states) is None
     if not mutex_ok:
         return CandidateVerdict(tables, False, False, False)
-    deadlock_ok = all(
-        system.check_deadlock_freedom(p.name, max_states=max_states) is None
-        for p in system.processes
-    )
-    if not deadlock_ok:
+
+    def starves(victim, forbidden_actions=None):
+        return find_starvation_cycle(
+            system, victim,
+            victim_stuck=lambda s: system.local_state(s, victim)["region"] == TRYING,
+            environment_returns=system._environment_owes,
+            forbidden_actions=forbidden_actions,
+            max_states=max_states,
+        ) is not None
+
+    def crit(action):
+        return isinstance(action, tuple) and action[0] == "crit"
+
+    if any(starves(p.name, crit) for p in system.processes):
         return CandidateVerdict(tables, True, False, False)
-    lockout_ok = all(
-        system.check_lockout_freedom(p.name, max_states=max_states) is None
-        for p in system.processes
-    )
+    lockout_ok = not any(starves(p.name) for p in system.processes)
     return CandidateVerdict(tables, True, True, lockout_ok)
 
 
@@ -132,11 +143,18 @@ def eager_check_candidate(tables: Tuple[ProtocolTable, ...],
     stuck = [bytes(s in local_of and local_of[s][victim] >= _TRYING
                    for s in range(len(seen)))
              for victim in (0, 1)]
-    if any(_admissible_cycle(order, succ, local_of, trying, _CRIT_OUTPUT)
-           for trying in stuck):
+    locals_at = [local_of.get(s, (_REM, _REM)) for s in range(len(seen))]
+    idle = [(l0 in _IDLE) | (l1 in _IDLE) << 1 for l0, l1 in locals_at]
+    owed = [_EXIT_INPUT if l0 == _CRIT else _EXIT_INPUT << 1 if l1 == _CRIT
+            else 0 for l0, l1 in locals_at]
+
+    def starves(trying, skip):
+        return admissible_component(order, succ, trying, idle, owed, skip,
+                                    3) is not None
+
+    if any(starves(trying, _CRIT_OUTPUT) for trying in stuck):
         return CandidateVerdict(tables, True, False, False)
-    lockout_ok = not any(_admissible_cycle(order, succ, local_of, trying, 0)
-                         for trying in stuck)
+    lockout_ok = not any(starves(trying, 0) for trying in stuck)
     return CandidateVerdict(tables, True, True, lockout_ok)
 
 

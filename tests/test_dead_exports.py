@@ -232,7 +232,6 @@ ALLOWLIST = {
     "shared_memory.mutex.peterson:PetersonProcess": INTERNAL,
     "shared_memory.mutex.tas_semaphore:TasSemaphoreProcess": INTERNAL,
     "shared_memory.mutex.tournament:TournamentProcess": INTERNAL,
-    "shared_memory.mutex.tournament:tournament_system": CONSTRUCTION,
     "shared_memory.variables:BinaryTestAndSet": INTERNAL,
     "shared_memory.variables:CompareAndSwap": INTERNAL,
     "shared_memory.variables:FetchAndAdd": INTERNAL,

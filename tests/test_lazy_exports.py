@@ -134,6 +134,22 @@ def test_engines_and_clis_load_no_numpy_or_networkx(modules):
     assert loaded.strip() == "[]"
 
 
+def test_mutex_checkers_load_no_networkx():
+    """The generic liveness checkers run on the fairness-cycle kernel in
+    ``core.packed``: checking a system loads no graph library."""
+    loaded = _fresh(
+        "import sys\n"
+        "from repro.shared_memory.mutex import peterson_system, "
+        "tas_semaphore_system\n"
+        "assert peterson_system().check_lockout_freedom('p0') is None\n"
+        "tas = tas_semaphore_system(2)\n"
+        "assert tas.check_deadlock_freedom('p0') is None\n"
+        "assert tas.check_lockout_freedom('p0') is not None\n"
+        "print(sorted({'numpy', 'networkx'} & set(sys.modules)))"
+    )
+    assert loaded.strip() == "[]"
+
+
 def test_proofs_engines_load_only_their_footprint():
     loaded = _fresh(
         "import importlib, sys\n"
