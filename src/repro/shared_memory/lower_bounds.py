@@ -10,7 +10,9 @@ lockout-freedom, and certify that no candidate achieves all three with a
 two (the paper's "a 2-valued semaphore is plenty if there are no
 fairness requirements").
 
-The search runs on an integer kernel of its own; the generic mutex stack
+The search runs on an integer kernel of its own, whose SCC check is the
+fairness-cycle kernel the generic mutex checkers share
+(:func:`repro.core.packed.admissible_component`); the generic mutex stack
 (:func:`build_synthetic_system`) loads only when a caller asks for it.
 The other §2.1 result, the Burns–Lynch adversary (E2), is in
 :mod:`.burns_lynch`.
