@@ -61,12 +61,14 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: every ``repro`` module and imports the engines again, as perfbench's
 #: set-up does; prints the number of ``repro`` modules loaded each time.
 #: After the first import it also prints the other modules the engines
-#: added (a JSON list), and at end of input its own peak RSS in MB.  That
+#: added (a JSON list) and the summed size of the ``repro`` source files
+#: it loads (set-up compiles them, so that is what a set-up change
+#: moves), and at end of input its own peak RSS in MB.  That
 #: is ``VmHWM``, not ``ru_maxrss``: Linux carries the parent's high-water
 #: mark into a child's ``ru_maxrss`` across exec, so under pytest it
 #: would read pytest's peak.
 _RELOADER = """
-import importlib, json, sys
+import importlib, json, os, sys
 from common import forget_repro
 from proofs_workload import ENGINES
 
@@ -79,6 +81,8 @@ before = set(sys.modules)
 load()
 print(json.dumps(sorted(m for m in set(sys.modules) - before
                         if m.split('.')[0] != 'repro')), flush=True)
+print(sum(os.path.getsize(m.__file__) for name, m in sys.modules.items()
+          if name.split('.')[0] == 'repro'), flush=True)
 for _line in sys.stdin:
     forget_repro()
     load()
@@ -104,6 +108,7 @@ def test_proofs_engines_cold_import(benchmark):
         ) as reloader:
             first = int(reloader.stdout.readline())
             added = json.loads(reloader.stdout.readline())
+            source_bytes = int(reloader.stdout.readline())
 
             def reimport():
                 reloader.stdin.write("\n")
@@ -113,7 +118,7 @@ def test_proofs_engines_cold_import(benchmark):
             modules = benchmark.pedantic(reimport, rounds=10, iterations=1)
             reloader.stdin.close()
             peak_rss_mb = float(reloader.stdout.readline())
-    record(benchmark, repro_modules=modules,
+    record(benchmark, repro_modules=modules, repro_source_bytes=source_bytes,
            reloader_peak_rss_mb=round(peak_rss_mb, 2),
            other_modules_added=added)
     assert modules == first  # every re-import loads the same set

@@ -27,10 +27,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "check_invariant", "explore", "find_state",
         "reachable_states_satisfying",
     ),
-    ".freeze": (
-        "clear_intern_table", "frozendict", "intern_frozen",
-        "intern_table_stats", "is_frozen", "register_packed_owner", "thaw",
-    ),
+    ".freeze": ("frozendict", "is_frozen", "thaw"),
     ".packed": (
         "IdFlags", "IdToValue", "PackedGraph", "StateInterner", "ValueTable",
     ),
@@ -101,10 +98,6 @@ __all__ = [
     "freeze",
     "thaw",
     "frozendict",
-    "intern_frozen",
-    "clear_intern_table",
-    "intern_table_stats",
-    "register_packed_owner",
     "is_frozen",
     "StateInterner",
     "PackedGraph",

@@ -26,7 +26,10 @@ decides how a value is written down.
   ``{"fs": [...]}`` for frozensets, ``{"fd": [[k, v], ...]}`` for
   frozendicts) that trace JSONL, chaos artifacts, the schedule corpus
   and store keys use; :func:`canonical_json` writes a JSON-native
-  payload as canonical text.
+  payload as canonical text.  :func:`decode` returns the value it
+  builds, so it is type-exact: ``1``, ``True`` and ``1.0`` compare
+  equal but decode apart, and every decoded value re-encodes to the
+  bytes it came from.
 
 * **Fast path.**  Only a set makes ``repr`` non-canonical, and every set
   in a ``repr`` shows as ``frozenset(``.  :func:`text` and
@@ -39,7 +42,7 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping, Sequence
 
-from .freeze import frozendict, intern_frozen
+from .freeze import frozendict
 
 #: Appears in the ``repr`` of every value that holds a frozenset.
 _SET_MARK = "frozenset("
@@ -136,59 +139,11 @@ def encode(value: Any) -> Any:
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
-#: Scalar types whose equal values of one type encode alike
-_FLAT = frozenset({str, int, bool, type(None)})
-
-
-def _encodes_alike(canonical: Any, value: Any) -> bool:
-    """Whether two equal frozen values also encode alike.  Equality
-    conflates ``1``, ``True`` and ``1.0`` (and ``0.0`` with ``-0.0``), so
-    the interned instance equal to a decoded value may not be it."""
-    if canonical is value:
-        return True
-    kind = type(value)
-    if type(canonical) is not kind:
-        return False
-    if kind is tuple:
-        for x, y in zip(canonical, value):
-            if x is not y and (
-                type(x) is not type(y)
-                or type(y) not in _FLAT and not _encodes_alike(x, y)
-            ):
-                return False
-        return True
-    if kind is frozenset:
-        types = set(map(type, value))
-        if _FLAT.issuperset(types):
-            # Of two equal flat scalars only a bool and an int differ.
-            return types == set(map(type, canonical)) and (
-                bool not in types
-                or {x for x in value if type(x) is bool}
-                == {x for x in canonical if type(x) is bool}
-            )
-        match = {item: item for item in canonical}
-        return all(_encodes_alike(match[item], item) for item in value)
-    if kind is frozendict:
-        match = {k: k for k in canonical}
-        return all(
-            _encodes_alike(match[k], k) and _encodes_alike(canonical[k], v)
-            for k, v in value.items()
-        )
-    if kind is float:
-        return repr(canonical) == repr(value)
-    return kind in _FLAT
-
-
 def decode(value: Any) -> Any:
-    """Invert :func:`encode`, producing interned frozen values.
+    """Invert :func:`encode`: the frozen value it was encoded from.
 
-    Tuples, frozensets and frozendicts come back as the canonical
-    (hash-consed) instances via :func:`~repro.core.freeze.intern_frozen`,
-    so a decoded state table shares identity with live exploration — a
-    reloaded graph probes sets exactly as a freshly built one does.  The
-    decoding is type-exact: where the canonical instance is equal but
-    not alike (``(0, True)`` for ``(0, 1)``), the decoded value comes
-    back un-interned, so it always re-encodes to the same bytes.
+    The decoding is type-exact (``(0, True)`` and ``(0, 1)`` are equal
+    but decode apart), so a decoded value re-encodes to the same bytes.
     """
     if type(value) in _SCALARS:
         return value
@@ -200,15 +155,9 @@ def decode(value: Any) -> Any:
                 decoded = [
                     v if type(v) in _SCALARS else decode(v) for v in items
                 ]
-                value = tuple(decoded) if tag == "t" else frozenset(decoded)
-            elif tag == "fd":
-                value = frozendict(
-                    (decode(k), decode(v)) for k, v in items
-                )
-            else:
-                raise ValueError(f"unknown tagged value {value!r}")
-            canonical = intern_frozen(value)
-            return canonical if _encodes_alike(canonical, value) else value
+                return tuple(decoded) if tag == "t" else frozenset(decoded)
+            if tag == "fd":
+                return frozendict((decode(k), decode(v)) for k, v in items)
         raise ValueError(f"unknown tagged value {value!r}")
     if isinstance(value, list):
         raise ValueError(f"bare JSON array in canonical encoding: {value!r}")

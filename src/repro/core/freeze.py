@@ -9,19 +9,16 @@ immutable one, and :func:`thaw` converts it back for inspection.
 The encoding is canonical: two structurally equal mutable values freeze to
 equal hashable values, regardless of dict insertion order.
 
-Because frozen states live in the inner loops of the exploration engine
-(every ``succ in reachable`` membership test hashes one), this module also
-hash-conses: :class:`frozendict` computes its hash once and caches it, and
-:func:`intern_frozen` maintains an intern table mapping each frozen
-container to one canonical instance, so structurally equal states share
-identity — and dict/set probes short-circuit on ``is`` instead of walking
-deep structures.
+A frozen state is a value: equal states are interchangeable, and nothing
+here gives them a shared identity.  Exploration engines name states by a
+dense id in their own :class:`~repro.core.packed.StateInterner`, so a
+frozen state is hashed deeply once per graph; :class:`frozendict` also
+caches its own hash.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import Any, Dict, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 
 class frozendict(Mapping):
@@ -106,104 +103,21 @@ class frozendict(Mapping):
         return frozendict._from_data(new)
 
 
-_INTERN: Dict[Any, Any] = {}
-_INTERN_HITS = 0
-_INTERN_MISSES = 0
-
-# Objects owning per-graph interned state (dense-id tables, packed
-# adjacency — see repro.core.packed).  Ids issued by those interners
-# reference this process's interning epoch; clear_intern_table() starts a
-# new epoch, so every registered owner is asked to drop its packed state
-# too.  Weak references: registration must not extend any graph's life.
-_PACKED_OWNERS: "weakref.WeakSet" = weakref.WeakSet()
-
-
-def register_packed_owner(owner: Any) -> None:
-    """Register an object exposing ``reset_packed_state()`` for cascade
-    clearing by :func:`clear_intern_table` (weakly referenced)."""
-    _PACKED_OWNERS.add(owner)
-
-
-def intern_frozen(value: Any) -> Any:
-    """Hash-cons ``value``: return the canonical instance equal to it.
-
-    Only container values (:class:`frozendict`, tuple, frozenset) are
-    interned — scalars are returned unchanged.  Unhashable values pass
-    through untouched.  The canonical instance is whichever equal value
-    was interned first, so states that recur across explorations share
-    one object and equality checks inside set/dict probes reduce to
-    identity.
-    """
-    global _INTERN_HITS, _INTERN_MISSES
-    # frozendict last: its ABC instance check is the slow one.
-    if not isinstance(value, (tuple, frozenset, frozendict)):
-        return value
-    try:
-        canonical = _INTERN.get(value)
-    except TypeError:
-        return value
-    if canonical is not None:
-        _INTERN_HITS += 1
-        return canonical
-    _INTERN[value] = value
-    _INTERN_MISSES += 1
-    return value
-
-
-def intern_table_stats() -> Dict[str, Any]:
-    """Size and hit-rate accounting for the global intern table."""
-    probes = _INTERN_HITS + _INTERN_MISSES
-    return {
-        "size": len(_INTERN),
-        "hits": _INTERN_HITS,
-        "misses": _INTERN_MISSES,
-        "hit_rate": (_INTERN_HITS / probes) if probes else 0.0,
-    }
-
-
-def clear_intern_table() -> None:
-    """Empty the intern table (mainly for long-running processes and tests).
-
-    Also resets every registered per-graph interner (state graphs,
-    transition caches): their dense ids index tables built from this
-    process's interning epoch, so the global clear cascades — otherwise a
-    long-lived graph would both leak the old canonical instances and keep
-    serving ids from the dead epoch.
-    """
-    global _INTERN_HITS, _INTERN_MISSES
-    _INTERN.clear()
-    _INTERN_HITS = 0
-    _INTERN_MISSES = 0
-    for owner in list(_PACKED_OWNERS):
-        reset = getattr(owner, "reset_packed_state", None)
-        if reset is not None:
-            reset()
-
-
-def freeze(value: Any, intern: bool = True) -> Any:
+def freeze(value: Any) -> Any:
     """Recursively convert ``value`` into an equivalent hashable value.
 
     * dict -> :class:`frozendict` (values frozen recursively)
     * list / tuple -> tuple of frozen elements
     * set / frozenset -> frozenset of frozen elements
     * everything else is returned unchanged (assumed already hashable)
-
-    With ``intern`` (the default), frozen containers are hash-consed
-    through :func:`intern_frozen` so equal states share one instance.
     """
-    if isinstance(value, frozendict):
-        frozen: Any = frozendict(
-            {k: freeze(v, intern) for k, v in value.items()}
-        )
-    elif isinstance(value, Mapping):
-        frozen = frozendict({k: freeze(v, intern) for k, v in value.items()})
-    elif isinstance(value, (list, tuple)):
-        frozen = tuple(freeze(v, intern) for v in value)
-    elif isinstance(value, (set, frozenset)):
-        frozen = frozenset(freeze(v, intern) for v in value)
-    else:
-        return value
-    return intern_frozen(frozen) if intern else frozen
+    if isinstance(value, Mapping):
+        return frozendict({k: freeze(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(freeze(v) for v in value)
+    if isinstance(value, (set, frozenset)):
+        return frozenset(freeze(v) for v in value)
+    return value
 
 
 def thaw(value: Any) -> Any:

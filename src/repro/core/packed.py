@@ -21,10 +21,7 @@ Id lifetime rules:
   the lifetime of the interner** — an id is never reassigned;
 * ids are **local to one interner** (one per :class:`~repro.core.stategraph.StateGraph`
   / transition cache); they must never be compared across interners —
-  ship the frozen state across that boundary;
-* :meth:`StateInterner.clear` resets the id space; every packed
-  structure holding ids from it must be dropped with it (the owning
-  graph does this, see ``clear_intern_table``).
+  ship the frozen state across that boundary.
 """
 
 from __future__ import annotations
@@ -83,13 +80,6 @@ class StateInterner:
 
     def __contains__(self, state: Any) -> bool:
         return state in self._ids
-
-    def clear(self) -> None:
-        """Reset the id space.  Invalidates every id ever issued."""
-        self._ids.clear()
-        self._states.clear()
-        self.hits = 0
-        self.misses = 0
 
     @property
     def stats(self) -> Dict[str, Any]:

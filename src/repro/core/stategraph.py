@@ -12,6 +12,10 @@ states.
 :class:`StateGraph` is the explicit-state-model-checker answer: one
 engine per automaton that
 
+* names each state by a dense id in its own
+  :class:`~repro.core.packed.StateInterner`, the only identity a state
+  has: states are values, so an equal state built anywhere else (a
+  decoded trace, another graph) gets the same id here;
 * memoizes **successor expansion** per state (``transitions``), so each
   ``(state, action) -> successors`` sweep happens exactly once no matter
   how many queries ask for it;
@@ -49,7 +53,6 @@ from typing import (
 from .automaton import Action, IOAutomaton, State
 from .budget import BudgetMeter
 from .errors import SearchBudgetExceeded
-from .freeze import intern_table_stats, register_packed_owner
 from .packed import IdFlags, PackedGraph, StateInterner
 
 Edge = Tuple[Action, State]
@@ -197,19 +200,6 @@ class StateGraph:
         self._cones: Dict[State, FrozenSet[State]] = {}
         self.hits = 0
         self.misses = 0
-        register_packed_owner(self)
-
-    def reset_packed_state(self) -> None:
-        """Drop every id-indexed structure (cascade of
-        :func:`~repro.core.freeze.clear_intern_table`): ids from the old
-        interning epoch must not survive the epoch."""
-        self.interner = StateInterner()
-        self._plocal = PackedGraph(self.interner)
-        self._pinput = PackedGraph(self.interner)
-        self._lviews = []
-        self._iviews = []
-        self._frontiers = {}
-        self._cones = {}
 
     # -- successor expansion ---------------------------------------------
 
@@ -368,7 +358,7 @@ class StateGraph:
     @property
     def stats(self) -> Dict[str, int]:
         """Cache accounting: expansion hits/misses, frontier sizes, and
-        the packed-store / intern-table footprint."""
+        the interner / packed-store footprint."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -379,7 +369,6 @@ class StateGraph:
             "cones_cached": len(self._cones),
             "states_interned": len(self.interner),
             "packed_bytes": self._plocal.nbytes() + self._pinput.nbytes(),
-            "intern_table": intern_table_stats(),
         }
 
 

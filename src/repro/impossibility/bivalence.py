@@ -44,7 +44,6 @@ from typing import (
 )
 
 from ..core.errors import SearchBudgetExceeded
-from ..core.freeze import register_packed_owner
 from ..core.packed import IdFlags, IdToValue, PackedGraph, StateInterner, ValueTable
 
 Configuration = Hashable
@@ -159,19 +158,11 @@ class TransitionCache:
     hits: int = 0
     misses: int = 0
 
-    # Identity hash so instances can register in the weak owner set.
-    __hash__ = object.__hash__
-
     def __post_init__(self):
         # Duck-typed systems need not subclass DecisionSystem.
         make_codec = getattr(self.system, "configuration_codec", None)
         self.codec = make_codec() if make_codec is not None else None
         self._sweep = getattr(self.system, "sweep_transitions", None)
-        self.reset_packed_state()
-        register_packed_owner(self)
-
-    def reset_packed_state(self) -> None:
-        """Drop every id and row (cascade target of ``clear_intern_table``)."""
         self.interner = StateInterner()
         self.graph = PackedGraph(self.interner)
         self._views: List[Optional[Tuple[Tuple[Event, Configuration], ...]]] = []
@@ -393,8 +384,6 @@ class ValencyAnalyzer:
     max_configurations: int = 200_000
     cache: Optional[TransitionCache] = None
 
-    __hash__ = object.__hash__
-
     def __post_init__(self):
         if self.cache is None:
             self.cache = TransitionCache(self.system)
@@ -405,18 +394,12 @@ class ValencyAnalyzer:
         # bit.
         self._own = array("q")
         self._local_bits: List[int] = []
-        register_packed_owner(self)
 
     @property
     def _valency_cache(self) -> Mapping:
         """The config-keyed labels, as a read-through view over the mask
         table (built per access: a stored view would be a cycle)."""
         return _ValencyView(self)
-
-    def reset_packed_state(self) -> None:
-        """Drop id-indexed labels (cascade target of ``clear_intern_table``)."""
-        self._masks = IdToValue()
-        self._own = array("q")
 
     def transitions(
         self, config: Configuration

@@ -144,7 +144,6 @@ ALLOWLIST = {
     "core.exploration:can_reach_from": CORE_API,
     "core.exploration:find_state": CORE_API,
     "core.exploration:reachable_states_satisfying": CORE_API,
-    "core.freeze:clear_intern_table": CORE_API,
     "core.freeze:is_frozen": CORE_API,
     "core.freeze:thaw": CORE_API,
     "core.indistinguishability:IndistinguishabilityChain": INTERNAL,

@@ -8,9 +8,8 @@ same public APIs.  These tests pin the contract from three sides:
   valency labels over the packed stores are identical to a naive
   frozen-state reference executed per query, across hypothesis-random
   automata;
-* **id lifetime** — ids never leak across interners/automata, and
-  ``clear_intern_table`` cascades into every registered per-graph
-  interner (a new interning epoch invalidates all packed state);
+* **id lifetime** — ids are local to one graph's interner and never
+  leak across interners/automata;
 * **fingerprint stability** — fixed-seed chaos campaigns produce the
   same counterexample fingerprints at any worker count, so packing the
   parallel fabric's id-table deltas changed no observable output.
@@ -30,8 +29,6 @@ from repro.core import (
     StateInterner,
     TableAutomaton,
     ValueTable,
-    clear_intern_table,
-    intern_table_stats,
     state_graph,
 )
 from repro.registers.exhaustive import (
@@ -234,7 +231,7 @@ class TestPackedRegisterSearch:
 
 
 # ---------------------------------------------------------------------------
-# Id lifetime: per-graph interners, epoch clears, no cross-automaton leaks
+# Id lifetime: per-graph interners, no cross-automaton leaks
 
 
 def _counter(limit):
@@ -254,35 +251,13 @@ class TestIdLifetime:
         gb.frontier(False).expand_all(10_000)
         assert len(ga.interner) == 6
         assert len(gb.interner) == 10
+        assert ga.stats["states_interned"] == 6
+        assert ga.stats["packed_bytes"] > 0
         # Same state, independently interned — ids are interner-local.
         assert ga.interner.id_of(3) is not None
         assert gb.interner.id_of(3) is not None
         assert ga.interner.state_of(ga.interner.id_of(5)) == 5
         assert gb.interner.state_of(gb.interner.id_of(9)) == 9
-
-    def test_clear_intern_table_cascades_to_graphs(self):
-        auto = _counter(4)
-        graph = state_graph(auto)
-        graph.frontier(False).expand_all(10_000)
-        assert len(graph.interner) == 5
-        clear_intern_table()
-        # The cascade dropped the packed state: a new interning epoch.
-        assert len(graph.interner) == 0
-        assert graph.stats["states_expanded"] == 0
-        # And the graph still answers correctly afterwards.
-        assert set(graph.frontier(False).states(10_000)) == set(range(5))
-
-    def test_intern_table_stats_in_graph_stats(self):
-        auto = _counter(3)
-        graph = state_graph(auto)
-        graph.frontier(False).expand_all(10_000)
-        stats = graph.stats
-        assert stats["states_interned"] == 4
-        assert stats["packed_bytes"] > 0
-        assert set(stats["intern_table"]) == {
-            "size", "hits", "misses", "hit_rate"
-        }
-        assert intern_table_stats()["size"] >= 0
 
 
 # ---------------------------------------------------------------------------

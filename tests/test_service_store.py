@@ -16,7 +16,8 @@ import os
 import pytest
 
 from repro.core.canonical import canonical_json, decode, encode
-from repro.core.freeze import frozendict, intern_frozen
+from repro.core.freeze import frozendict
+from repro.core.packed import StateInterner
 from repro.core.runtime import FingerprintMismatch
 from repro.service.keys import QueryKey, payload_fingerprint
 from repro.service.store import CertificateStore, _read_entry
@@ -70,12 +71,12 @@ class TestQueryKeys:
             QueryKey.make("q", bad=object())
 
     def test_canonical_round_trip_interns(self):
-        value = intern_frozen(
-            (frozendict({"a": (1, 2), "b": frozenset({3})}), "tail")
-        )
+        value = (frozendict({"a": (1, 2), "b": frozenset({3})}), "tail")
         decoded = decode(json.loads(canonical_json(encode(value))))
         assert decoded == value
-        assert decoded is intern_frozen(value)
+        # A decoded state takes the id its live twin has in a graph.
+        interner = StateInterner()
+        assert interner.intern(value) == interner.intern(decoded)
 
     def test_payload_fingerprint_is_order_insensitive(self):
         assert payload_fingerprint({"a": 1, "b": 2}) == payload_fingerprint(

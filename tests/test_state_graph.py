@@ -9,6 +9,7 @@ from repro.core import (
     SearchBudgetExceeded,
     Signature,
     StateGraph,
+    StateInterner,
     TableAutomaton,
     assert_invariant,
     can_reach_from,
@@ -18,7 +19,6 @@ from repro.core import (
     forget_state_graph,
     freeze,
     frozendict,
-    intern_frozen,
     state_graph,
 )
 from repro.impossibility import ValencyAnalyzer
@@ -159,11 +159,9 @@ class TestInterning:
     def test_freeze_interns_equal_values(self):
         a = freeze({"x": [1, 2], "y": {"z": 3}})
         b = freeze({"y": {"z": 3}, "x": (1, 2)})
-        assert a is b
-
-    def test_intern_frozen_passes_scalars_through(self):
-        assert intern_frozen(7) == 7
-        assert intern_frozen("s") == "s"
+        assert a == b and hash(a) == hash(b)
+        interner = StateInterner()
+        assert interner.intern(a) == interner.intern(b) == 0
 
     def test_frozendict_set_unchanged_returns_self(self):
         d = frozendict({"a": 1, "b": 2})

@@ -11,15 +11,18 @@ as all hits; and an entry re-serialized with other whitespace — which
 the reference accepted — is now a counted miss.
 """
 
+import gc
 import json
 import os
+import types
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.canonical import canonical_json, decode, encode, text
-from repro.core.freeze import frozendict, intern_frozen
+from repro.core.freeze import frozendict
+from repro.core.packed import StateInterner
 from repro.core.runtime import Trace, TraceEvent
 from repro.service.keys import QueryKey
 from repro.service.store import CertificateStore, SegmentLog, _encode_entry
@@ -59,17 +62,6 @@ def _frozen(scalars):
 
 
 PARAM_VALUES = _frozen(
-    st.none()
-    | st.booleans()
-    | st.integers(min_value=-1000, max_value=1000)
-    | st.floats(allow_nan=False)
-    | _TEXT
-)
-
-# Bools and floats included: decoding interns into the global,
-# equality-keyed table, where an earlier (0, True) or (0, 0.0) equals a
-# later (0, 0) — and must not stand in for it.
-INTERNED_VALUES = _frozen(
     st.none()
     | st.booleans()
     | st.integers(min_value=-1000, max_value=1000)
@@ -212,18 +204,6 @@ def test_reserialized_entry_is_a_counted_miss(tmp_path):
 # -- the canonical value codec ----------------------------------------------
 
 
-def _containers(value):
-    if isinstance(value, (tuple, frozenset)):
-        yield value
-        for item in value:
-            yield from _containers(item)
-    elif isinstance(value, frozendict):
-        yield value
-        for k, v in value.items():
-            yield from _containers(k)
-            yield from _containers(v)
-
-
 def _text(value):
     return canonical_json(encode(value))
 
@@ -238,45 +218,51 @@ NESTED_SETS = frozenset({
 
 
 @settings(max_examples=300, deadline=None)
-@given(INTERNED_VALUES)
+@given(PARAM_VALUES)
 @example(NESTED_SETS)
-def test_canonical_round_trip_returns_interned_instances(value):
+def test_canonical_round_trip_is_exact(value):
     text = _text(value)
     decoded = decode(json.loads(text))
     assert decoded == value
     assert _text(decoded) == text
-    # Interned wherever the interned instance is alike, not just equal.
-    for container in _containers(decoded):
-        canonical = intern_frozen(container)
-        assert container is canonical or _text(canonical) != _text(container)
 
 
-# Each case's first value is interned, then the second decoded: equal
-# values, different encodings.  The tags keep them out of other tests'
-# way in the global intern table.
+# Equal values, different encodings: equality conflates ``1``, ``True``
+# and ``1.0``, and ``0.0`` with ``-0.0``.
 TYPE_COLLISIONS = [
-    (("collide-a", 0, True), ("collide-a", 0, 1)),
-    (("collide-b", 0, 1), ("collide-b", 0, True)),
-    (("collide-c", 1.0), ("collide-c", 1)),
-    (("collide-d", -0.0), ("collide-d", 0.0)),
-    ((("collide-e", (0, True)),), (("collide-e", (0, 1)),)),
-    (frozenset({"collide-f", True, 2}), frozenset({"collide-f", 1, 2})),
-    (frozenset({"collide-g", 0, True}), frozenset({"collide-g", False, 1})),
-    (frozenset({"collide-h", (0, 1.0)}), frozenset({"collide-h", (0, 1)})),
-    (frozendict({"collide-i": 1, True: 0}), frozendict({"collide-i": 1, 1: 0})),
-    (frozendict({"collide-j": (1,)}), frozendict({"collide-j": (True,)})),
+    ((0, True), (0, 1)),
+    (frozendict({0.0: "k"}), frozendict({False: "k"})),
+    ((1.0,), (1,)),
+    ((-0.0,), (0.0,)),
+    (((0, True),), ((0, 1),)),
+    (frozenset({True, 2}), frozenset({1, 2})),
+    (frozenset({0, True}), frozenset({False, 1})),
+    (frozenset({(0, 1.0)}), frozenset({(0, 1)})),
+    (frozendict({"k": 1, True: 0}), frozendict({"k": 1, 1: 0})),
+    (frozendict({"k": (1,)}), frozendict({"k": (True,)})),
 ]
 
 
 @pytest.mark.parametrize("first, second", TYPE_COLLISIONS)
 def test_decoding_is_type_exact_after_an_equal_value_was_interned(first, second):
     assert first == second and _text(first) != _text(second)
-    interned = intern_frozen(first)
-    decoded = decode(json.loads(_text(second)))
-    assert _text(decoded) == _text(second)
-    assert decoded is not interned
-    # The interned instance still decodes to itself.
-    assert decode(json.loads(_text(first))) is interned
+    # Equal states share one id in a graph's interner; decoding neither
+    # reads nor feeds that identity, in either order.
+    interner = StateInterner()
+    for pair in ((first, second), (second, first)):
+        texts = [_text(value) for value in pair]
+        decoded = [decode(json.loads(text)) for text in texts]
+        assert [_text(value) for value in decoded] == texts
+        assert interner.intern(decoded[0]) == interner.intern(decoded[1])
+
+
+def test_decoded_values_are_held_by_nothing_else():
+    decoded = decode(json.loads(_text((0, frozenset({(1, True)})))))
+    holders = [
+        ref for ref in gc.get_referrers(decoded)
+        if not isinstance(ref, types.FrameType)
+    ]
+    assert holders == []
 
 
 @pytest.mark.parametrize(
